@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,6 +87,12 @@ class Participant:
 class Bb84Config:
     oversample_factor: int = 6  # qubits transmitted per message bit
     max_retries: int = 10  # extra rounds when the sifted key comes up short
+
+    def __post_init__(self):
+        for name in ("oversample_factor", "max_retries"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValidationError(name, f"must be an integer >= 1, got {value!r}")
 
 
 @dataclass

@@ -13,11 +13,12 @@ class UnknownBackendError(QubitkitError):
     """No backend registered under the requested name."""
 
 
-class ValidationError(QubitkitError):
+class ValidationError(QubitkitError, ValueError):
     """A user-supplied parameter failed validation.
 
     The message always names the offending parameter and the violated
-    constraint, so front-ends can show it verbatim.
+    constraint, so front-ends can show it verbatim. It is also a
+    ``ValueError``, so callers that catch bad values generically still do.
     """
 
     def __init__(self, param: str, message: str):

@@ -7,6 +7,13 @@ Bit-ordering convention, used everywhere in this package:
 * outcome bitstrings are printed most-significant qubit first, i.e.
   ``format(index, f"0{n}b")`` — qubit n-1 is the leftmost character.
 
+Amplitudes are real ``float64``: H, X and CNOT are real orthogonal gates,
+so a state evolved from |0...0> never leaves the reals. Each gate is one
+out-of-place kernel over reshaped views of the amplitude array (strided
+butterflies and half swaps, no index arrays), and every kernel keeps the
+dtype of its input, so complex states given to :func:`apply_gate` stay
+complex.
+
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (cumsum + searchsorted),
 so equal seeds give bit-identical counts on any platform.
@@ -16,17 +23,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, ValidationError
 
 DEFAULT_QUBIT_CAP = 24
 
 GATE_KINDS = ("H", "X", "CNOT")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+_SEED_BOUND = 1 << 64  # seeds lie in [0, 2^64), the range derive_seed returns
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -44,6 +54,10 @@ def derive_seed(master: int, *parts: int) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def bitstring(index: int, num_qubits: int) -> str:
     """Outcome label for an amplitude index (most-significant qubit first)."""
     return format(index, f"0{num_qubits}b")
@@ -58,12 +72,20 @@ class Gate:
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise ValidationError("kind", f"unknown gate kind {self.kind!r}")
         arity = 2 if self.kind == "CNOT" else 1
         if len(self.targets) != arity:
-            raise ValueError(f"{self.kind} takes {arity} target(s), got {self.targets}")
+            raise ValidationError(
+                "targets", f"{self.kind} takes {arity} target(s), got {self.targets}"
+            )
+        if not all(_is_int(t) for t in self.targets):
+            raise ValidationError(
+                "targets", f"qubit indices must be integers, got {self.targets}"
+            )
         if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"{self.kind} targets must be distinct, got {self.targets}")
+            raise ValidationError(
+                "targets", f"{self.kind} targets must be distinct, got {self.targets}"
+            )
         if any(t < 0 for t in self.targets):
             raise IndexError(f"negative qubit index in {self.targets}")
 
@@ -115,7 +137,12 @@ class Circuit:
 
 @dataclass
 class Statevector:
-    """Complex amplitudes of an ``num_qubits``-qubit register (length 2^n)."""
+    """Amplitudes of an ``num_qubits``-qubit register (length 2^n).
+
+    States built by :func:`new_zero_state` and :func:`evolve` hold real
+    ``float64`` amplitudes. A complex array is accepted as well; gates keep
+    its dtype, and probabilities are ``|a|^2`` either way.
+    """
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -135,36 +162,56 @@ def new_zero_state(n: int, cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
     """|0...0> on n qubits; n outside [1, cap] raises CapacityError."""
     if not 1 <= n <= cap:
         raise CapacityError(f"qubit count {n} outside supported range 1..{cap}")
-    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps = np.zeros(1 << n, dtype=np.float64)
     amps[0] = 1.0
     return Statevector(n, amps)
 
 
+def _pairs(amps: np.ndarray, qubit: int) -> np.ndarray:
+    """View with axis 1 the qubit's bit: [:, 0] and [:, 1] are the two halves."""
+    return amps.reshape(-1, 2, 1 << qubit)
+
+
+def _hadamard(amps: np.ndarray, out: np.ndarray, qubit: int) -> None:
+    a, b = _pairs(amps, qubit), _pairs(out, qubit)
+    np.add(a[:, 0], a[:, 1], out=b[:, 0])
+    np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+    out *= _INV_SQRT2
+
+
+def _pauli_x(amps: np.ndarray, out: np.ndarray, qubit: int) -> None:
+    a, b = _pairs(amps, qubit), _pairs(out, qubit)
+    b[:, 0] = a[:, 1]
+    b[:, 1] = a[:, 0]
+
+
+def _cnot(amps: np.ndarray, out: np.ndarray, control: int, target: int) -> None:
+    # One axis per qubit, qubit n-1 first; move control and target to the front.
+    n = amps.size.bit_length() - 1
+    axes = (n - 1 - control, n - 1 - target)
+    a = np.moveaxis(amps.reshape([2] * n), axes, (0, 1))
+    b = np.moveaxis(out.reshape([2] * n), axes, (0, 1))
+    b[0] = a[0]
+    b[1, 0] = a[1, 1]
+    b[1, 1] = a[1, 0]
+
+
+_KERNELS = {"H": _hadamard, "X": _pauli_x, "CNOT": _cnot}
+
+
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Return the state transformed by one gate (the input is not touched)."""
+    """Return the state transformed by one gate (the input is not touched).
+
+    The result has the input's dtype.
+    """
     for t in gate.targets:
         if not 0 <= t < state.num_qubits:
             raise IndexError(
                 f"gate {gate.kind} targets qubit {t}, state has {state.num_qubits}"
             )
-    amps = state.amplitudes
-    if gate.kind == "H":
-        q = gate.targets[0]
-        t = amps.reshape(-1, 2, 1 << q)
-        out = np.empty_like(t)
-        a0, a1 = t[:, 0, :], t[:, 1, :]
-        out[:, 0, :] = (a0 + a1) * _INV_SQRT2
-        out[:, 1, :] = (a0 - a1) * _INV_SQRT2
-        return Statevector(state.num_qubits, out.reshape(-1))
-    if gate.kind == "X":
-        q = gate.targets[0]
-        idx = np.arange(amps.size)
-        return Statevector(state.num_qubits, amps[idx ^ (1 << q)])
-    # CNOT: flip the target bit wherever the control bit is 1.
-    control, target = gate.targets
-    idx = np.arange(amps.size)
-    src = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    return Statevector(state.num_qubits, amps[src])
+    out = np.empty_like(state.amplitudes)
+    _KERNELS[gate.kind](state.amplitudes, out, *gate.targets)
+    return Statevector(state.num_qubits, out)
 
 
 def evolve(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
@@ -175,12 +222,21 @@ def evolve(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
     return state
 
 
+def _inverse_cdf(probabilities: np.ndarray, uniforms: float | np.ndarray):
+    """Outcome indices for uniforms in [0, 1): cumsum, then searchsorted.
+
+    Overwrites ``probabilities`` with their running sum. Searching all but
+    the last entry clamps a uniform that rounds onto the total mass to the
+    last outcome.
+    """
+    cum = np.cumsum(probabilities, out=probabilities)
+    return np.searchsorted(cum[:-1], uniforms * cum[-1], side="right")
+
+
 def sample_measurement(state: Statevector, rng: np.random.Generator) -> str:
     """Draw one terminal measure-all outcome under the Born rule."""
-    cum = np.cumsum(state.probabilities())
-    u = rng.random() * cum[-1]
-    index = min(int(np.searchsorted(cum, u, side="right")), state.dim - 1)
-    return bitstring(index, state.num_qubits)
+    index = _inverse_cdf(state.probabilities(), rng.random())
+    return bitstring(int(index), state.num_qubits)
 
 
 @dataclass
@@ -211,12 +267,12 @@ def run(circuit: Circuit, shots: int, seed: int, cap: int = DEFAULT_QUBIT_CAP) -
     Equal (circuit, shots, seed) gives bit-identical Counts. Keys are
     sorted by outcome.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    state = evolve(circuit, cap=cap)
-    cum = np.cumsum(state.probabilities())
-    u = make_rng(seed).random(shots) * cum[-1]
-    indices = np.minimum(np.searchsorted(cum, u, side="right"), state.dim - 1)
+    if not _is_int(shots) or shots < 1:
+        raise ValidationError("shots", f"must be an integer >= 1, got {shots!r}")
+    if not _is_int(seed) or not 0 <= seed < _SEED_BOUND:
+        raise ValidationError("seed", f"must be an integer in [0, 2^64), got {seed!r}")
+    probabilities = evolve(circuit, cap=cap).probabilities()
+    indices = _inverse_cdf(probabilities, make_rng(seed).random(shots))
     values, tallies = np.unique(indices, return_counts=True)
     table = {
         bitstring(int(v), circuit.num_qubits): int(c) for v, c in zip(values, tallies)

@@ -300,6 +300,15 @@ def test_protocol_validates_inputs():
         run_exchange(4, 0.5, seed=1, compare_mode="most")
 
 
+@pytest.mark.parametrize("field", ["oversample_factor", "max_retries"])
+@pytest.mark.parametrize("value", [0, -2, True, 2.0, "3", None])
+def test_config_rejects_bad_counts(field, value):
+    # Unvalidated, run_protocol crashed with AttributeError at max_retries=0
+    # and reported key_too_short without sending a qubit at oversample_factor=0.
+    with pytest.raises(ValidationError, match=field):
+        Bb84Config(**{field: value})
+
+
 def test_render_trace_layout():
     trace = run_protocol(tuple(int(b) for b in "1011"), 0.0, seed=3)
     text = render_trace(trace)

@@ -1,0 +1,68 @@
+"""Golden seeded outputs: equal inputs and an equal seed give identical results.
+
+Each case hashes a seeded output into a SHA-256 digest that was recorded
+once and must never drift. A change that alters any seed stream, sampling
+arithmetic or amplitude rounding fails here; such a change has to say so
+and re-record the digests deliberately.
+"""
+
+import hashlib
+
+import numpy as np
+
+from qubitkit.algorithms.bb84 import run_exchange
+from qubitkit.algorithms.bernstein_vazirani import bv_circuit
+from qubitkit.algorithms.qrand import qrand_circuit
+from qubitkit.sim import Circuit, Gate, run
+
+
+def sha256(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def counts_digest(counts) -> str:
+    return sha256((counts.shots, sorted(counts.items())))
+
+
+def fixed_random_circuit(n: int, count: int, seed: int) -> Circuit:
+    rng = np.random.default_rng(seed)
+    circuit = Circuit(n)
+    for _ in range(count):
+        kind = ("H", "X", "CNOT")[int(rng.integers(3))]
+        if kind == "CNOT":
+            control, target = rng.choice(n, size=2, replace=False)
+            circuit.append(Gate("CNOT", (int(control), int(target))))
+        else:
+            circuit.append(Gate(kind, (int(rng.integers(n)),)))
+    return circuit.measure_all()
+
+
+def test_qrand_histogram_counts():
+    counts = run(qrand_circuit(12), shots=100_000, seed=20_917)
+    assert counts_digest(counts) == (
+        "212ccda5ad208dd3f24ac2ffcd7cc4981978ad174ec155606233db47a3209621"
+    )
+
+
+def test_bernstein_vazirani_20_bit_counts():
+    key = "10110011100011110100"
+    counts = run(bv_circuit(key), shots=32, seed=2_209)
+    assert {outcome[1:] for outcome in counts} == {key}
+    assert counts_digest(counts) == (
+        "805487a076533fea4050a46449405c4798233ae74e65ada03b8c6f8b05881985"
+    )
+
+
+def test_random_six_qubit_circuit_counts():
+    circuit = fixed_random_circuit(6, 40, seed=12_698)
+    counts = run(circuit, shots=10_000, seed=4_099)
+    assert counts_digest(counts) == (
+        "edb2bbae5d12bfe81b62d4e893f96227ba81512f09bc31f5c543ab7e749b93d0"
+    )
+
+
+def test_bb84_full_compare_exchange_trace():
+    trace = run_exchange(256, 0.5, seed=84, compare_mode="full")
+    assert sha256(trace) == (
+        "70e5ef7a1f7c8d729c530da25fb6bd5d89ad81d18de4898451e8b8e6bbff8674"
+    )

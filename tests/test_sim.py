@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from qubitkit.errors import CapacityError
+from qubitkit.errors import CapacityError, ValidationError
 from qubitkit.sim import (
     Circuit,
     Counts,
     Gate,
     Statevector,
     apply_gate,
+    derive_seed,
     draw,
     evolve,
     make_rng,
@@ -21,7 +24,7 @@ from qubitkit.sim import (
 
 # ---------------------------------------------------------------------------
 # Independent oracle: explicit 2^n x 2^n matrices built by kron / permutation.
-# Only tests use these; the simulator itself works on index arithmetic.
+# Only tests use these; the simulator itself works on reshaped views.
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -63,8 +66,10 @@ def random_gates(rng, n, count):
     return gates
 
 
-def random_state(rng, n):
-    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+def random_state(rng, n, dtype=complex):
+    amps = rng.normal(size=2**n)
+    if dtype is complex:
+        amps = amps + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
     return Statevector(n, amps)
 
@@ -78,7 +83,9 @@ def test_zero_state_one_qubit():
 
 
 def test_zero_state_two_qubits():
-    assert np.array_equal(new_zero_state(2).amplitudes, [1, 0, 0, 0])
+    state = new_zero_state(2)
+    assert np.array_equal(state.amplitudes, [1, 0, 0, 0])
+    assert state.amplitudes.dtype == np.float64
 
 
 def test_zero_state_over_cap():
@@ -121,6 +128,26 @@ def test_gate_rejects_bad_targets():
         Gate("SWAP", (0, 1))
 
 
+@pytest.mark.parametrize(
+    "kind, targets",
+    [
+        ("H", (1.5,)),
+        ("H", (True,)),
+        ("X", ("0",)),
+        ("X", (np.float64(0),)),
+        ("CNOT", (0, True)),
+    ],
+)
+def test_gate_rejects_non_integer_targets(kind, targets):
+    with pytest.raises(ValidationError, match="targets"):
+        Gate(kind, targets)
+
+
+def test_gate_accepts_numpy_integer_targets():
+    state = apply_gate(new_zero_state(2), Gate("X", (np.int64(1),)))
+    assert np.array_equal(state.amplitudes, [0, 0, 1, 0])
+
+
 def test_circuit_rejects_out_of_range_gate():
     with pytest.raises(IndexError):
         Circuit(2).cnot(0, 2)
@@ -158,6 +185,60 @@ def test_agrees_with_brute_force_matrices():
                 state = apply_gate(state, gate)
                 expected = gate_matrix(gate, n) @ expected
             assert np.allclose(state.amplitudes, expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: random circuits and states against the dense oracle.
+# derandomize keeps tier-1 deterministic; max_examples keeps it fast.
+
+DIFFERENTIAL = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def gates_on(draw, n):
+    kinds = ["H", "X", "CNOT"] if n > 1 else ["H", "X"]
+    kind = draw(st.sampled_from(kinds))
+    arity = 2 if kind == "CNOT" else 1
+    qubits = st.integers(0, n - 1)
+    targets = draw(st.lists(qubits, min_size=arity, max_size=arity, unique=True))
+    return Gate(kind, tuple(targets))
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 6))
+    return Circuit(n, gates=draw(st.lists(gates_on(n), max_size=30)))
+
+
+@DIFFERENTIAL
+@given(circuits())
+def test_evolve_matches_dense_oracle(circuit):
+    n = circuit.num_qubits
+    expected = np.zeros(2**n, dtype=complex)
+    expected[0] = 1.0
+    for gate in circuit.gates:
+        expected = gate_matrix(gate, n) @ expected
+    state = evolve(circuit)
+    assert state.amplitudes.dtype == np.float64
+    assert np.allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+@DIFFERENTIAL
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), gates_on(n))),
+    st.sampled_from([complex, float]),
+    st.integers(0, 2**32 - 1),
+)
+def test_apply_gate_matches_dense_oracle(n_and_gate, dtype, seed):
+    n, gate = n_and_gate
+    state = random_state(np.random.default_rng(seed), n, dtype)
+    before = state.amplitudes.copy()
+    result = apply_gate(state, gate)
+    assert np.array_equal(state.amplitudes, before)  # the input is untouched
+    assert not np.shares_memory(result.amplitudes, state.amplitudes)
+    assert result.amplitudes.dtype == state.amplitudes.dtype
+    expected = gate_matrix(gate, n) @ before
+    assert np.allclose(result.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +301,24 @@ def test_run_is_deterministic():
 def test_run_rejects_zero_shots():
     with pytest.raises(ValueError):
         run(Circuit(1), shots=0, seed=1)
+
+
+@pytest.mark.parametrize("shots", [0, -3, True, 2.0, "10", None])
+def test_run_rejects_bad_shots(shots):
+    with pytest.raises(ValidationError, match="shots"):
+        run(Circuit(1), shots=shots, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0, "7", None])
+def test_run_rejects_bad_seed(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        run(Circuit(1), shots=1, seed=seed)
+
+
+def test_run_accepts_every_derived_seed():
+    # derive_seed returns values up to 2^64 - 1; all of them are valid seeds.
+    for seed in (0, 2**64 - 1, derive_seed(3, 1, 4), np.uint64(2**64 - 1)):
+        assert run(Circuit(1).h(0), shots=4, seed=seed).shots == 4
 
 
 def test_sampling_matches_born_rule_on_random_circuits():
