@@ -1,13 +1,12 @@
 """Shipped algorithms and the factory for the default registry."""
 
 from ..framework import AlgorithmRegistry
-from ..sim import DEFAULT_QUBIT_CAP
 from . import bb84, bernstein_vazirani, qrand
 
 
-def default_algorithms(cap: int = DEFAULT_QUBIT_CAP) -> AlgorithmRegistry:
+def default_algorithms() -> AlgorithmRegistry:
     registry = AlgorithmRegistry()
-    registry.register(qrand.descriptor(cap=cap))
-    registry.register(bernstein_vazirani.descriptor(cap=cap))
+    registry.register(qrand.descriptor())
+    registry.register(bernstein_vazirani.descriptor())
     registry.register(bb84.descriptor())
     return registry

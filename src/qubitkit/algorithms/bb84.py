@@ -6,8 +6,10 @@ An eavesdropper may measure each transiting qubit in a random axis and
 resend her collapsed state (intercept-resend); the receiver measures in
 his own random axis. Sifting keeps the positions where sender and
 receiver axes agree, verification publishes part of the sifted key, and
-any disagreement there aborts the run. Surviving key bits one-time-pad
-the message.
+any disagreement there aborts the run. The compare mode names how much is
+published: "half" (the first half of the sifted key, the protocol) or
+"full" (all of it, whose abort rate follows 1 - (1 - density/8)^m).
+Surviving key bits one-time-pad the message.
 
 Every qubit travels as a real statevector: encode as a circuit, evolve,
 collapse on measurement, re-prepare on resend. Nothing is shortcut with
@@ -17,7 +19,7 @@ classical probability tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
 from typing import Optional, Sequence
@@ -34,6 +36,8 @@ from ..sim import (
     Gate,
     Statevector,
     apply_gate,
+    check_count,
+    check_seed,
     derive_seed,
     evolve,
     sample_measurement,
@@ -73,26 +77,14 @@ class EveAction:
     bit: int
 
 
-@dataclass
-class Participant:
-    """Protocol party: its random source plus the bits/axes it holds."""
-
-    role: str  # sender | receiver | eavesdropper
-    rng: np.random.Generator
-    bits: list[int] = field(default_factory=list)
-    axes: list[Axis] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class Bb84Config:
     oversample_factor: int = 6  # qubits transmitted per message bit
     max_retries: int = 10  # extra rounds when the sifted key comes up short
 
     def __post_init__(self):
-        for name in ("oversample_factor", "max_retries"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ValidationError(name, f"must be an integer >= 1, got {value!r}")
+        check_count("oversample_factor", self.oversample_factor)
+        check_count("max_retries", self.max_retries)
 
 
 @dataclass
@@ -137,14 +129,9 @@ def encode_state(value: int, axis: Axis) -> Statevector:
 # The four preparation states double as post-measurement states. They are
 # immutable after construction (package-wide convention), so one shared
 # instance per (value, axis) is safe to hand out.
-_COLLAPSED: dict[tuple[int, Axis], Statevector] = {}
-
-
-def _collapsed(value: int, axis: Axis) -> Statevector:
-    key = (value, axis)
-    if key not in _COLLAPSED:
-        _COLLAPSED[key] = encode_state(value, axis)
-    return _COLLAPSED[key]
+_COLLAPSED = {
+    (value, axis): encode_state(value, axis) for value in (0, 1) for axis in Axis
+}
 
 
 def measure_in_axis(
@@ -157,7 +144,7 @@ def measure_in_axis(
     """
     probe = apply_gate(state, _H) if axis is Axis.X else state
     bit = int(sample_measurement(probe, rng))
-    return bit, _collapsed(bit, axis)
+    return bit, _COLLAPSED[bit, axis]
 
 
 def intercept(
@@ -186,27 +173,35 @@ def sift(sender_axes: Sequence[Axis], receiver_axes: Sequence[Axis]) -> list[int
     return [i for i, (a, b) in enumerate(zip(sender_axes, receiver_axes)) if a is b]
 
 
+def _check_compare_mode(compare_mode: str) -> None:
+    if compare_mode not in ("half", "full"):
+        raise ValidationError(
+            "compare_mode", f"must be 'half' or 'full', got {compare_mode!r}"
+        )
+
+
 def verify(
     sender_sifted_bits: Sequence[int],
     receiver_sifted_bits: Sequence[int],
-    publish: str = "half",
+    compare_mode: str = "half",
 ) -> tuple[str, list[int], tuple[int, ...]]:
     """Compare published sifted bits; any mismatch means eavesdropping.
 
-    Publishes the first ceil(L/2) sifted positions (publish="half", the
-    protocol mode) or all of them (publish="all", the detection-statistics
-    mode). Returns (verdict, published indices into the sifted list, the
-    receiver's unpublished bits).
+    Publishes the first ceil(L/2) sifted positions (compare_mode="half",
+    the protocol mode) or all of them (compare_mode="full", the
+    detection-statistics mode). Returns (verdict, published indices into
+    the sifted list, the receiver's unpublished bits).
     """
+    _check_compare_mode(compare_mode)
     if len(sender_sifted_bits) != len(receiver_sifted_bits):
         raise ValueError("sifted bit lists differ in length")
     length = len(sender_sifted_bits)
-    needed = 2 if publish == "half" else 1
+    needed = 2 if compare_mode == "half" else 1
     if length < needed:
         raise KeyTooShortError(
             f"sifted key has {length} bit(s); verification needs >= {needed}"
         )
-    cut = math.ceil(length / 2) if publish == "half" else length
+    cut = math.ceil(length / 2) if compare_mode == "half" else length
     published = list(range(cut))
     mismatch = any(
         sender_sifted_bits[j] != receiver_sifted_bits[j] for j in published
@@ -233,19 +228,35 @@ def _draw_axes(rng: np.random.Generator, count: int) -> list[Axis]:
     return [Axis.Z if u < 0.5 else Axis.X for u in rng.random(count)]
 
 
+def _setup(density, backends, backend_name, seed):
+    """Channel policy, backend, effective seed and the three generators.
+
+    The generators belong to the sender, the eavesdropper and the receiver,
+    in that order, and carry on across retry rounds.
+    """
+    policy = ChannelPolicy(density)
+    registry = default_registry() if backends is None else backends
+    backend = registry.get(backend_name)
+    effective_seed = fresh_seed() if seed is None else check_seed(seed)
+    rngs = tuple(
+        np.random.Generator(np.random.PCG64(child))
+        for child in np.random.SeedSequence(effective_seed).spawn(3)
+    )
+    return policy, backend, effective_seed, rngs
+
+
 def _single_exchange(
     transmitted: int,
     policy: ChannelPolicy,
     backend,
-    sender: Participant,
-    eve: Participant,
-    receiver: Participant,
-    publish: str,
+    rngs: tuple[np.random.Generator, ...],
+    compare_mode: str,
+    seed: int,
 ) -> Bb84Trace:
-    sender.bits = _draw_bits(sender.rng, transmitted)
-    sender.axes = _draw_axes(sender.rng, transmitted)
-    receiver.axes = _draw_axes(receiver.rng, transmitted)
-    receiver.bits = []
+    sender_rng, eve_rng, receiver_rng = rngs
+    sender_bits = _draw_bits(sender_rng, transmitted)
+    sender_axes = _draw_axes(sender_rng, transmitted)
+    receiver_axes = _draw_axes(receiver_rng, transmitted)
     # Only four distinct preparations exist; evolve each once per round.
     prepared = {
         (value, axis): backend.evolve(encode_qubit(value, axis))
@@ -253,49 +264,36 @@ def _single_exchange(
         for axis in Axis
     }
     eve_actions: list[Optional[EveAction]] = []
+    receiver_bits: list[int] = []
     for i in range(transmitted):
-        state = prepared[sender.bits[i], sender.axes[i]]
-        state, action = intercept(state, policy, eve.rng)
+        state = prepared[sender_bits[i], sender_axes[i]]
+        state, action = intercept(state, policy, eve_rng)
         eve_actions.append(action)
-        if action is not None:
-            eve.bits.append(action.bit)
-            eve.axes.append(action.axis)
-        bit, _ = measure_in_axis(state, receiver.axes[i], receiver.rng)
-        receiver.bits.append(bit)
+        bit, _ = measure_in_axis(state, receiver_axes[i], receiver_rng)
+        receiver_bits.append(bit)
 
-    sifted = sift(sender.axes, receiver.axes)
+    sifted = sift(sender_axes, receiver_axes)
     try:
         verdict, published_idx, remaining = verify(
-            [sender.bits[p] for p in sifted],
-            [receiver.bits[p] for p in sifted],
-            publish=publish,
+            [sender_bits[p] for p in sifted],
+            [receiver_bits[p] for p in sifted],
+            compare_mode=compare_mode,
         )
     except KeyTooShortError:
         verdict, published_idx, remaining = KEY_TOO_SHORT, [], ()
 
     return Bb84Trace(
         transmitted_count=transmitted,
-        sender_bits=tuple(sender.bits),
-        sender_axes=tuple(sender.axes),
+        sender_bits=tuple(sender_bits),
+        sender_axes=tuple(sender_axes),
         eve_actions=tuple(eve_actions),
-        receiver_axes=tuple(receiver.axes),
-        receiver_bits=tuple(receiver.bits),
+        receiver_axes=tuple(receiver_axes),
+        receiver_bits=tuple(receiver_bits),
         sifted_positions=tuple(sifted),
         published_positions=tuple(sifted[j] for j in published_idx),
         verdict=verdict,
         shared_key=remaining if verdict == SECURE else None,
-    )
-
-
-def _spawn_participants(seed: int) -> tuple[Participant, Participant, Participant]:
-    children = np.random.SeedSequence(seed).spawn(3)
-    sender_rng, eve_rng, receiver_rng = (
-        np.random.Generator(np.random.PCG64(c)) for c in children
-    )
-    return (
-        Participant("sender", sender_rng),
-        Participant("eavesdropper", eve_rng),
-        Participant("receiver", receiver_rng),
+        seed=seed,
     )
 
 
@@ -313,23 +311,10 @@ def run_exchange(
     "full" publishes all of it, the mode whose abort rate follows
     1 - (1 - density/8)^transmitted exactly.
     """
-    if transmitted < 1:
-        raise ValidationError("transmitted", f"must be >= 1, got {transmitted}")
-    if compare_mode not in ("half", "full"):
-        raise ValidationError(
-            "compare_mode", f"must be 'half' or 'full', got {compare_mode!r}"
-        )
-    policy = ChannelPolicy(density)
-    registry = default_registry() if backends is None else backends
-    backend = registry.get(backend_name)
-    effective_seed = fresh_seed() if seed is None else seed
-    sender, eve, receiver = _spawn_participants(effective_seed)
-    publish = "half" if compare_mode == "half" else "all"
-    trace = _single_exchange(
-        transmitted, policy, backend, sender, eve, receiver, publish
-    )
-    trace.seed = effective_seed
-    return trace
+    check_count("transmitted", transmitted)
+    _check_compare_mode(compare_mode)
+    policy, backend, seed, rngs = _setup(density, backends, backend_name, seed)
+    return _single_exchange(transmitted, policy, backend, rngs, compare_mode, seed)
 
 
 def run_protocol(
@@ -347,23 +332,19 @@ def run_protocol(
     key retries, with fresh randomness, up to max_retries rounds before
     giving up with verdict key_too_short.
     """
-    message = tuple(int(b) for b in message_bits)
-    if not message or set(message) - {0, 1}:
+    message = tuple(message_bits)
+    if not message or not all(
+        isinstance(b, Integral) and not isinstance(b, bool) and b in (0, 1)
+        for b in message
+    ):
         raise ValidationError("message", "expected a non-empty sequence of 0/1 bits")
-    policy = ChannelPolicy(density)
-    registry = default_registry() if backends is None else backends
-    backend = registry.get(backend_name)
-    effective_seed = fresh_seed() if seed is None else seed
-    sender, eve, receiver = _spawn_participants(effective_seed)
+    message = tuple(int(b) for b in message)
+    policy, backend, seed, rngs = _setup(density, backends, backend_name, seed)
 
     length = len(message)
     transmitted = config.oversample_factor * length
-    trace = None
     for attempt in range(1, config.max_retries + 1):
-        trace = _single_exchange(
-            transmitted, policy, backend, sender, eve, receiver, publish="half"
-        )
-        trace.seed = effective_seed
+        trace = _single_exchange(transmitted, policy, backend, rngs, "half", seed)
         trace.attempts = attempt
         trace.message_bits = message
         if trace.verdict == ABORTED:
@@ -378,7 +359,7 @@ def run_protocol(
             trace.ciphertext = otp.encrypt(message, sender_key)
             trace.decrypted = otp.decrypt(trace.ciphertext, trace.shared_key)
             return trace
-    # Every round fell short of a usable key.
+    # Every round fell short of a usable key (Bb84Config keeps max_retries >= 1).
     trace.verdict = KEY_TOO_SHORT
     trace.shared_key = None
     return trace

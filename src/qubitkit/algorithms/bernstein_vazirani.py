@@ -22,7 +22,7 @@ import numpy as np
 from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
 from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params
-from ..sim import DEFAULT_QUBIT_CAP, Circuit, Counts, evolve
+from ..sim import QUBIT_CAP, Circuit, Counts, evolve
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -135,7 +135,7 @@ def _interpret(params: Params, counts: Counts) -> str:
     return f"recovered key: {key}{suffix}"
 
 
-def descriptor(cap: int = DEFAULT_QUBIT_CAP) -> AlgorithmDescriptor:
+def descriptor() -> AlgorithmDescriptor:
     return AlgorithmDescriptor(
         name="bernstein-vazirani",
         description="recover a hidden bitstring with a single oracle query",
@@ -145,7 +145,7 @@ def descriptor(cap: int = DEFAULT_QUBIT_CAP) -> AlgorithmDescriptor:
                 "bitstring",
                 description="hidden key the oracle encodes",
                 min_len=1,
-                max_len=cap - 1,  # circuit needs len+1 qubits
+                max_len=QUBIT_CAP - 1,  # circuit needs len+1 qubits
             )
         ],
         build=lambda params: bv_circuit(params["key"]),

@@ -9,13 +9,13 @@ from __future__ import annotations
 from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
 from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params
-from ..sim import DEFAULT_QUBIT_CAP, Circuit, Counts
+from ..sim import QUBIT_CAP, Circuit, Counts
 
 
-def qrand_circuit(n: int, cap: int = DEFAULT_QUBIT_CAP) -> Circuit:
+def qrand_circuit(n: int) -> Circuit:
     """H on each of n qubits, then measure all."""
-    if not 1 <= n <= cap:
-        raise ValidationError("n", f"must be within 1..{cap}, got {n}")
+    if not 1 <= n <= QUBIT_CAP:
+        raise ValidationError("n", f"must be within 1..{QUBIT_CAP}, got {n}")
     circuit = Circuit(n)
     for q in range(n):
         circuit.h(q)
@@ -48,7 +48,7 @@ def _interpret(params: Params, counts: Counts) -> str:
     return "\n".join(lines)
 
 
-def descriptor(cap: int = DEFAULT_QUBIT_CAP) -> AlgorithmDescriptor:
+def descriptor() -> AlgorithmDescriptor:
     return AlgorithmDescriptor(
         name="qrand",
         description="uniform random integer from measuring n qubits in superposition",
@@ -58,10 +58,10 @@ def descriptor(cap: int = DEFAULT_QUBIT_CAP) -> AlgorithmDescriptor:
                 "natural_number",
                 description="number of qubits; the result lies in [0, 2^n - 1]",
                 min_value=1,
-                max_value=cap,
+                max_value=QUBIT_CAP,
             )
         ],
-        build=lambda params: qrand_circuit(params["n"], cap=cap),
+        build=lambda params: qrand_circuit(params["n"]),
         interpret=_interpret,
         explain=(
             "Each qubit is put into an equal superposition and measured, so every "

@@ -26,34 +26,29 @@ class BackendInfo:
     name: str
     description: str
     max_qubits: int
-    deterministic: bool  # accepts a seed and reproduces runs exactly
 
 
 class LocalStatevectorBackend:
     """Embedded dense statevector simulator."""
 
-    def __init__(self, max_qubits: int = sim.DEFAULT_QUBIT_CAP):
-        self.info = BackendInfo(
-            name=LOCAL_BACKEND_NAME,
-            description="embedded dense statevector simulator (H, X, CNOT)",
-            max_qubits=max_qubits,
-            deterministic=True,
-        )
+    info = BackendInfo(
+        name=LOCAL_BACKEND_NAME,
+        description="embedded dense statevector simulator (H, X, CNOT)",
+        max_qubits=sim.QUBIT_CAP,
+    )
 
     def run(self, circuit: sim.Circuit, shots: int, seed: int) -> sim.Counts:
-        return sim.run(circuit, shots, seed, cap=self.info.max_qubits)
+        return sim.run(circuit, shots, seed)
 
     def evolve(self, circuit: sim.Circuit) -> sim.Statevector:
-        return sim.evolve(circuit, cap=self.info.max_qubits)
+        return sim.evolve(circuit)
 
 
 @dataclass
 class ExecutionResult:
-    """Counts plus the metadata needed to replay the run exactly."""
+    """Counts plus the seed that replays the run exactly."""
 
     counts: sim.Counts
-    backend_name: str
-    shots: int
     seed: int
 
 
@@ -102,10 +97,10 @@ class BackendRegistry:
             )
         effective_seed = fresh_seed() if seed is None else seed
         counts = backend.run(circuit, shots, effective_seed)
-        return ExecutionResult(counts, backend_name, shots, effective_seed)
+        return ExecutionResult(counts, effective_seed)
 
 
-def default_registry(max_qubits: int = sim.DEFAULT_QUBIT_CAP) -> BackendRegistry:
+def default_registry() -> BackendRegistry:
     registry = BackendRegistry()
-    registry.register(LocalStatevectorBackend(max_qubits=max_qubits))
+    registry.register(LocalStatevectorBackend())
     return registry

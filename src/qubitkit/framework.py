@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 from .backends import BackendRegistry, fresh_seed
 from .errors import ValidationError
-from .sim import Circuit, Counts
+from .sim import Circuit, Counts, check_count, check_seed
 
 PARAM_KINDS = ("natural_number", "bitstring", "probability", "text")
 
@@ -201,8 +201,13 @@ def run_algorithm(
     shots: int = 1,
     seed: int | None = None,
 ) -> AlgorithmRun:
-    """Build, execute and interpret; shots=1 is the run-once mode."""
-    effective_seed = fresh_seed() if seed is None else seed
+    """Build, execute and interpret; shots=1 is the run-once mode.
+
+    Shots and the seed are validated here, before any descriptor's
+    ``build`` or ``runner`` sees them.
+    """
+    check_count("shots", shots)
+    effective_seed = fresh_seed() if seed is None else check_seed(seed)
     if descriptor.runner is not None:
         text, counts = descriptor.runner(
             params, backends, backend_name, shots, effective_seed

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 
-DEFAULT_QUBIT_CAP = 24
+QUBIT_CAP = 24  # largest register any state, circuit or backend may hold
 
 GATE_KINDS = ("H", "X", "CNOT")
 
@@ -56,6 +56,23 @@ def derive_seed(master: int, *parts: int) -> int:
 
 def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_count(param: str, value) -> int:
+    """Return ``value`` if it is an integer >= 1 (not a bool).
+
+    Anything else raises a ValidationError naming ``param``.
+    """
+    if not _is_int(value) or value < 1:
+        raise ValidationError(param, f"must be an integer >= 1, got {value!r}")
+    return value
+
+
+def check_seed(seed) -> int:
+    """Return ``seed`` if it is an integer in [0, 2^64) (not a bool), else raise."""
+    if not _is_int(seed) or not 0 <= seed < _SEED_BOUND:
+        raise ValidationError("seed", f"must be an integer in [0, 2^64), got {seed!r}")
+    return seed
 
 
 def bitstring(index: int, num_qubits: int) -> str:
@@ -147,10 +164,6 @@ class Statevector:
     num_qubits: int
     amplitudes: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
@@ -158,10 +171,10 @@ class Statevector:
         return np.abs(self.amplitudes) ** 2
 
 
-def new_zero_state(n: int, cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
-    """|0...0> on n qubits; n outside [1, cap] raises CapacityError."""
-    if not 1 <= n <= cap:
-        raise CapacityError(f"qubit count {n} outside supported range 1..{cap}")
+def new_zero_state(n: int) -> Statevector:
+    """|0...0> on n qubits; n outside [1, QUBIT_CAP] raises CapacityError."""
+    if not 1 <= n <= QUBIT_CAP:
+        raise CapacityError(f"qubit count {n} outside supported range 1..{QUBIT_CAP}")
     amps = np.zeros(1 << n, dtype=np.float64)
     amps[0] = 1.0
     return Statevector(n, amps)
@@ -214,9 +227,9 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return Statevector(state.num_qubits, out)
 
 
-def evolve(circuit: Circuit, cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
+def evolve(circuit: Circuit) -> Statevector:
     """Apply the circuit's gates in order to the zero state."""
-    state = new_zero_state(circuit.num_qubits, cap=cap)
+    state = new_zero_state(circuit.num_qubits)
     for gate in circuit.gates:
         state = apply_gate(state, gate)
     return state
@@ -261,17 +274,15 @@ class Counts(Mapping):
         return len(self.counts)
 
 
-def run(circuit: Circuit, shots: int, seed: int, cap: int = DEFAULT_QUBIT_CAP) -> Counts:
+def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     """Evolve from |0...0>, then sample ``shots`` measure-all outcomes.
 
     Equal (circuit, shots, seed) gives bit-identical Counts. Keys are
     sorted by outcome.
     """
-    if not _is_int(shots) or shots < 1:
-        raise ValidationError("shots", f"must be an integer >= 1, got {shots!r}")
-    if not _is_int(seed) or not 0 <= seed < _SEED_BOUND:
-        raise ValidationError("seed", f"must be an integer in [0, 2^64), got {seed!r}")
-    probabilities = evolve(circuit, cap=cap).probabilities()
+    check_count("shots", shots)
+    check_seed(seed)
+    probabilities = evolve(circuit).probabilities()
     indices = _inverse_cdf(probabilities, make_rng(seed).random(shots))
     values, tallies = np.unique(indices, return_counts=True)
     table = {

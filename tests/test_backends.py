@@ -12,7 +12,7 @@ from qubitkit.sim import Circuit
 
 class StubBackend:
     def __init__(self, name="stub"):
-        self.info = BackendInfo(name, "test stub", 2, True)
+        self.info = BackendInfo(name, "test stub", 2)
 
     def run(self, circuit, shots, seed):
         raise NotImplementedError
@@ -55,7 +55,7 @@ def test_unknown_backend():
 
 
 def test_circuit_over_backend_capacity():
-    registry = default_registry(max_qubits=24)
+    registry = default_registry()
     with pytest.raises(CapacityError):
         registry.execute(LOCAL_BACKEND_NAME, Circuit(30).measure_all(), 1, seed=0)
 

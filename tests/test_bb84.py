@@ -168,7 +168,7 @@ def test_verify_key_too_short():
     with pytest.raises(KeyTooShortError):
         verify([1], [1])
     # Full publication works from one bit up.
-    verdict, published, remaining = verify([1], [1], publish="all")
+    verdict, published, remaining = verify([1], [1], compare_mode="full")
     assert verdict == SECURE and published == [0] and remaining == ()
 
 
@@ -298,6 +298,45 @@ def test_protocol_validates_inputs():
         run_exchange(0, 0.5, seed=1)
     with pytest.raises(ValidationError, match="compare_mode"):
         run_exchange(4, 0.5, seed=1, compare_mode="most")
+
+
+@pytest.mark.parametrize("transmitted", [2.5, True, "4", None])
+def test_exchange_rejects_non_integer_transmitted(transmitted):
+    # Unvalidated, floats and bools reached numpy and raised a TypeError.
+    with pytest.raises(ValidationError, match="transmitted"):
+        run_exchange(transmitted, 0.5, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**70, True, 1.5])
+def test_exchange_and_protocol_reject_bad_seeds(seed):
+    # Same [0, 2^64) contract as sim.run; negatives used to surface as
+    # numpy's ValueError and 2^70 was silently accepted.
+    with pytest.raises(ValidationError, match="seed"):
+        run_exchange(4, 0.5, seed=seed)
+    with pytest.raises(ValidationError, match="seed"):
+        run_protocol((1,), 0.5, seed=seed)
+
+
+@pytest.mark.parametrize("bits", [[1, 0, 1.7], [1, True], ["1", "0"]])
+def test_protocol_rejects_non_bit_message(bits):
+    # 1.7 used to be truncated to 1 without a word.
+    with pytest.raises(ValidationError, match="message"):
+        run_protocol(bits, 0.5, seed=1)
+
+
+def test_verify_rejects_unknown_compare_mode():
+    # A misspelt mode used to fall through to a full comparison.
+    with pytest.raises(ValidationError, match="compare_mode"):
+        verify([1], [0], compare_mode="halF")
+    with pytest.raises(ValidationError, match="compare_mode"):
+        verify([1, 1], [1, 1], compare_mode="all")
+
+
+def test_protocol_accepts_numpy_bits_and_seed():
+    message = np.array([1, 0, 1])
+    trace = run_protocol(message, 0.0, seed=np.uint64(2**64 - 1))
+    assert trace.message_bits == (1, 0, 1)
+    assert trace == run_protocol((1, 0, 1), 0.0, seed=2**64 - 1)
 
 
 @pytest.mark.parametrize("field", ["oversample_factor", "max_retries"])

@@ -14,6 +14,9 @@ from qubitkit.framework import (
 from qubitkit.sim import Circuit
 
 
+DEFAULT_RAW = {"qrand": ["3"], "bernstein-vazirani": ["101"], "bb84": ["hi", "0.5"]}
+
+
 def dummy_descriptor():
     return AlgorithmDescriptor(
         name="coin",
@@ -129,3 +132,27 @@ def test_extension_needs_no_framework_changes():
     )
     assert result.text.startswith("coin says")
     assert result.counts.shots == 5
+
+
+@pytest.mark.parametrize("name", ["qrand", "bernstein-vazirani", "bb84"])
+@pytest.mark.parametrize("shots", [0, -2, True, 2.5])
+def test_run_algorithm_rejects_bad_shots_for_every_descriptor(name, shots):
+    # BB84's runner used to report "verdicts over 0 runs" at shots=0, run
+    # once at shots=True and fail inside Counts at shots=-2.
+    descriptor = default_algorithms().get(name)
+    params = parse_params(descriptor, DEFAULT_RAW[name])
+    with pytest.raises(ValidationError, match="shots"):
+        run_algorithm(
+            descriptor, params, default_registry(), LOCAL_BACKEND_NAME, shots, seed=1
+        )
+
+
+@pytest.mark.parametrize("name", ["qrand", "bernstein-vazirani", "bb84"])
+@pytest.mark.parametrize("seed", [-1, 2**64, True])
+def test_run_algorithm_rejects_bad_seed_for_every_descriptor(name, seed):
+    descriptor = default_algorithms().get(name)
+    params = parse_params(descriptor, DEFAULT_RAW[name])
+    with pytest.raises(ValidationError, match="seed"):
+        run_algorithm(
+            descriptor, params, default_registry(), LOCAL_BACKEND_NAME, 1, seed=seed
+        )

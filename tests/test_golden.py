@@ -10,7 +10,7 @@ import hashlib
 
 import numpy as np
 
-from qubitkit.algorithms.bb84 import run_exchange
+from qubitkit.algorithms.bb84 import run_exchange, run_protocol
 from qubitkit.algorithms.bernstein_vazirani import bv_circuit
 from qubitkit.algorithms.qrand import qrand_circuit
 from qubitkit.sim import Circuit, Gate, run
@@ -65,4 +65,14 @@ def test_bb84_full_compare_exchange_trace():
     trace = run_exchange(256, 0.5, seed=84, compare_mode="full")
     assert sha256(trace) == (
         "70e5ef7a1f7c8d729c530da25fb6bd5d89ad81d18de4898451e8b8e6bbff8674"
+    )
+
+
+def test_bb84_protocol_retry_trace():
+    # Two short rounds before a secure one: pins generator continuity
+    # across retry rounds, which a single exchange does not reach.
+    trace = run_protocol((1,), 0.5, seed=31)
+    assert (trace.attempts, trace.verdict) == (3, "secure")
+    assert sha256(trace) == (
+        "c8ecdc4318b525bea3bbab7ba7d1eac575fdc637c9ed70d3a013b56cd5a2afde"
     )

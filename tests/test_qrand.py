@@ -25,7 +25,7 @@ def test_n_zero_rejected():
     with pytest.raises(ValidationError, match="'n'"):
         qrand_circuit(0)
     with pytest.raises(ValidationError, match="'n'"):
-        qrand_circuit(25, cap=24)
+        qrand_circuit(25)
 
 
 def test_pre_measurement_amplitudes_real_uniform_up_to_n10():

@@ -90,7 +90,7 @@ def test_zero_state_two_qubits():
 
 def test_zero_state_over_cap():
     with pytest.raises(CapacityError):
-        new_zero_state(25, cap=24)
+        new_zero_state(25)
     with pytest.raises(CapacityError):
         new_zero_state(0)
 
