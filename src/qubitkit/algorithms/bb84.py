@@ -13,15 +13,24 @@ Surviving key bits one-time-pad the message.
 
 Every qubit travels as a real statevector: encode as a circuit, evolve,
 collapse on measurement, re-prepare on resend. Nothing is shortcut with
-classical probability tables.
+classical probability tables. A round's m qubits travel together as one
+batch, a ``Statevector(1, amplitudes)`` whose amplitudes have shape (m, 2),
+one row per qubit: interception and measurement rotate, sample and
+collapse all rows at once.
+
+Each party draws from its own generator. The sender draws m bit uniforms,
+then m axis uniforms; the receiver draws m axis uniforms, then m
+measurement uniforms; the eavesdropper draws m interception decisions,
+then an axis for each of the k qubits she hit, then their k collapses.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,10 +71,15 @@ class ChannelPolicy:
     interception_density: float
 
     def __post_init__(self):
-        if not 0.0 <= self.interception_density <= 1.0:
+        density = self.interception_density
+        if (
+            not isinstance(density, Real)
+            or isinstance(density, bool)
+            or not 0.0 <= density <= 1.0
+        ):
             raise ValidationError(
                 "density",
-                f"probability must be within [0, 1], got {self.interception_density}",
+                f"probability must be a number within [0, 1], got {density!r}",
             )
 
 
@@ -126,42 +140,58 @@ def encode_state(value: int, axis: Axis) -> Statevector:
     return evolve(encode_qubit(value, axis))
 
 
-# The four preparation states double as post-measurement states. They are
-# immutable after construction (package-wide convention), so one shared
-# instance per (value, axis) is safe to hand out.
-_COLLAPSED = {
-    (value, axis): encode_state(value, axis) for value in (0, 1) for axis in Axis
-}
+# The four preparation states, amplitude row 2 * value + is_x for each
+# (value, axis), double as post-measurement states; collapse is an index
+# into them. The four possible interceptions are rowed the same way, and
+# shared, since EveAction is frozen.
+_COLLAPSED = np.stack(
+    [encode_state(value, axis).amplitudes for value in (0, 1) for axis in Axis]
+)
+_EVE_ACTIONS = np.array(
+    [EveAction(axis, value) for value in (0, 1) for axis in Axis], dtype=object
+)
 
 
 def measure_in_axis(
-    state: Statevector, axis: Axis, rng: np.random.Generator
-) -> tuple[int, Statevector]:
-    """Measure one qubit in the given axis; returns (bit, collapsed state).
+    states: Statevector, x_rows: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, Statevector]:
+    """Measure a batch of qubits, each in its own axis.
 
-    X-axis measurement rotates with H, samples, and re-prepares the observed
-    bit in the X axis, which is exactly the collapse onto |+>/|->.
+    ``states`` holds one qubit per amplitude row; ``x_rows[i]`` is True
+    where row i is measured in the X axis, else Z. Returns (bits, collapsed
+    states) as an int array and a batch of the same shape. X rows are
+    rotated with H before sampling, and every row collapses onto the
+    prepared state of its observed bit in its axis, which for X is exactly
+    the collapse onto |+>/|->. One uniform is drawn per row, in row order.
     """
-    probe = apply_gate(state, _H) if axis is Axis.X else state
-    bit = int(sample_measurement(probe, rng))
-    return bit, _COLLAPSED[bit, axis]
+    x_rows = np.asarray(x_rows, dtype=bool)
+    probe = states.amplitudes.copy()
+    probe[x_rows] = apply_gate(Statevector(1, probe[x_rows]), _H).amplitudes
+    bits = sample_measurement(Statevector(1, probe), rng)
+    return bits, Statevector(1, _COLLAPSED[2 * bits + x_rows])
 
 
 def intercept(
-    state: Statevector, policy: ChannelPolicy, rng: np.random.Generator
-) -> tuple[Statevector, Optional[EveAction]]:
-    """Intercept-resend attack on one transiting qubit.
+    states: Statevector, policy: ChannelPolicy, rng: np.random.Generator
+) -> tuple[Statevector, list[Optional[EveAction]]]:
+    """Intercept-resend attack on a batch of transiting qubits.
 
-    With probability equal to the interception density, the eavesdropper
-    measures in a uniformly random axis and forwards her collapsed state;
-    otherwise the qubit passes untouched. Draw order per qubit: intercept
-    decision, then axis, then the measurement collapse.
+    Each row is hit with probability equal to the interception density;
+    the eavesdropper measures a hit row in a uniformly random axis and
+    forwards her collapsed state, and other rows pass untouched. Returns
+    the forwarded batch and one action per row (None where not hit). Draw
+    order: m interception decisions, then one axis per hit row, then the
+    hit rows' collapses.
     """
-    if rng.random() >= policy.interception_density:
-        return state, None
-    axis = Axis.Z if rng.random() < 0.5 else Axis.X
-    bit, resent = measure_in_axis(state, axis, rng)
-    return resent, EveAction(axis, bit)
+    rows = len(states.amplitudes)
+    hit = np.flatnonzero(rng.random(rows) < policy.interception_density)
+    x_axis = rng.random(hit.size) >= 0.5
+    bits, resent = measure_in_axis(Statevector(1, states.amplitudes[hit]), x_axis, rng)
+    forwarded = states.amplitudes.copy()
+    forwarded[hit] = resent.amplitudes
+    actions = np.full(rows, None, dtype=object)
+    actions[hit] = _EVE_ACTIONS[2 * bits + x_axis]
+    return Statevector(1, forwarded), actions.tolist()
 
 
 def sift(sender_axes: Sequence[Axis], receiver_axes: Sequence[Axis]) -> list[int]:
@@ -170,7 +200,8 @@ def sift(sender_axes: Sequence[Axis], receiver_axes: Sequence[Axis]) -> list[int
         raise ValueError(
             f"axis lists differ in length: {len(sender_axes)} vs {len(receiver_axes)}"
         )
-    return [i for i, (a, b) in enumerate(zip(sender_axes, receiver_axes)) if a is b]
+    same = map(operator.is_, sender_axes, receiver_axes)
+    return np.flatnonzero(np.fromiter(same, bool, len(sender_axes))).tolist()
 
 
 def _check_compare_mode(compare_mode: str) -> None:
@@ -220,14 +251,6 @@ def abort_probability(n: int, density: float) -> float:
     return 1.0 - (1.0 - density / 8.0) ** n
 
 
-def _draw_bits(rng: np.random.Generator, count: int) -> list[int]:
-    return [int(u < 0.5) for u in rng.random(count)]
-
-
-def _draw_axes(rng: np.random.Generator, count: int) -> list[Axis]:
-    return [Axis.Z if u < 0.5 else Axis.X for u in rng.random(count)]
-
-
 def _setup(density, backends, backend_name, seed):
     """Channel policy, backend, effective seed and the three generators.
 
@@ -254,24 +277,26 @@ def _single_exchange(
     seed: int,
 ) -> Bb84Trace:
     sender_rng, eve_rng, receiver_rng = rngs
-    sender_bits = _draw_bits(sender_rng, transmitted)
-    sender_axes = _draw_axes(sender_rng, transmitted)
-    receiver_axes = _draw_axes(receiver_rng, transmitted)
-    # Only four distinct preparations exist; evolve each once per round.
-    prepared = {
-        (value, axis): backend.evolve(encode_qubit(value, axis))
-        for value in (0, 1)
-        for axis in Axis
-    }
-    eve_actions: list[Optional[EveAction]] = []
-    receiver_bits: list[int] = []
-    for i in range(transmitted):
-        state = prepared[sender_bits[i], sender_axes[i]]
-        state, action = intercept(state, policy, eve_rng)
-        eve_actions.append(action)
-        bit, _ = measure_in_axis(state, receiver_axes[i], receiver_rng)
-        receiver_bits.append(bit)
+    bits = (sender_rng.random(transmitted) < 0.5).astype(np.int64)
+    sender_x = sender_rng.random(transmitted) >= 0.5
+    receiver_x = receiver_rng.random(transmitted) >= 0.5
+    # Only four distinct preparations exist; evolve each once per round, and
+    # row them like _COLLAPSED.
+    prepared = np.stack(
+        [
+            backend.evolve(encode_qubit(value, axis)).amplitudes
+            for value in (0, 1)
+            for axis in Axis
+        ]
+    )
+    states = Statevector(1, prepared[2 * bits + sender_x])
+    states, eve_actions = intercept(states, policy, eve_rng)
+    received, _ = measure_in_axis(states, receiver_x, receiver_rng)
 
+    sender_bits = bits.tolist()
+    receiver_bits = received.tolist()
+    sender_axes = tuple(np.where(sender_x, Axis.X, Axis.Z).tolist())
+    receiver_axes = tuple(np.where(receiver_x, Axis.X, Axis.Z).tolist())
     sifted = sift(sender_axes, receiver_axes)
     try:
         verdict, published_idx, remaining = verify(
@@ -285,12 +310,12 @@ def _single_exchange(
     return Bb84Trace(
         transmitted_count=transmitted,
         sender_bits=tuple(sender_bits),
-        sender_axes=tuple(sender_axes),
+        sender_axes=sender_axes,
         eve_actions=tuple(eve_actions),
-        receiver_axes=tuple(receiver_axes),
+        receiver_axes=receiver_axes,
         receiver_bits=tuple(receiver_bits),
         sifted_positions=tuple(sifted),
-        published_positions=tuple(sifted[j] for j in published_idx),
+        published_positions=tuple(map(sifted.__getitem__, published_idx)),
         verdict=verdict,
         shared_key=remaining if verdict == SECURE else None,
         seed=seed,

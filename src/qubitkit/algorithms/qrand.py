@@ -9,11 +9,12 @@ from __future__ import annotations
 from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
 from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params
-from ..sim import QUBIT_CAP, Circuit, Counts
+from ..sim import QUBIT_CAP, Circuit, Counts, check_count
 
 
 def qrand_circuit(n: int) -> Circuit:
     """H on each of n qubits, then measure all."""
+    check_count("n", n)
     if not 1 <= n <= QUBIT_CAP:
         raise ValidationError("n", f"must be within 1..{QUBIT_CAP}, got {n}")
     circuit = Circuit(n)

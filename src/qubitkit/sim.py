@@ -12,11 +12,14 @@ so a state evolved from |0...0> never leaves the reals. Each gate is one
 out-of-place kernel over reshaped views of the amplitude array (strided
 butterflies and half swaps, no index arrays), and every kernel keeps the
 dtype of its input, so complex states given to :func:`apply_gate` stay
-complex.
+complex. A state may also hold a batch: a ``(k, 2^n)`` amplitude array is k
+independent registers, one per row, and every kernel and the sampler act
+on all rows at once.
 
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (cumsum + searchsorted),
-so equal seeds give bit-identical counts on any platform.
+so equal seeds give bit-identical counts on any platform. A batch draws
+one uniform per row, in row order.
 """
 
 from __future__ import annotations
@@ -121,8 +124,7 @@ class Circuit:
     measured: bool = False
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {self.num_qubits}")
+        check_count("num_qubits", self.num_qubits)
         for gate in self.gates:
             self._check(gate)
 
@@ -156,7 +158,8 @@ class Circuit:
 class Statevector:
     """Amplitudes of an ``num_qubits``-qubit register (length 2^n).
 
-    States built by :func:`new_zero_state` and :func:`evolve` hold real
+    A ``(k, 2^n)`` array holds a batch of k registers, one per row. States
+    built by :func:`new_zero_state` and :func:`evolve` hold real
     ``float64`` amplitudes. A complex array is accepted as well; gates keep
     its dtype, and probabilities are ``|a|^2`` either way.
     """
@@ -199,11 +202,13 @@ def _pauli_x(amps: np.ndarray, out: np.ndarray, qubit: int) -> None:
 
 
 def _cnot(amps: np.ndarray, out: np.ndarray, control: int, target: int) -> None:
-    # One axis per qubit, qubit n-1 first; move control and target to the front.
-    n = amps.size.bit_length() - 1
-    axes = (n - 1 - control, n - 1 - target)
-    a = np.moveaxis(amps.reshape([2] * n), axes, (0, 1))
-    b = np.moveaxis(out.reshape([2] * n), axes, (0, 1))
+    # One axis per qubit after any batch axis, qubit 0 last; move control and
+    # target to the front.
+    n = amps.shape[-1].bit_length() - 1
+    shape = amps.shape[:-1] + (2,) * n
+    axes = (-1 - control, -1 - target)
+    a = np.moveaxis(amps.reshape(shape), axes, (0, 1))
+    b = np.moveaxis(out.reshape(shape), axes, (0, 1))
     b[0] = a[0]
     b[1, 0] = a[1, 1]
     b[1, 1] = a[1, 0]
@@ -215,7 +220,8 @@ _KERNELS = {"H": _hadamard, "X": _pauli_x, "CNOT": _cnot}
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Return the state transformed by one gate (the input is not touched).
 
-    The result has the input's dtype.
+    The result has the input's dtype and shape; a batch is transformed row
+    by row.
     """
     for t in gate.targets:
         if not 0 <= t < state.num_qubits:
@@ -240,16 +246,31 @@ def _inverse_cdf(probabilities: np.ndarray, uniforms: float | np.ndarray):
 
     Overwrites ``probabilities`` with their running sum. Searching all but
     the last entry clamps a uniform that rounds onto the total mass to the
-    last outcome.
+    last outcome. For a ``(k, 2^n)`` batch, row i is searched with
+    ``uniforms[i]``; counting the entries at or below the target is what
+    ``searchsorted(side="right")`` returns on a sorted row.
     """
-    cum = np.cumsum(probabilities, out=probabilities)
-    return np.searchsorted(cum[:-1], uniforms * cum[-1], side="right")
+    cum = np.cumsum(probabilities, axis=-1, out=probabilities)
+    if cum.ndim == 1:
+        return np.searchsorted(cum[:-1], uniforms * cum[-1], side="right")
+    targets = uniforms * cum[:, -1]
+    return np.count_nonzero(cum[:, :-1] <= targets[:, None], axis=-1)
 
 
-def sample_measurement(state: Statevector, rng: np.random.Generator) -> str:
-    """Draw one terminal measure-all outcome under the Born rule."""
-    index = _inverse_cdf(state.probabilities(), rng.random())
-    return bitstring(int(index), state.num_qubits)
+def sample_measurement(
+    state: Statevector, rng: np.random.Generator
+) -> int | np.ndarray:
+    """Draw terminal measure-all outcomes under the Born rule.
+
+    Returns the outcome index (an ``int``, see :func:`bitstring`) for one
+    register, or an integer array with one index per row for a ``(k, 2^n)``
+    batch, drawn with ``rng.random(k)`` in row order: the same outcomes as
+    k single-register calls.
+    """
+    amps = state.amplitudes
+    if amps.ndim == 1:
+        return int(_inverse_cdf(state.probabilities(), rng.random()))
+    return _inverse_cdf(state.probabilities(), rng.random(len(amps)))
 
 
 @dataclass

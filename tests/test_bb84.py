@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qubitkit.algorithms import bb84
 from qubitkit.algorithms.bb84 import (
@@ -9,6 +10,7 @@ from qubitkit.algorithms.bb84 import (
     Axis,
     Bb84Config,
     ChannelPolicy,
+    EveAction,
     KEY_TOO_SHORT,
     SECURE,
     abort_probability,
@@ -24,7 +26,14 @@ from qubitkit.algorithms.bb84 import (
 )
 from qubitkit.backends import default_registry
 from qubitkit.errors import KeyTooShortError, ValidationError
-from qubitkit.sim import make_rng
+from qubitkit.sim import (
+    Gate,
+    Statevector,
+    apply_gate,
+    derive_seed,
+    make_rng,
+    sample_measurement,
+)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -53,32 +62,48 @@ def test_encoding_states_exact():
 
 
 # ---------------------------------------------------------------------------
-# Axis measurement
+# Axis measurement (batches: one qubit per amplitude row)
+
+
+def batch(value, axis, rows):
+    """``rows`` copies of one prepared qubit as a (rows, 2) batch."""
+    return Statevector(1, np.tile(encode_state(value, axis).amplitudes, (rows, 1)))
+
+
+def in_x(rows):
+    return np.ones(rows, dtype=bool)
+
+
+def in_z(rows):
+    return np.zeros(rows, dtype=bool)
 
 
 def test_measuring_eigenstate_is_deterministic():
     rng = make_rng(1)
-    one = encode_state(1, Axis.Z)
-    assert all(measure_in_axis(one, Axis.Z, rng)[0] == 1 for _ in range(100))
-    minus = encode_state(1, Axis.X)
-    assert all(measure_in_axis(minus, Axis.X, rng)[0] == 1 for _ in range(100))
+    bits, _ = measure_in_axis(batch(1, Axis.Z, 100), in_z(100), rng)
+    assert bits.tolist() == [1] * 100
+    bits, _ = measure_in_axis(batch(1, Axis.X, 100), in_x(100), rng)
+    assert bits.tolist() == [1] * 100
 
 
 def test_measuring_in_wrong_axis_is_uniform():
     rng = make_rng(2)
-    zero = encode_state(0, Axis.Z)
     trials = 10_000
-    ones = sum(measure_in_axis(zero, Axis.X, rng)[0] for _ in range(trials))
-    assert abs(ones / trials - 0.5) < 0.015
+    bits, _ = measure_in_axis(batch(0, Axis.Z, trials), in_x(trials), rng)
+    assert abs(bits.sum() / trials - 0.5) < 0.015
 
 
 def test_collapse_state_matches_outcome():
     rng = make_rng(3)
-    plus = encode_state(0, Axis.X)
-    bit, post = measure_in_axis(plus, Axis.Z, rng)
-    assert np.allclose(post.amplitudes, encode_state(bit, Axis.Z).amplitudes)
-    # Re-measuring the collapsed state in the same axis repeats the bit.
-    assert measure_in_axis(post, Axis.Z, rng)[0] == bit
+    # |+> measured in Z and |0> measured in X: both outcomes are random.
+    plus, zero = encode_state(0, Axis.X), encode_state(0, Axis.Z)
+    states = Statevector(1, np.stack([plus.amplitudes, zero.amplitudes]))
+    axes = np.array([False, True])
+    bits, post = measure_in_axis(states, axes, rng)
+    for row, (bit, axis) in enumerate(zip(bits.tolist(), (Axis.Z, Axis.X))):
+        assert np.allclose(post.amplitudes[row], encode_state(bit, axis).amplitudes)
+    # Re-measuring the collapsed states in the same axes repeats the bits.
+    assert measure_in_axis(post, axes, rng)[0].tolist() == bits.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -87,24 +112,18 @@ def test_collapse_state_matches_outcome():
 
 def test_density_zero_never_touches():
     rng = make_rng(4)
-    state = encode_state(1, Axis.X)
-    policy = ChannelPolicy(0.0)
-    for _ in range(500):
-        out, action = intercept(state, policy, rng)
-        assert action is None
-        assert out is state
+    states = batch(1, Axis.X, 500)
+    out, actions = intercept(states, ChannelPolicy(0.0), rng)
+    assert actions == [None] * 500
+    assert np.array_equal(out.amplitudes, states.amplitudes)
 
 
 def test_density_one_always_measures_with_uniform_axis():
     rng = make_rng(5)
-    state = encode_state(0, Axis.Z)
-    policy = ChannelPolicy(1.0)
     trials = 10_000
-    x_axis = 0
-    for _ in range(trials):
-        _, action = intercept(state, policy, rng)
-        assert action is not None
-        x_axis += action.axis is Axis.X
+    _, actions = intercept(batch(0, Axis.Z, trials), ChannelPolicy(1.0), rng)
+    assert all(action is not None for action in actions)
+    x_axis = sum(action.axis is Axis.X for action in actions)
     assert abs(x_axis / trials - 0.5) < 0.02
 
 
@@ -112,11 +131,24 @@ def test_wrong_axis_interception_randomizes_receiver():
     # Sender (0, Z), eavesdropper forced to X, receiver in Z: uniform bit.
     rng = make_rng(6)
     trials = 10_000
-    ones = 0
-    for _ in range(trials):
-        _, resent = measure_in_axis(encode_state(0, Axis.Z), Axis.X, rng)
-        ones += measure_in_axis(resent, Axis.Z, rng)[0]
-    assert abs(ones / trials - 0.5) < 0.015
+    _, resent = measure_in_axis(batch(0, Axis.Z, trials), in_x(trials), rng)
+    bits, _ = measure_in_axis(resent, in_z(trials), rng)
+    assert abs(bits.sum() / trials - 0.5) < 0.015
+
+
+def test_intercept_actions_are_the_shared_collapses():
+    rng = make_rng(9)
+    states = batch(1, Axis.Z, 64)
+    out, actions = intercept(states, ChannelPolicy(0.5), rng)
+    for row, action in enumerate(actions):
+        if action is None:
+            assert np.array_equal(out.amplitudes[row], states.amplitudes[row])
+        else:
+            expected = encode_state(action.bit, action.axis).amplitudes
+            assert np.array_equal(out.amplitudes[row], expected)
+            # A Z-axis guess on |1> always reads 1.
+            assert action.axis is Axis.X or action.bit == 1
+    assert len({id(a) for a in actions if a is not None}) <= 4
 
 
 def test_policy_validates_density():
@@ -124,6 +156,67 @@ def test_policy_validates_density():
         ChannelPolicy(1.5)
     with pytest.raises(ValidationError, match="density"):
         ChannelPolicy(-0.1)
+
+
+@pytest.mark.parametrize("density", ["0.5", None, True])
+def test_exchange_rejects_non_numeric_density(density):
+    # "0.5" used to raise a raw TypeError from the range comparison.
+    with pytest.raises(ValidationError, match="density"):
+        run_exchange(4, density, seed=1)
+
+
+def test_policy_accepts_numpy_and_integer_densities():
+    for density in (np.float64(0.5), np.float32(0.25), 0, 1):
+        assert ChannelPolicy(density).interception_density == density
+
+
+# ---------------------------------------------------------------------------
+# Reference: the channel one qubit at a time, on single-register states
+
+
+def measure_one(state, axis, rng):
+    probe = apply_gate(state, Gate("H", (0,))) if axis is Axis.X else state
+    bit = sample_measurement(probe, rng)
+    return bit, encode_state(bit, axis)
+
+
+def reference_exchange(m, density, seed):
+    """(sender bits, sender axes, eve actions, receiver axes, receiver bits).
+
+    Draws follow the documented order: sender bits then axes; receiver
+    axes then one collapse per qubit; eavesdropper decisions for all m,
+    then axes for the qubits hit, then their collapses.
+    """
+    sender, eve, receiver = map(make_rng, np.random.SeedSequence(seed).spawn(3))
+    bits = [int(u < 0.5) for u in sender.random(m)]
+    sender_axes = [Axis.X if u >= 0.5 else Axis.Z for u in sender.random(m)]
+    receiver_axes = [Axis.X if u >= 0.5 else Axis.Z for u in receiver.random(m)]
+    hit = [u < density for u in eve.random(m)]
+    eve_axes = iter([Axis.X if u >= 0.5 else Axis.Z for u in eve.random(sum(hit))])
+    actions, received = [], []
+    for i in range(m):
+        state, action = encode_state(bits[i], sender_axes[i]), None
+        if hit[i]:
+            axis = next(eve_axes)
+            bit, state = measure_one(state, axis, eve)
+            action = EveAction(axis, bit)
+        actions.append(action)
+        received.append(measure_one(state, receiver_axes[i], receiver)[0])
+    return bits, sender_axes, actions, receiver_axes, received
+
+
+@pytest.mark.parametrize("m, density", [(1, 1.0), (7, 0.5), (64, 0.25), (200, 0.9)])
+def test_batched_exchange_equals_per_qubit_reference(m, density):
+    for seed in range(10):
+        trace = run_exchange(m, density, seed=seed, compare_mode="full")
+        fields = (
+            trace.sender_bits,
+            trace.sender_axes,
+            trace.eve_actions,
+            trace.receiver_axes,
+            trace.receiver_bits,
+        )
+        assert [list(f) for f in fields] == list(reference_exchange(m, density, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +236,9 @@ def test_sift_retention_rate():
     m = 10_000
     axes_a = [Axis.Z if u < 0.5 else Axis.X for u in rng.random(m)]
     axes_b = [Axis.Z if u < 0.5 else Axis.X for u in rng.random(m)]
-    assert abs(len(sift(axes_a, axes_b)) / m - 0.5) < 0.015
+    kept = sift(axes_a, axes_b)
+    assert kept == [i for i, (a, b) in enumerate(zip(axes_a, axes_b)) if a is b]
+    assert abs(len(kept) / m - 0.5) < 0.015
 
 
 def test_verify_secure_keeps_second_half():
@@ -209,6 +304,39 @@ def test_full_comparison_abort_rate_at_intermediate_density():
     expected = abort_probability(m, density)
     sigma = math.sqrt(expected * (1 - expected) / runs)
     assert abs(aborts / runs - expected) < 3 * sigma
+
+
+def test_full_comparison_abort_rate_sweep_matches_formula():
+    # The eavesdropper heatmap as an oracle: one chi-square over every
+    # (m, d) cell, each cell's runs seeded by derive_seed(master, i, j, r).
+    #
+    # Half-compare mode (not asserted) publishes only ceil(L/2) of the L
+    # sifted bits, so it aborts less often than the formula: on this grid
+    # with 4000 runs per cell it gave 0.06/0.12/0.24 against 0.12/0.23/0.41
+    # at m=4 (d=0.25/0.5/1.0), where 31% of runs also sift fewer than the
+    # two bits it needs (key_too_short), and 0.42/0.67/0.89 against
+    # 0.64/0.87/0.99 at m=32, about the formula at m/2 qubits.
+    backends = default_registry()
+    master, runs = 1984, 200
+    statistic = 0.0
+    cells = 0
+    for i, m in enumerate((4, 8, 16, 32)):
+        for j, density in enumerate((0.25, 0.5, 1.0)):
+            aborts = sum(
+                run_exchange(
+                    m,
+                    density,
+                    backends,
+                    seed=derive_seed(master, i, j, r),
+                    compare_mode="full",
+                ).verdict
+                == ABORTED
+                for r in range(runs)
+            )
+            p = abort_probability(m, density)
+            statistic += (aborts - runs * p) ** 2 / (runs * p * (1 - p))
+            cells += 1
+    assert stats.chi2.sf(statistic, df=cells) > 1e-3
 
 
 # ---------------------------------------------------------------------------

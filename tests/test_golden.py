@@ -62,9 +62,28 @@ def test_random_six_qubit_circuit_counts():
 
 
 def test_bb84_full_compare_exchange_trace():
+    # Eavesdropper draw order: all m interception decisions, then the axes
+    # of the k hit qubits, then their k collapses.
     trace = run_exchange(256, 0.5, seed=84, compare_mode="full")
     assert sha256(trace) == (
-        "70e5ef7a1f7c8d729c530da25fb6bd5d89ad81d18de4898451e8b8e6bbff8674"
+        "414e7ac4df7943a39e4ea8c5e54316923af5598d8e55b61bdb52652ffc505306"
+    )
+
+
+def test_bb84_full_compare_exchange_trace_without_eavesdropper():
+    # No interception: only the sender's and receiver's streams reach the
+    # trace, so this pins them apart from the eavesdropper's.
+    trace = run_exchange(256, 0.0, seed=84, compare_mode="full")
+    assert sha256(trace) == (
+        "4bb5888f9fdf8434faaa9e637ad0c22c816e46e438627133c2d1c76fd32be5d1"
+    )
+
+
+def test_bb84_protocol_trace_without_eavesdropper():
+    trace = run_protocol((1, 0, 1, 1), 0.0, seed=31)
+    assert trace.verdict == "secure"
+    assert sha256(trace) == (
+        "cb14edcac88ec4ba6c986ba85747131303095bb105c0da0eef39bb11d6969631"
     )
 
 
@@ -74,5 +93,5 @@ def test_bb84_protocol_retry_trace():
     trace = run_protocol((1,), 0.5, seed=31)
     assert (trace.attempts, trace.verdict) == (3, "secure")
     assert sha256(trace) == (
-        "c8ecdc4318b525bea3bbab7ba7d1eac575fdc637c9ed70d3a013b56cd5a2afde"
+        "a3760cfb1b120e05d7de13da13d504871370288cc2983cc0a7ec2f95629b7b67"
     )

@@ -28,6 +28,13 @@ def test_n_zero_rejected():
         qrand_circuit(25)
 
 
+@pytest.mark.parametrize("n", [2.5, True, "3", None])
+def test_non_integer_n_rejected(n):
+    # 2.5 used to pass the range check and die inside range().
+    with pytest.raises(ValidationError, match="'n'"):
+        qrand_circuit(n)
+
+
 def test_pre_measurement_amplitudes_real_uniform_up_to_n10():
     for n in range(1, 11):
         amps = evolve(qrand_circuit(n)).amplitudes

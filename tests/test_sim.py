@@ -148,6 +148,18 @@ def test_gate_accepts_numpy_integer_targets():
     assert np.array_equal(state.amplitudes, [0, 0, 1, 0])
 
 
+@pytest.mark.parametrize("num_qubits", [2.5, True, "2", None, 0, -1])
+def test_circuit_rejects_bad_qubit_counts(num_qubits):
+    # Circuit(2.5) used to be accepted. ValidationError is a ValueError, so
+    # Circuit(0) still raises what it raised before.
+    with pytest.raises(ValidationError, match="num_qubits"):
+        Circuit(num_qubits)
+
+
+def test_circuit_accepts_numpy_qubit_count():
+    assert evolve(Circuit(np.int64(2)).x(1)).amplitudes.tolist() == [0, 0, 1, 0]
+
+
 def test_circuit_rejects_out_of_range_gate():
     with pytest.raises(IndexError):
         Circuit(2).cnot(0, 2)
@@ -241,6 +253,26 @@ def test_apply_gate_matches_dense_oracle(n_and_gate, dtype, seed):
     assert np.allclose(result.amplitudes, expected, rtol=0, atol=1e-12)
 
 
+@st.composite
+def batches(draw):
+    """(n, gate, k, seed): a gate on n qubits and a k-row batch to apply it to."""
+    n = draw(st.integers(1, 5))
+    rows, seed = draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
+    return n, draw(gates_on(n)), rows, seed
+
+
+@DIFFERENTIAL
+@given(batches(), st.sampled_from([complex, float]))
+def test_apply_gate_on_a_batch_equals_row_by_row(case, dtype):
+    n, gate, k, seed = case
+    rng = np.random.default_rng(seed)
+    rows = [random_state(rng, n, dtype).amplitudes for _ in range(k)]
+    result = apply_gate(Statevector(n, np.stack(rows)), gate)
+    assert result.amplitudes.shape == (k, 2**n)
+    expected = np.stack([apply_gate(Statevector(n, r), gate).amplitudes for r in rows])
+    assert np.array_equal(result.amplitudes, expected)
+
+
 # ---------------------------------------------------------------------------
 # Measurement sampling
 
@@ -248,14 +280,14 @@ def test_apply_gate_matches_dense_oracle(n_and_gate, dtype, seed):
 def test_basis_state_measures_deterministically():
     one = apply_gate(new_zero_state(1), Gate("X", (0,)))
     rng = make_rng(3)
-    assert all(sample_measurement(one, rng) == "1" for _ in range(50))
+    assert all(sample_measurement(one, rng) == 1 for _ in range(50))
 
 
 def test_hadamard_sampling_is_balanced():
     plus = apply_gate(new_zero_state(1), Gate("H", (0,)))
     rng = make_rng(81)
     n = 100_000
-    zeros = sum(sample_measurement(plus, rng) == "0" for _ in range(n))
+    zeros = sum(sample_measurement(plus, rng) == 0 for _ in range(n))
     assert abs(zeros / n - 0.5) < 0.01
     _, p = stats.chisquare([zeros, n - zeros])
     assert p > 0.001
@@ -266,7 +298,19 @@ def test_bell_state_yields_only_correlated_outcomes():
     state = apply_gate(state, Gate("CNOT", (0, 1)))
     rng = make_rng(5)
     outcomes = {sample_measurement(state, rng) for _ in range(500)}
-    assert outcomes == {"00", "11"}
+    assert outcomes == {0b00, 0b11}
+
+
+def test_batch_sampling_equals_single_register_draws():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 4):
+        for dtype in (float, complex):
+            rows = np.stack([random_state(rng, n, dtype).amplitudes for _ in range(80)])
+            batch = sample_measurement(Statevector(n, rows), make_rng(61 + n))
+            single_rng = make_rng(61 + n)
+            singles = [sample_measurement(Statevector(n, r), single_rng) for r in rows]
+            assert all(type(index) is int for index in singles)
+            assert batch.tolist() == singles
 
 
 # ---------------------------------------------------------------------------
