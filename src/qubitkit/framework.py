@@ -66,7 +66,7 @@ class ParamSpec:
 
     def _parse_natural(self, raw: str) -> int:
         text = raw.strip()
-        if not text.isdigit():
+        if not (text.isascii() and text.isdigit()):
             raise ValidationError(self.name, f"expected a natural number, got {raw!r}")
         value = int(text)
         low = 1 if self.min_value is None else self.min_value

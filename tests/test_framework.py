@@ -55,6 +55,19 @@ def test_parse_qrand_n():
     assert parse_params(descriptor, ["8"]) == {"n": 8}
 
 
+@pytest.mark.parametrize("raw", ["²", "٣"])
+def test_parse_natural_rejects_non_ascii_digits(raw):
+    # str.isdigit() accepts both; int() fails on the first, reads 3 from the second.
+    spec = default_algorithms().get("qrand").param_specs[0]
+    with pytest.raises(ValidationError, match="natural number") as excinfo:
+        spec.parse(raw)
+    assert excinfo.value.param == "n"
+
+
+def test_parse_natural_strips_surrounding_spaces():
+    assert default_algorithms().get("qrand").param_specs[0].parse(" 3 ") == 3
+
+
 def test_parse_rejects_non_bitstring_key():
     descriptor = default_algorithms().get("bernstein-vazirani")
     with pytest.raises(ValidationError, match="key"):

@@ -13,7 +13,7 @@ import numpy as np
 from qubitkit.algorithms.bb84 import run_exchange, run_protocol
 from qubitkit.algorithms.bernstein_vazirani import bv_circuit
 from qubitkit.algorithms.qrand import qrand_circuit
-from qubitkit.sim import Circuit, Gate, run
+from qubitkit.sim import Circuit, Gate, evolve, run
 
 
 def sha256(obj) -> str:
@@ -58,6 +58,20 @@ def test_random_six_qubit_circuit_counts():
     counts = run(circuit, shots=10_000, seed=4_099)
     assert counts_digest(counts) == (
         "edb2bbae5d12bfe81b62d4e893f96227ba81512f09bc31f5c543ab7e749b93d0"
+    )
+
+
+def test_random_eighteen_qubit_circuit_amplitudes_and_counts():
+    # Above the simulator's 16-qubit slice size: the run of low-qubit gates
+    # goes slice by slice, and 12 of the 80 gates touch qubit 16 or 17.
+    circuit = fixed_random_circuit(18, 80, seed=1_704)
+    amplitudes = evolve(circuit).amplitudes.tobytes()
+    assert hashlib.sha256(amplitudes).hexdigest() == (
+        "42a757cc6cdc9f72f0b8e21841607e704e30fbbe6fc7aa6548c736542d1fe41d"
+    )
+    counts = run(circuit, shots=10_000, seed=1_232)
+    assert counts_digest(counts) == (
+        "db15f13797fe8d690f1ae7439c124ab903fff6ab345450630c3daa98210d7c2f"
     )
 
 

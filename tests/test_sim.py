@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from qubitkit import sim
 from qubitkit.errors import CapacityError, ValidationError
 from qubitkit.sim import (
     Circuit,
@@ -170,9 +173,15 @@ def test_norm_conserved_over_random_sequences():
     for n in range(1, 5):
         for _ in range(20):
             state = new_zero_state(n)
+            batch = Statevector(n, np.tile(state.amplitudes, (4, 1)))
             for gate in random_gates(rng, n, 30):
                 state = apply_gate(state, gate)
+                batch = apply_gate(batch, gate)
             assert abs(state.norm() - 1.0) < 1e-12
+            assert np.allclose(batch.norm(), np.ones(4), rtol=0, atol=1e-12)
+    assert type(new_zero_state(2).norm()) is float
+    four_rows = Statevector(1, np.tile([1.0, 0.0], (4, 1)))
+    assert np.array_equal(four_rows.norm(), [1.0, 1.0, 1.0, 1.0])
 
 
 def test_gates_are_involutions():
@@ -251,6 +260,69 @@ def test_apply_gate_matches_dense_oracle(n_and_gate, dtype, seed):
     assert result.amplitudes.dtype == state.amplitudes.dtype
     expected = gate_matrix(gate, n) @ before
     assert np.allclose(result.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Cache-blocked evolve: bit-identical to the per-gate apply_gate chain. A block
+# of 1-3 qubits makes these small circuits cross slice edges; three workers
+# get uneven shares of the slices.
+
+
+def per_gate_chain(circuit):
+    state = new_zero_state(circuit.num_qubits)
+    for gate in circuit.gates:
+        state = apply_gate(state, gate)
+    return state.amplitudes
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block_qubits", [1, 2, 3])
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(circuits())
+def test_blocked_evolve_equals_per_gate_chain(block_qubits, workers, circuit):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_BLOCK_QUBITS", block_qubits)
+        patch.setattr(sim, "_cpu_count", lambda: workers)
+        blocked = evolve(circuit).amplitudes
+    assert np.array_equal(blocked, per_gate_chain(circuit))
+
+
+def test_blocked_evolve_at_eighteen_qubits_equals_per_gate_chain():
+    circuit = Circuit(18, gates=random_gates(np.random.default_rng(1_618), 18, 60))
+    high = [max(gate.targets) >= sim._BLOCK_QUBITS for gate in circuit.gates]
+    assert 0 < sum(high) < len(high)
+    assert np.array_equal(evolve(circuit).amplitudes, per_gate_chain(circuit))
+
+
+def test_blocked_evolve_with_more_workers_than_cpus_and_fast_switching(monkeypatch):
+    # Eight threads write disjoint slices of two shared buffers; an overlap or
+    # a lost write would change amplitudes.
+    circuit = Circuit(10, gates=random_gates(np.random.default_rng(2_718), 10, 100))
+    expected = per_gate_chain(circuit)
+    monkeypatch.setattr(sim, "_BLOCK_QUBITS", 5)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        blocked = evolve(circuit).amplitudes
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(blocked, expected)
+
+
+def test_kernel_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
+    caller, hadamard = threading.current_thread(), sim._KERNELS["H"]
+
+    def fails_off_the_calling_thread(amps, out, qubit):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("kernel failed in a worker")
+        hadamard(amps, out, qubit)
+
+    monkeypatch.setitem(sim._KERNELS, "H", fails_off_the_calling_thread)
+    monkeypatch.setattr(sim, "_BLOCK_QUBITS", 1)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="kernel failed in a worker"):
+        evolve(Circuit(2).h(0))
 
 
 @st.composite
