@@ -8,8 +8,12 @@ his own random axis. Sifting keeps the positions where sender and
 receiver axes agree, verification publishes part of the sifted key, and
 any disagreement there aborts the run. The compare mode names how much is
 published: "half" (the first half of the sifted key, the protocol) or
-"full" (all of it, whose abort rate follows 1 - (1 - density/8)^m).
-Surviving key bits one-time-pad the message.
+"full" (all of it, whose abort rate follows 1 - (1 - density/8)^m). A
+sifted key too short to verify is the verdict key_too_short.
+
+The full protocol sends six qubits per message bit and repeats a round
+whose key comes up short, up to ten rounds; surviving key bits one-time-pad
+the message.
 
 Every qubit travels as a real statevector: encode as a circuit, evolve,
 collapse on measurement, re-prepare on resend. Nothing is shortcut with
@@ -27,8 +31,7 @@ then an axis for each of the k qubits she hit, then their k collapses.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from numbers import Integral, Real
 from typing import Optional, Sequence
@@ -37,7 +40,7 @@ import numpy as np
 
 from .. import otp
 from ..backends import BackendRegistry, LOCAL_BACKEND_NAME, default_registry, fresh_seed
-from ..errors import KeyTooShortError, ValidationError
+from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params
 from ..sim import (
     Circuit,
@@ -55,6 +58,9 @@ from ..sim import (
 SECURE = "secure"
 ABORTED = "aborted"
 KEY_TOO_SHORT = "key_too_short"
+
+_OVERSAMPLE = 6  # qubits transmitted per message bit
+_MAX_ROUNDS = 10  # rounds run_protocol tries before key_too_short
 
 _H = Gate("H", (0,))
 
@@ -92,16 +98,6 @@ class EveAction:
 
 
 @dataclass(frozen=True)
-class Bb84Config:
-    oversample_factor: int = 6  # qubits transmitted per message bit
-    max_retries: int = 10  # extra rounds when the sifted key comes up short
-
-    def __post_init__(self):
-        check_count("oversample_factor", self.oversample_factor)
-        check_count("max_retries", self.max_retries)
-
-
-@dataclass
 class Bb84Trace:
     """Full transcript of one protocol run."""
 
@@ -194,14 +190,17 @@ def intercept(
     return Statevector(1, forwarded), actions.tolist()
 
 
-def sift(sender_axes: Sequence[Axis], receiver_axes: Sequence[Axis]) -> list[int]:
-    """Positions where both parties used the same axis (kept by both)."""
+def sift(sender_axes: Sequence, receiver_axes: Sequence) -> list[int]:
+    """Positions where both parties used the same axis (kept by both).
+
+    The axes may be Axis members or any equal-comparable flags, such as
+    the round's boolean is-X arrays.
+    """
     if len(sender_axes) != len(receiver_axes):
         raise ValueError(
             f"axis lists differ in length: {len(sender_axes)} vs {len(receiver_axes)}"
         )
-    same = map(operator.is_, sender_axes, receiver_axes)
-    return np.flatnonzero(np.fromiter(same, bool, len(sender_axes))).tolist()
+    return np.flatnonzero(np.equal(sender_axes, receiver_axes)).tolist()
 
 
 def _check_compare_mode(compare_mode: str) -> None:
@@ -221,24 +220,21 @@ def verify(
     Publishes the first ceil(L/2) sifted positions (compare_mode="half",
     the protocol mode) or all of them (compare_mode="full", the
     detection-statistics mode). Returns (verdict, published indices into
-    the sifted list, the receiver's unpublished bits).
+    the sifted list, the receiver's unpublished bits). A key too short to
+    publish from (under two bits for "half", none for "full") returns
+    (KEY_TOO_SHORT, [], ()).
     """
     _check_compare_mode(compare_mode)
-    if len(sender_sifted_bits) != len(receiver_sifted_bits):
+    sender = np.asarray(sender_sifted_bits)
+    receiver = np.asarray(receiver_sifted_bits)
+    if len(sender) != len(receiver):
         raise ValueError("sifted bit lists differ in length")
-    length = len(sender_sifted_bits)
-    needed = 2 if compare_mode == "half" else 1
-    if length < needed:
-        raise KeyTooShortError(
-            f"sifted key has {length} bit(s); verification needs >= {needed}"
-        )
+    length = len(sender)
+    if length < (2 if compare_mode == "half" else 1):
+        return KEY_TOO_SHORT, [], ()
     cut = math.ceil(length / 2) if compare_mode == "half" else length
-    published = list(range(cut))
-    mismatch = any(
-        sender_sifted_bits[j] != receiver_sifted_bits[j] for j in published
-    )
-    remaining = tuple(receiver_sifted_bits[cut:])
-    return (ABORTED if mismatch else SECURE), published, remaining
+    verdict = SECURE if np.array_equal(sender[:cut], receiver[:cut]) else ABORTED
+    return verdict, list(range(cut)), tuple(receiver[cut:].tolist())
 
 
 def abort_probability(n: int, density: float) -> float:
@@ -293,29 +289,20 @@ def _single_exchange(
     states, eve_actions = intercept(states, policy, eve_rng)
     received, _ = measure_in_axis(states, receiver_x, receiver_rng)
 
-    sender_bits = bits.tolist()
-    receiver_bits = received.tolist()
-    sender_axes = tuple(np.where(sender_x, Axis.X, Axis.Z).tolist())
-    receiver_axes = tuple(np.where(receiver_x, Axis.X, Axis.Z).tolist())
-    sifted = sift(sender_axes, receiver_axes)
-    try:
-        verdict, published_idx, remaining = verify(
-            [sender_bits[p] for p in sifted],
-            [receiver_bits[p] for p in sifted],
-            compare_mode=compare_mode,
-        )
-    except KeyTooShortError:
-        verdict, published_idx, remaining = KEY_TOO_SHORT, [], ()
-
+    sifted = sift(sender_x, receiver_x)
+    verdict, published, remaining = verify(
+        bits[sifted], received[sifted], compare_mode=compare_mode
+    )
     return Bb84Trace(
         transmitted_count=transmitted,
-        sender_bits=tuple(sender_bits),
-        sender_axes=sender_axes,
+        sender_bits=tuple(bits.tolist()),
+        sender_axes=tuple(np.where(sender_x, Axis.X, Axis.Z).tolist()),
         eve_actions=tuple(eve_actions),
-        receiver_axes=receiver_axes,
-        receiver_bits=tuple(receiver_bits),
+        receiver_axes=tuple(np.where(receiver_x, Axis.X, Axis.Z).tolist()),
+        receiver_bits=tuple(received.tolist()),
         sifted_positions=tuple(sifted),
-        published_positions=tuple(map(sifted.__getitem__, published_idx)),
+        # verify always publishes a prefix of the sifted key.
+        published_positions=tuple(sifted[: len(published)]),
         verdict=verdict,
         shared_key=remaining if verdict == SECURE else None,
         seed=seed,
@@ -348,14 +335,13 @@ def run_protocol(
     backends: BackendRegistry | None = None,
     backend_name: str = LOCAL_BACKEND_NAME,
     seed: int | None = None,
-    config: Bb84Config = Bb84Config(),
 ) -> Bb84Trace:
     """Full protocol: exchange enough qubits to one-time-pad the message.
 
-    Transmits oversample_factor x len(message) qubits. An abort returns
-    immediately (that is the detection outcome); only a too-short sifted
-    key retries, with fresh randomness, up to max_retries rounds before
-    giving up with verdict key_too_short.
+    Transmits 6 x len(message) qubits per round. An abort returns
+    immediately (that is the detection outcome); a sifted key too short
+    for the message runs another round, with fresh randomness, up to 10
+    rounds before giving up with verdict key_too_short.
     """
     message = tuple(message_bits)
     if not message or not all(
@@ -366,28 +352,25 @@ def run_protocol(
     message = tuple(int(b) for b in message)
     policy, backend, seed, rngs = _setup(density, backends, backend_name, seed)
 
-    length = len(message)
-    transmitted = config.oversample_factor * length
-    for attempt in range(1, config.max_retries + 1):
-        trace = _single_exchange(transmitted, policy, backend, rngs, "half", seed)
-        trace.attempts = attempt
-        trace.message_bits = message
+    transmitted = _OVERSAMPLE * len(message)
+    for attempt in range(1, _MAX_ROUNDS + 1):
+        trace = replace(
+            _single_exchange(transmitted, policy, backend, rngs, "half", seed),
+            attempts=attempt,
+            message_bits=message,
+        )
         if trace.verdict == ABORTED:
             return trace
-        if trace.verdict == SECURE and len(trace.shared_key) >= length:
-            published = set(trace.published_positions)
-            sender_key = tuple(
-                trace.sender_bits[p]
-                for p in trace.sifted_positions
-                if p not in published
+        if trace.verdict == SECURE and len(trace.shared_key) >= len(message):
+            unpublished = trace.sifted_positions[len(trace.published_positions) :]
+            sender_key = tuple(trace.sender_bits[p] for p in unpublished)
+            ciphertext = otp.encrypt(message, sender_key)
+            return replace(
+                trace,
+                ciphertext=ciphertext,
+                decrypted=otp.decrypt(ciphertext, trace.shared_key),
             )
-            trace.ciphertext = otp.encrypt(message, sender_key)
-            trace.decrypted = otp.decrypt(trace.ciphertext, trace.shared_key)
-            return trace
-    # Every round fell short of a usable key (Bb84Config keeps max_retries >= 1).
-    trace.verdict = KEY_TOO_SHORT
-    trace.shared_key = None
-    return trace
+    return replace(trace, verdict=KEY_TOO_SHORT, shared_key=None)
 
 
 def render_trace(trace: Bb84Trace) -> str:
@@ -437,23 +420,11 @@ def _bits(bits: Sequence[int]) -> str:
 
 
 def _interpret(params: Params, counts: Counts) -> str:
-    if counts.shots == 1:
-        (verdict,) = counts
-        return f"verdict: {verdict}"
     parts = [
         f"{verdict}: {count} ({count / counts.shots:.1%})"
         for verdict, count in sorted(counts.items())
     ]
     return f"verdicts over {counts.shots} runs — " + ", ".join(parts)
-
-
-def _decrypted_text(trace: Bb84Trace) -> str | None:
-    if not trace.round_trip_ok:
-        return None
-    try:
-        return otp.bits_to_text(trace.decrypted)
-    except (ValueError, UnicodeDecodeError):
-        return None
 
 
 def _runner(params: Params, backends, backend_name, shots, seed):
@@ -463,9 +434,9 @@ def _runner(params: Params, backends, backend_name, shots, seed):
         trace = run_protocol(message, density, backends, backend_name, seed)
         counts = Counts({trace.verdict: 1}, 1)
         text = render_trace(trace)
-        decoded = _decrypted_text(trace)
-        if decoded is not None:
-            text += f"\ndecrypted text: {decoded!r}"
+        # A faithful round trip decrypts the UTF-8 bits of params["message"].
+        if trace.round_trip_ok:
+            text += f"\ndecrypted text: {otp.bits_to_text(trace.decrypted)!r}"
         return text, counts
     tallies: dict[str, int] = {}
     for i in range(shots):

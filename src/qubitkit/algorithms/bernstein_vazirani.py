@@ -22,13 +22,13 @@ import numpy as np
 from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
 from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params
-from ..sim import QUBIT_CAP, Circuit, Counts, evolve
+from ..sim import QUBIT_CAP, Circuit, Counts, check_count, evolve
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def _check_key(key: str) -> str:
-    if not key or set(key) - {"0", "1"}:
+    if not isinstance(key, str) or not key or set(key) - {"0", "1"}:
         raise ValidationError("key", f"expected a bitstring over {{0,1}}, got {key!r}")
     return key
 
@@ -49,6 +49,7 @@ class BvSolveResult:
 
 def classical_solve(oracle: Callable[[str], int], n: int) -> BvSolveResult:
     """Recover the key with exactly n queries, one unit vector per bit."""
+    check_count("n", n)
     bits = []
     for i in range(n):
         probe = "0" * i + "1" + "0" * (n - 1 - i)
@@ -102,11 +103,7 @@ def state_after_oracle(key: str) -> np.ndarray:
 
 def input_register_state(key: str) -> np.ndarray:
     """Input-register amplitudes right before measurement (basis state |key>)."""
-    _check_key(key)
-    circuit = _oracle_prefix(key)
-    for q in range(len(key)):
-        circuit.h(q)
-    return _project_out_ancilla(evolve(circuit).amplitudes, len(key))
+    return _project_out_ancilla(evolve(bv_circuit(key)).amplitudes, len(key))
 
 
 def recovered_key(outcome: str) -> str:

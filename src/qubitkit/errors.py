@@ -27,4 +27,4 @@ class ValidationError(QubitkitError, ValueError):
 
 
 class KeyTooShortError(QubitkitError):
-    """Sifted key too short to split into verification and secret halves."""
+    """One-time-pad key shorter than the message it should encrypt."""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from qubitkit.algorithms import bb84
 from qubitkit.algorithms.bb84 import (
     ABORTED,
     Axis,
-    Bb84Config,
     ChannelPolicy,
     EveAction,
     KEY_TOO_SHORT,
@@ -25,7 +25,8 @@ from qubitkit.algorithms.bb84 import (
     verify,
 )
 from qubitkit.backends import default_registry
-from qubitkit.errors import KeyTooShortError, ValidationError
+from qubitkit.errors import ValidationError
+from qubitkit.framework import run_algorithm
 from qubitkit.sim import (
     Gate,
     Statevector,
@@ -241,6 +242,28 @@ def test_sift_retention_rate():
     assert abs(len(kept) / m - 0.5) < 0.015
 
 
+def test_sift_and_verify_agree_on_lists_and_arrays():
+    rng = make_rng(10)
+    sender_x, receiver_x = rng.random(64) >= 0.5, rng.random(64) >= 0.5
+    axes = [np.where(flags, Axis.X, Axis.Z).tolist() for flags in (sender_x, receiver_x)]
+    kept = sift(sender_x, receiver_x)
+    assert kept == sift(*axes) == sift(sender_x.tolist(), receiver_x.tolist())
+    sent = rng.integers(0, 2, 64)
+    received = sent.copy()
+    received[kept[-1]] ^= 1  # an error in the unpublished half only
+    for mode in ("half", "full"):
+        from_arrays = verify(sent[kept], received[kept], compare_mode=mode)
+        from_lists = verify(
+            [int(sent[p]) for p in kept],
+            [int(received[p]) for p in kept],
+            compare_mode=mode,
+        )
+        assert from_arrays == from_lists
+        assert all(type(bit) is int for bit in from_arrays[2])
+    assert verify(sent[kept], received[kept])[0] == SECURE
+    assert verify(sent[kept], received[kept], compare_mode="full")[0] == ABORTED
+
+
 def test_verify_secure_keeps_second_half():
     verdict, published, remaining = verify([1, 0, 1, 1, 0], [1, 0, 1, 1, 0])
     assert verdict == SECURE
@@ -260,8 +283,10 @@ def test_verify_ignores_mismatch_outside_published_half():
 
 
 def test_verify_key_too_short():
-    with pytest.raises(KeyTooShortError):
-        verify([1], [1])
+    # Too short to publish from is a verdict, the same one run_exchange reports.
+    assert verify([], []) == (KEY_TOO_SHORT, [], ())
+    assert verify([1], [1]) == (KEY_TOO_SHORT, [], ())
+    assert verify([], [], compare_mode="full") == (KEY_TOO_SHORT, [], ())
     # Full publication works from one bit up.
     verdict, published, remaining = verify([1], [1], compare_mode="full")
     assert verdict == SECURE and published == [0] and remaining == ()
@@ -406,13 +431,19 @@ def test_trace_structural_invariants():
             assert trace.shared_key is None
 
 
-def test_key_shortfall_exhausts_retries():
+def test_key_shortfall_exhausts_retries(monkeypatch):
     # One transmitted qubit can never sift two positions, whatever the seed.
-    config = Bb84Config(oversample_factor=1, max_retries=4)
-    trace = run_protocol((1,), 0.0, seed=5, config=config)
+    monkeypatch.setattr(bb84, "_OVERSAMPLE", 1)
+    monkeypatch.setattr(bb84, "_MAX_ROUNDS", 4)
+    trace = run_protocol((1,), 0.0, seed=5)
     assert trace.verdict == KEY_TOO_SHORT
     assert trace.attempts == 4
     assert trace.shared_key is None
+    # Four qubits never leave four key bits after publication; at this seed
+    # the last round verifies, and its too-short key is not reported.
+    trace = run_protocol((1, 0, 1, 1), 0.0, seed=0)
+    assert trace.verdict == KEY_TOO_SHORT and trace.attempts == 4
+    assert trace.published_positions and trace.shared_key is None
 
 
 def test_protocol_validates_inputs():
@@ -467,13 +498,15 @@ def test_protocol_accepts_numpy_bits_and_seed():
     assert trace == run_protocol((1, 0, 1), 0.0, seed=2**64 - 1)
 
 
-@pytest.mark.parametrize("field", ["oversample_factor", "max_retries"])
-@pytest.mark.parametrize("value", [0, -2, True, 2.0, "3", None])
-def test_config_rejects_bad_counts(field, value):
-    # Unvalidated, run_protocol crashed with AttributeError at max_retries=0
-    # and reported key_too_short without sending a qubit at oversample_factor=0.
-    with pytest.raises(ValidationError, match=field):
-        Bb84Config(**{field: value})
+def test_aborted_protocol_is_its_first_exchange():
+    # A round that aborts is returned as built, with only the protocol's
+    # own fields filled in.
+    message = (1, 0, 1, 1)
+    seeds = [s for s in range(20) if run_exchange(24, 1.0, seed=s).verdict == ABORTED]
+    assert len(seeds) >= 5
+    for s in seeds[:5]:
+        expected = replace(run_exchange(24, 1.0, seed=s), attempts=1, message_bits=message)
+        assert run_protocol(message, 1.0, seed=s) == expected
 
 
 def test_render_trace_layout():
@@ -492,19 +525,29 @@ def test_render_trace_layout():
 
 
 def test_descriptor_single_run_counts_verdict():
-    descriptor = bb84.descriptor()
-    text, counts = descriptor.runner(
-        {"message": "hi", "density": 0.0}, default_registry(), "local_statevector", 1, 21
+    run = run_algorithm(
+        bb84.descriptor(),
+        {"message": "hi", "density": 0.0},
+        default_registry(),
+        "local_statevector",
+        1,
+        21,
     )
+    text, counts = run.text, run.counts
     assert counts.shots == 1 and dict(counts) == {SECURE: 1}
     assert "decrypted text: 'hi'" in text
 
 
 def test_descriptor_multi_run_tallies_verdicts():
-    descriptor = bb84.descriptor()
-    text, counts = descriptor.runner(
-        {"message": "a", "density": 1.0}, default_registry(), "local_statevector", 30, 22
+    run = run_algorithm(
+        bb84.descriptor(),
+        {"message": "a", "density": 1.0},
+        default_registry(),
+        "local_statevector",
+        30,
+        22,
     )
+    text, counts = run.text, run.counts
     assert counts.shots == 30
     assert sum(counts.values()) == 30
     assert set(counts) <= {SECURE, ABORTED, KEY_TOO_SHORT}

@@ -75,6 +75,22 @@ def test_invalid_key_rejected():
             bv_circuit(bad)
 
 
+@pytest.mark.parametrize("bad", [101, ["1", "0"], b"10", None])
+def test_non_string_key_rejected(bad):
+    # 101 used to raise a raw TypeError and ["1", "0"] built a 3-qubit circuit.
+    with pytest.raises(ValidationError, match="key"):
+        bv_circuit(bad)
+    with pytest.raises(ValidationError, match="key"):
+        classical_oracle(bad, "10")
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_classical_solve_rejects_bad_count(n):
+    # n=0 used to return an empty key after zero queries.
+    with pytest.raises(ValidationError, match="'n'"):
+        classical_solve(lambda x: 0, n)
+
+
 def test_phase_oracle_matches_classical_sign_pattern():
     # After the oracle block, input amplitude x must carry (-1)^(key.x)/sqrt(2^n).
     for n in range(1, 7):
