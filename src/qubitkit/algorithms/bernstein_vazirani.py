@@ -27,17 +27,18 @@ from ..sim import QUBIT_CAP, Circuit, Counts, check_count, evolve
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
-def _check_key(key: str) -> str:
+def _check_key(key: str, param: str = "key") -> str:
     if not isinstance(key, str) or not key or set(key) - {"0", "1"}:
-        raise ValidationError("key", f"expected a bitstring over {{0,1}}, got {key!r}")
+        raise ValidationError(param, f"expected a bitstring over {{0,1}}, got {key!r}")
     return key
 
 
 def classical_oracle(key: str, x: str) -> int:
     """f(x) = sum_i key_i * x_i mod 2."""
     _check_key(key)
+    _check_key(x, "x")
     if len(x) != len(key):
-        raise ValueError(f"candidate length {len(x)} != key length {len(key)}")
+        raise ValidationError("x", f"candidate length {len(x)} != key length {len(key)}")
     return sum(int(k) & int(c) for k, c in zip(key, x)) % 2
 
 

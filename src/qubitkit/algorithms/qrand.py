@@ -41,9 +41,10 @@ def _interpret(params: Params, counts: Counts) -> str:
     if counts.shots == 1:
         (outcome,) = counts
         return f"random value: {int(outcome, 2)} (range 0..{top})"
+    width = len(str(top))
     lines = [f"outcome distribution over {counts.shots} shots (range 0..{top}):"]
     lines += [
-        f"  {int(outcome, 2):>{len(str(top))}} ({outcome}): {count}"
+        "  %*d (%s): %d" % (width, int(outcome, 2), outcome, count)
         for outcome, count in sorted(counts.items())
     ]
     return "\n".join(lines)

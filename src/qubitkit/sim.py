@@ -27,7 +27,12 @@ amplitudes do not depend on the block size or the number of workers.
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (cumsum + searchsorted),
 so equal seeds give bit-identical counts on any platform. A batch draws
-one uniform per row, in row order.
+one uniform per row, in row order. :func:`run` returns only a histogram,
+so it draws its uniforms in chunks of 2^18, sorts each chunk before the
+search and tallies the sorted outcomes as runs of equal indices: PCG64
+gives the same doubles in chunks as in one call, and the order of the
+shots does not reach the counts. Its memory is O(chunk + distinct
+outcomes), not O(shots).
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # time: an input and an output slice of float64 (512 KB each) fit in a
 # per-core L2 cache.
 _BLOCK_QUBITS = 16
+
+# run draws, sorts and tallies this many uniforms at a time (2 MB of float64).
+_CHUNK = 1 << 18
 
 _SEED_BOUND = 1 << 64  # seeds lie in [0, 2^64), the range derive_seed returns
 
@@ -97,6 +105,17 @@ def check_seed(seed) -> int:
 def bitstring(index: int, num_qubits: int) -> str:
     """Outcome label for an amplitude index (most-significant qubit first)."""
     return format(index, f"0{num_qubits}b")
+
+
+def _bitstrings(indices: np.ndarray, num_qubits: int) -> list[str]:
+    """:func:`bitstring` of every index at once, in order."""
+    # One row of 32 bits per index (QUBIT_CAP < 32); its last n bits become
+    # the label's characters and the bit before them a separating space.
+    bits = np.unpackbits(indices.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
+    rows = bits[:, 31 - num_qubits :]
+    rows += ord("0")
+    rows[:, 0] = ord(" ")
+    return rows.tobytes().decode().split()
 
 
 @dataclass(frozen=True)
@@ -334,19 +353,51 @@ def evolve(circuit: Circuit) -> Statevector:
 
 
 def _inverse_cdf(probabilities: np.ndarray, uniforms: float | np.ndarray):
-    """Outcome indices for uniforms in [0, 1): cumsum, then searchsorted.
+    """Outcome indices for uniforms in [0, 1): cumsum, then :func:`_search`.
 
-    Overwrites ``probabilities`` with their running sum. Searching all but
-    the last entry clamps a uniform that rounds onto the total mass to the
-    last outcome. For a ``(k, 2^n)`` batch, row i is searched with
-    ``uniforms[i]``; counting the entries at or below the target is what
-    ``searchsorted(side="right")`` returns on a sorted row.
+    Overwrites ``probabilities`` with their running sum. For a ``(k, 2^n)``
+    batch, row i is searched with ``uniforms[i]``; counting the entries at
+    or below the target is what ``searchsorted(side="right")`` returns on a
+    sorted row.
     """
     cum = np.cumsum(probabilities, axis=-1, out=probabilities)
     if cum.ndim == 1:
-        return np.searchsorted(cum[:-1], uniforms * cum[-1], side="right")
+        return _search(cum, uniforms)
     targets = uniforms * cum[:, -1]
     return np.count_nonzero(cum[:, :-1] <= targets[:, None], axis=-1)
+
+
+def _search(cum: np.ndarray, uniforms: float | np.ndarray):
+    """Outcome indices for uniforms in [0, 1) under the running sum ``cum``.
+
+    Searching all but the last entry clamps a uniform that rounds onto the
+    total mass to the last outcome. Sorted uniforms give the same indices,
+    sorted, and search faster: each lands near the one before it.
+    """
+    return np.searchsorted(cum[:-1], uniforms * cum[-1], side="right")
+
+
+def _tally(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of sorted ``indices`` and how often each occurs."""
+    bounds = np.flatnonzero(indices[1:] != indices[:-1]) + 1
+    bounds = np.concatenate(([0], bounds, [len(indices)]))
+    return indices[bounds[:-1]], bounds[1:] - bounds[:-1]
+
+
+def _merge(values, counts, new_values, new_counts):
+    """Sum two tallies with sorted, distinct values into one such tally.
+
+    ``counts`` is updated in place for the values both tallies hold.
+    """
+    at = np.searchsorted(values, new_values)
+    seen = at < len(values)
+    seen[seen] = values[at[seen]] == new_values[seen]
+    counts[at[seen]] += new_counts[seen]
+    fresh = ~seen
+    return (
+        np.insert(values, at[fresh], new_values[fresh]),
+        np.insert(counts, at[fresh], new_counts[fresh]),
+    )
 
 
 def sample_measurement(
@@ -391,17 +442,24 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     """Evolve from |0...0>, then sample ``shots`` measure-all outcomes.
 
     Equal (circuit, shots, seed) gives bit-identical Counts. Keys are
-    sorted by outcome.
+    sorted by outcome. The uniforms of ``make_rng(seed).random(shots)`` are
+    drawn ``_CHUNK`` at a time; each chunk is sorted, searched, and counted
+    as runs of equal outcomes, then added to the running tally. Memory is
+    O(chunk + distinct outcomes) whatever the number of shots.
     """
     check_count("shots", shots)
     check_seed(seed)
     probabilities = evolve(circuit).probabilities()
-    indices = _inverse_cdf(probabilities, make_rng(seed).random(shots))
-    values, tallies = np.unique(indices, return_counts=True)
-    table = {
-        bitstring(int(v), circuit.num_qubits): int(c) for v, c in zip(values, tallies)
-    }
-    return Counts(table, shots)
+    cum = np.cumsum(probabilities, out=probabilities)
+    rng = make_rng(seed)
+    values = counts = None
+    for start in range(0, shots, _CHUNK):
+        uniforms = rng.random(min(_CHUNK, shots - start))
+        uniforms.sort()
+        tally = _tally(_search(cum, uniforms))
+        values, counts = tally if values is None else _merge(values, counts, *tally)
+    keys = _bitstrings(values, circuit.num_qubits)
+    return Counts(dict(zip(keys, counts.tolist())), shots)
 
 
 _CELL = {

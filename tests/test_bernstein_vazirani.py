@@ -32,6 +32,16 @@ def test_classical_oracle_length_mismatch():
         classical_oracle("101", "10")
 
 
+@pytest.mark.parametrize(
+    "key, x",
+    [("11", "13"), ("1", "a"), ("101", "10"), ("10", ""), ("10", 10), ("10", None), ("10", b"10")],
+)
+def test_classical_oracle_rejects_a_bad_candidate(key, x):
+    # "13" used to score as 0 and "a" to raise int()'s own ValueError.
+    with pytest.raises(ValidationError, match="'x'"):
+        classical_oracle(key, x)
+
+
 def test_classical_solve_uses_n_queries():
     result = classical_solve(lambda x: classical_oracle("110", x), 3)
     assert result.key == "110"

@@ -10,6 +10,7 @@ import hashlib
 
 import numpy as np
 
+from qubitkit.algorithms import qrand
 from qubitkit.algorithms.bb84 import run_exchange, run_protocol
 from qubitkit.algorithms.bernstein_vazirani import bv_circuit
 from qubitkit.algorithms.qrand import qrand_circuit
@@ -41,6 +42,14 @@ def test_qrand_histogram_counts():
     counts = run(qrand_circuit(12), shots=100_000, seed=20_917)
     assert counts_digest(counts) == (
         "212ccda5ad208dd3f24ac2ffcd7cc4981978ad174ec155606233db47a3209621"
+    )
+
+
+def test_qrand_histogram_text():
+    counts = run(qrand_circuit(12), shots=100_000, seed=20_917)
+    text = qrand._interpret({"n": 12}, counts)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8ccc40fa5e1d07e981fa587ca832989a4a92164dc2a0ff40e4547aeb0ce2e201"
     )
 
 

@@ -1,14 +1,17 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from qubitkit import sim
+from qubitkit.algorithms.bernstein_vazirani import bv_circuit
+from qubitkit.algorithms.qrand import qrand_circuit
 from qubitkit.errors import CapacityError, ValidationError
 from qubitkit.sim import (
     Circuit,
@@ -460,6 +463,78 @@ def test_sampling_matches_born_rule_on_random_circuits():
 def test_counts_must_sum_to_shots():
     with pytest.raises(ValueError):
         Counts({"0": 3}, shots=4)
+
+
+# ---------------------------------------------------------------------------
+# The histogram sampler: run draws, sorts and tallies _CHUNK uniforms at a
+# time. The reference searches every uniform of one unsorted draw and counts
+# with np.unique.
+
+KEY_19 = "1011001110001111010"  # bv_circuit(KEY_19) has 20 qubits
+
+
+def reference_counts(circuit, shots, seed):
+    probabilities = sim.evolve(circuit).probabilities()
+    indices = sim._inverse_cdf(probabilities, make_rng(seed).random(shots))
+    values, tallies = np.unique(indices, return_counts=True)
+    n = circuit.num_qubits
+    return {format(int(v), f"0{n}b"): int(c) for v, c in zip(values, tallies)}
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(circuits(), st.integers(1, 7), st.integers(1, 200), st.integers(0, 2**64 - 1))
+@example(qrand_circuit(3), 7, 1, 0)  # one shot
+@example(qrand_circuit(3), 7, 5, 0)  # below one chunk
+@example(qrand_circuit(3), 7, 200, 0)  # not a multiple of the chunk
+@example(qrand_circuit(6), 5, 200, 0)  # a multiple of the chunk
+def test_chunked_run_equals_one_unsorted_draw(circuit, chunk, shots, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_CHUNK", chunk)
+        counts = run(circuit, shots, seed)
+    assert counts.counts == reference_counts(circuit, shots, seed)
+
+
+def test_run_across_a_real_chunk_edge_equals_one_unsorted_draw(monkeypatch):
+    circuit = bv_circuit(KEY_19)
+    state = evolve(circuit)
+    monkeypatch.setattr(sim, "evolve", lambda _: state)  # evolve 20 qubits once
+    shots = sim._CHUNK + 3
+    assert run(circuit, shots, 20_917).counts == reference_counts(circuit, shots, 20_917)
+
+
+@pytest.mark.parametrize("n", [1, 16, 20])
+def test_counts_keys_are_ascending_n_bit_strings(n):
+    counts = run(qrand_circuit(n), shots=20_000, seed=n)
+    keys = list(counts)
+    assert keys == sorted(keys)
+    assert all(type(key) is str and len(key) == n and not set(key) - {"0", "1"} for key in keys)
+    assert all(type(count) is int for count in counts.values())
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_does_not_grow_with_shots(monkeypatch):
+    # 2^16 shots reach all 4096 outcomes, so only the number of chunks differs.
+    monkeypatch.setattr(sim, "_CHUNK", 1 << 16)
+    circuit = qrand_circuit(12)
+    run(circuit, 1, 3)  # the first run pays numpy's lazy allocations
+    one = peak_bytes(lambda: run(circuit, 1 << 16, 3))
+    sixteen = peak_bytes(lambda: run(circuit, 16 << 16, 3))
+    assert sixteen <= 1.1 * one
+
+
+def test_run_memory_has_no_tally_the_size_of_the_state():
+    # Evolving holds two state buffers; sampling must not add a third.
+    circuit = bv_circuit(KEY_19)
+    state_bytes = (1 << circuit.num_qubits) * 8
+    assert peak_bytes(lambda: run(circuit, 1, 5)) < 2.2 * state_bytes
 
 
 # ---------------------------------------------------------------------------
