@@ -9,20 +9,24 @@ Bit-ordering convention, used everywhere in this package:
 
 Amplitudes are real ``float64``: H, X and CNOT are real orthogonal gates,
 so a state evolved from |0...0> never leaves the reals. Each gate is one
-out-of-place kernel over reshaped views of the amplitude array (strided
-butterflies and half swaps, no index arrays), and every kernel keeps the
-dtype of its input, so complex states given to :func:`apply_gate` stay
-complex. A state may also hold a batch: a ``(k, 2^n)`` amplitude array is k
-independent registers, one per row, and every kernel and the sampler act
-on all rows at once.
+out-of-place kernel over a view of the amplitude array with one axis per
+target's bit (strided butterflies and half swaps, no index arrays), and
+every kernel keeps the dtype of its input, so complex states given to
+:func:`apply_gate` stay complex. A state may also hold a batch: a
+``(k, 2^n)`` amplitude array is k independent registers, one per row, and
+every kernel and the sampler act on all rows at once.
 
-Above 16 qubits, :func:`evolve` applies each run of consecutive gates whose
-targets all lie below qubit 16 one contiguous 2^16-amplitude slice at a
-time, so a slice stays in cache for the whole run, and it shares the slices
-out over one thread per CPU this process may use. Every other gate, and
-every gate of a circuit on 16 qubits or fewer, is one full pass. The slices
-run the same kernels on the same amplitudes in the same order, so the
-amplitudes do not depend on the block size or the number of workers.
+A kernel whose view ends in an axis of 2–4 elements (lowest target qubit 1
+or 2) makes one numpy call per index along it, so each call's inner loop
+runs over the rest of the view, not over 2–4 elements. Above 16 qubits,
+:func:`evolve` applies each run of consecutive gates whose targets all lie
+below qubit 16 one contiguous 2^16-amplitude slice at a time, so a slice
+stays in cache for the whole run. Every other gate is one full pass of
+:func:`apply_gate`, which cuts the view of any state above 2^16 amplitudes
+(batch rows included) into pieces. Slices and pieces are shared out over
+one thread per CPU this process may use. Every amplitude sees the same
+float operations in the same order on every path, so the amplitudes do not
+depend on the block size, the cut or the number of workers.
 
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (cumsum + searchsorted),
@@ -43,7 +47,7 @@ import threading
 from dataclasses import dataclass, field
 from itertools import groupby
 from numbers import Integral
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -102,13 +106,8 @@ def check_seed(seed) -> int:
     return seed
 
 
-def bitstring(index: int, num_qubits: int) -> str:
-    """Outcome label for an amplitude index (most-significant qubit first)."""
-    return format(index, f"0{num_qubits}b")
-
-
 def _bitstrings(indices: np.ndarray, num_qubits: int) -> list[str]:
-    """:func:`bitstring` of every index at once, in order."""
+    """Outcome labels of the indices, in order (bit order: module docstring)."""
     # One row of 32 bits per index (QUBIT_CAP < 32); its last n bits become
     # the label's characters and the bit before them a separating space.
     bits = np.unpackbits(indices.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
@@ -220,53 +219,103 @@ def new_zero_state(n: int) -> Statevector:
     return Statevector(n, amps)
 
 
-def _pairs(amps: np.ndarray, qubit: int) -> np.ndarray:
-    """View with axis 1 the qubit's bit: [:, 0] and [:, 1] are the two halves."""
-    return amps.reshape(-1, 2, 1 << qubit)
+def _pair_view(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """View of ``amps`` whose odd axes are the targets' bits.
+
+    One target q gives ``(rows · 2^(n−q−1), 2, 2^q)``; a batch's rows are
+    folded into axis 0. A CNOT gives ``(rows · 2^(n−hi−1), 2, 2^(hi−lo−1),
+    2, 2^lo)`` with the control's bit on axis 1 and the target's on axis 3,
+    whichever of the two is the higher qubit.
+    """
+    if len(targets) == 1:
+        q = targets[0]
+        return amps.reshape(amps.size >> q + 1, 2, 1 << q)
+    lo, hi = sorted(targets)
+    view = amps.reshape(amps.size >> hi + 1, 2, 1 << hi - lo - 1, 2, 1 << lo)
+    return view if targets[0] == hi else view.swapaxes(1, 3)
 
 
-def _hadamard(amps: np.ndarray, out: np.ndarray, qubit: int) -> None:
-    a, b = _pairs(amps, qubit), _pairs(out, qubit)
-    np.add(a[:, 0], a[:, 1], out=b[:, 0])
-    np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
-    out *= _INV_SQRT2
+def _columns(a: np.ndarray, b: np.ndarray) -> Sequence[tuple[np.ndarray, np.ndarray]]:
+    """Matching sub-views that cover ``a`` and ``b``, each with a long inner loop.
+
+    numpy's inner loop runs along the last axis of these views, merged with
+    the axes before it only where the memory is contiguous. When that axis
+    holds 2–4 elements, one view per index along it gives every numpy call
+    a long strided loop over the other axes instead.
+    """
+    if 2 <= a.shape[-1] <= 4:
+        return [(a[..., j : j + 1], b[..., j : j + 1]) for j in range(a.shape[-1])]
+    return ((a, b),)
 
 
-def _pauli_x(amps: np.ndarray, out: np.ndarray, qubit: int) -> None:
-    a, b = _pairs(amps, qubit), _pairs(out, qubit)
-    b[:, 0] = a[:, 1]
-    b[:, 1] = a[:, 0]
+def _hadamard(a: np.ndarray, b: np.ndarray) -> None:
+    for x, y in _columns(a, b):
+        np.add(x[:, 0], x[:, 1], out=y[:, 0])
+        np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
+    b *= _INV_SQRT2
 
 
-def _cnot(amps: np.ndarray, out: np.ndarray, control: int, target: int) -> None:
-    # One axis per qubit after any batch axis, qubit 0 last; move control and
-    # target to the front.
-    n = amps.shape[-1].bit_length() - 1
-    shape = amps.shape[:-1] + (2,) * n
-    axes = (-1 - control, -1 - target)
-    a = np.moveaxis(amps.reshape(shape), axes, (0, 1))
-    b = np.moveaxis(out.reshape(shape), axes, (0, 1))
-    b[0] = a[0]
-    b[1, 0] = a[1, 1]
-    b[1, 1] = a[1, 0]
+def _pauli_x(a: np.ndarray, b: np.ndarray) -> None:
+    for x, y in _columns(a, b):
+        y[:, 0] = x[:, 1]
+        y[:, 1] = x[:, 0]
 
 
-_KERNELS = {"H": _hadamard, "X": _pauli_x, "CNOT": _cnot}
+def _cnot(a: np.ndarray, b: np.ndarray) -> None:
+    for x, y in _columns(a, b):
+        y[:, 0] = x[:, 0]
+        y[:, 1, :, 0] = x[:, 1, :, 1]
+        y[:, 1, :, 1] = x[:, 1, :, 0]
+
+
+# ``kernel(a, b)`` writes the gate applied to the view ``a`` into the view ``b``
+# (views from :func:`_pair_view`).
+_PAIR_KERNELS = {"H": _hadamard, "X": _pauli_x, "CNOT": _cnot}
+
+
+def _flat(kernel):
+    """``kernel`` as ``apply(amps, out, *targets)`` on flat ``(…, 2^n)`` arrays."""
+
+    def apply(amps: np.ndarray, out: np.ndarray, *targets: int) -> None:
+        kernel(_pair_view(amps, targets), _pair_view(out, targets))
+
+    return apply
+
+
+_KERNELS = {kind: _flat(kernel) for kind, kernel in _PAIR_KERNELS.items()}
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Return the state transformed by one gate (the input is not touched).
 
-    The result has the input's dtype and shape; a batch is transformed row
-    by row.
+    The result has the input's dtype and shape, in C order; a batch is
+    transformed row by row. The kernel acts on a pair view of the amplitudes (see
+    :func:`_pair_view`). A state of more than 2^_BLOCK_QUBITS amplitudes is
+    one full pass over memory, so the view is cut along its longest axis
+    that the gate does not index, and the pieces are shared across the CPUs
+    this process may use. Each amplitude sees the same operations either
+    way.
     """
     for t in gate.targets:
         if not 0 <= t < state.num_qubits:
             raise IndexError(
                 f"gate {gate.kind} targets qubit {t}, state has {state.num_qubits}"
             )
-    out = np.empty_like(state.amplitudes)
-    _KERNELS[gate.kind](state.amplitudes, out, *gate.targets)
+    out = np.empty_like(state.amplitudes, order="C")
+    a, b = _pair_view(state.amplitudes, gate.targets), _pair_view(out, gate.targets)
+    kernel = _PAIR_KERNELS[gate.kind]
+    if out.size <= 1 << _BLOCK_QUBITS:
+        kernel(a, b)
+    else:
+        # The gate indexes the odd axes; cut the longest even one.
+        axis = max(range(0, a.ndim, 2), key=lambda axis: a.shape[axis])
+        lead = (slice(None),) * axis
+
+        def apply_share(first: int, stop: int) -> None:
+            piece = lead + (slice(first, stop),)
+            kernel(a[piece], b[piece])
+
+        _share(apply_share, a.shape[axis])
     return Statevector(state.num_qubits, out)
 
 
@@ -277,6 +326,39 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _share(task, count: int) -> None:
+    """Run ``task(first, stop)`` over ``range(count)`` split across the CPUs.
+
+    The range is cut into one contiguous share per CPU this process may use
+    (at most ``count``): the calling thread takes the first share, one
+    started thread takes each other share. Every thread is joined before
+    this returns, and the first error a thread raised is raised here.
+    """
+    errors = []
+
+    def worker(first: int, stop: int) -> None:
+        try:
+            task(first, stop)
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = min(_cpu_count(), count)
+    bounds = [count * w // workers for w in range(workers + 1)]
+    threads = [
+        threading.Thread(target=worker, args=bounds[w : w + 2])
+        for w in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        task(bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _apply_low_run(amps: np.ndarray, gates: list[Gate]) -> np.ndarray:
     """Apply gates whose targets all lie below ``_BLOCK_QUBITS``, slice by slice.
 
@@ -284,12 +366,10 @@ def _apply_low_run(amps: np.ndarray, gates: list[Gate]) -> np.ndarray:
     every such gate, so the run's kernels ping-pong between the slice of
     ``amps`` and the slice of one new buffer while both stay in cache.
     ``amps`` is overwritten; the buffer the last gate wrote is returned. The
-    slices are shared out in contiguous blocks: the calling thread takes the
-    first share, one started thread takes each other share.
+    slices are shared across the CPUs in contiguous blocks by :func:`_share`.
     """
     out = np.empty_like(amps)
     size = 1 << _BLOCK_QUBITS
-    slices = len(amps) // size
     steps = [(_KERNELS[gate.kind], gate.targets) for gate in gates]
 
     def apply_share(first: int, stop: int) -> None:
@@ -299,29 +379,7 @@ def _apply_low_run(amps: np.ndarray, gates: list[Gate]) -> np.ndarray:
                 kernel(a, b, *targets)
                 a, b = b, a
 
-    errors = []
-
-    def worker(first: int, stop: int) -> None:
-        try:
-            apply_share(first, stop)
-        except BaseException as exc:
-            errors.append(exc)
-
-    workers = min(_cpu_count(), slices)
-    bounds = [slices * w // workers for w in range(workers + 1)]
-    threads = [
-        threading.Thread(target=worker, args=bounds[w : w + 2])
-        for w in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        apply_share(bounds[0], bounds[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    _share(apply_share, len(amps) // size)
     return out if len(gates) % 2 else amps
 
 
@@ -405,10 +463,10 @@ def sample_measurement(
 ) -> int | np.ndarray:
     """Draw terminal measure-all outcomes under the Born rule.
 
-    Returns the outcome index (an ``int``, see :func:`bitstring`) for one
-    register, or an integer array with one index per row for a ``(k, 2^n)``
-    batch, drawn with ``rng.random(k)`` in row order: the same outcomes as
-    k single-register calls.
+    Returns the outcome index (an ``int``; the module docstring gives its
+    bit order and label) for one register, or an integer array with one
+    index per row for a ``(k, 2^n)`` batch, drawn with ``rng.random(k)`` in
+    row order: the same outcomes as k single-register calls.
     """
     amps = state.amplitudes
     if amps.ndim == 1:

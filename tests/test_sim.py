@@ -81,6 +81,58 @@ def random_state(rng, n, dtype=complex):
 
 
 # ---------------------------------------------------------------------------
+# Independent reference for the kernels: one full pass per gate over plain
+# reshaped views, with no blocking, no threads and no column loops. The
+# simulator does the same float operations per amplitude, so its results
+# must be np.array_equal to these.
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _pairs(amps: np.ndarray, qubit: int) -> np.ndarray:
+    """View with axis 1 the qubit's bit: [:, 0] and [:, 1] are the two halves."""
+    return amps.reshape(-1, 2, 1 << qubit)
+
+
+def _hadamard(amps: np.ndarray, out: np.ndarray, qubit: int) -> None:
+    a, b = _pairs(amps, qubit), _pairs(out, qubit)
+    np.add(a[:, 0], a[:, 1], out=b[:, 0])
+    np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+    out *= _INV_SQRT2
+
+
+def _pauli_x(amps: np.ndarray, out: np.ndarray, qubit: int) -> None:
+    a, b = _pairs(amps, qubit), _pairs(out, qubit)
+    b[:, 0] = a[:, 1]
+    b[:, 1] = a[:, 0]
+
+
+def _cnot(amps: np.ndarray, out: np.ndarray, control: int, target: int) -> None:
+    # One axis per qubit after any batch axis, qubit 0 last; move control and
+    # target to the front.
+    n = amps.shape[-1].bit_length() - 1
+    shape = amps.shape[:-1] + (2,) * n
+    axes = (-1 - control, -1 - target)
+    a = np.moveaxis(amps.reshape(shape), axes, (0, 1))
+    b = np.moveaxis(out.reshape(shape), axes, (0, 1))
+    b[0] = a[0]
+    b[1, 0] = a[1, 1]
+    b[1, 1] = a[1, 0]
+
+
+REFERENCE_KERNELS = {"H": _hadamard, "X": _pauli_x, "CNOT": _cnot}
+
+
+def reference_chain(amps, gates):
+    """``amps`` (one register or a batch) after the gates, by the reference kernels."""
+    for gate in gates:
+        out = np.empty_like(amps)
+        REFERENCE_KERNELS[gate.kind](amps, out, *gate.targets)
+        amps = out
+    return amps
+
+
+# ---------------------------------------------------------------------------
 # State preparation
 
 
@@ -271,8 +323,10 @@ def test_apply_gate_matches_dense_oracle(n_and_gate, dtype, seed):
 # get uneven shares of the slices.
 
 
-def per_gate_chain(circuit):
-    state = new_zero_state(circuit.num_qubits)
+def per_gate_chain(circuit, state=None):
+    """Amplitudes of ``state`` (default |0...0>) after one apply_gate per gate."""
+    if state is None:
+        state = new_zero_state(circuit.num_qubits)
     for gate in circuit.gates:
         state = apply_gate(state, gate)
     return state.amplitudes
@@ -328,6 +382,62 @@ def test_kernel_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
         evolve(Circuit(2).h(0))
 
 
+def test_kernel_error_in_a_piece_of_a_shared_gate_reaches_the_caller(monkeypatch):
+    # Three qubits exceed a 2^1-amplitude block, so apply_gate cuts the H into
+    # pieces and hands the second piece to a started thread.
+    caller, hadamard = threading.current_thread(), sim._PAIR_KERNELS["H"]
+    started = []
+
+    def fails_off_the_calling_thread(a, b):
+        if threading.current_thread() is not caller:
+            started.append(threading.current_thread())
+            raise RuntimeError("kernel failed in a worker")
+        hadamard(a, b)
+
+    monkeypatch.setitem(sim._PAIR_KERNELS, "H", fails_off_the_calling_thread)
+    monkeypatch.setattr(sim, "_BLOCK_QUBITS", 1)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="kernel failed in a worker"):
+        apply_gate(new_zero_state(3), Gate("H", (0,)))
+    assert len(started) == 1
+    assert not any(thread.is_alive() for thread in started)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    circuits(),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([complex, float]),
+    st.integers(0, 2**32 - 1),
+)
+def test_evolve_and_apply_gate_equal_the_reference_kernels(
+    circuit, block_qubits, workers, rows, dtype, seed
+):
+    # A block of 1-3 qubits sends most gates down the shared, cut path.
+    n = circuit.num_qubits
+    rng = np.random.default_rng(seed)
+    batch = Statevector(n, np.stack([random_state(rng, n, dtype).amplitudes for _ in range(rows)]))
+    before = batch.amplitudes.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_BLOCK_QUBITS", block_qubits)
+        patch.setattr(sim, "_cpu_count", lambda: workers)
+        evolved = evolve(circuit).amplitudes
+        batch_out = per_gate_chain(circuit, batch)
+    assert np.array_equal(batch.amplitudes, before)  # apply_gate stays pure
+    assert np.array_equal(evolved, reference_chain(new_zero_state(n).amplitudes, circuit.gates))
+    assert np.array_equal(batch_out, reference_chain(before, circuit.gates))
+
+
+def test_twenty_qubit_circuit_equals_the_reference_kernels():
+    # The real block size and CPU count: low runs, cut full passes and both.
+    circuit = Circuit(20, gates=random_gates(np.random.default_rng(4_669), 20, 40))
+    expected = reference_chain(new_zero_state(20).amplitudes, circuit.gates)
+    assert np.array_equal(evolve(circuit).amplitudes, expected)
+    assert np.array_equal(per_gate_chain(circuit), expected)
+
+
 @st.composite
 def batches(draw):
     """(n, gate, k, seed): a gate on n qubits and a k-row batch to apply it to."""
@@ -346,6 +456,8 @@ def test_apply_gate_on_a_batch_equals_row_by_row(case, dtype):
     assert result.amplitudes.shape == (k, 2**n)
     expected = np.stack([apply_gate(Statevector(n, r), gate).amplitudes for r in rows])
     assert np.array_equal(result.amplitudes, expected)
+    column_major = Statevector(n, np.asfortranarray(np.stack(rows)))
+    assert np.array_equal(apply_gate(column_major, gate).amplitudes, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +647,17 @@ def test_run_memory_has_no_tally_the_size_of_the_state():
     circuit = bv_circuit(KEY_19)
     state_bytes = (1 << circuit.num_qubits) * 8
     assert peak_bytes(lambda: run(circuit, 1, 5)) < 2.2 * state_bytes
+
+
+def test_sampling_memory_is_about_one_state(monkeypatch):
+    # With evolve done beforehand, run holds one array of the state's size,
+    # the running sum of probabilities. A tally of that size, even one made
+    # sparse at once, would be a second.
+    circuit = bv_circuit(KEY_19)
+    state = evolve(circuit)
+    monkeypatch.setattr(sim, "evolve", lambda _: state)
+    run(circuit, 1, 5)  # the first run pays numpy's lazy allocations
+    assert peak_bytes(lambda: run(circuit, 1, 5)) < 1.5 * state.amplitudes.nbytes
 
 
 # ---------------------------------------------------------------------------
