@@ -6,6 +6,8 @@ bitstring is a uniform draw from [0, 2^n - 1].
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
 from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params
@@ -41,13 +43,61 @@ def _interpret(params: Params, counts: Counts) -> str:
     if counts.shots == 1:
         (outcome,) = counts
         return f"random value: {int(outcome, 2)} (range 0..{top})"
-    width = len(str(top))
-    lines = [f"outcome distribution over {counts.shots} shots (range 0..{top}):"]
-    lines += [
-        "  %*d (%s): %d" % (width, int(outcome, 2), outcome, count)
-        for outcome, count in sorted(counts.items())
-    ]
-    return "\n".join(lines)
+    header = f"outcome distribution over {counts.shots} shots (range 0..{top}):"
+    # Each text-sized copy is freed once the next one is made.
+    text = _histogram(header, counts, n).tobytes().translate(None, _PAD)
+    return text.decode("ascii")
+
+
+# Fills the count fields left of each count's leading digit; never in the text.
+_PAD = b"\0"
+
+
+def _histogram(header: str, counts: Counts, n: int) -> np.ndarray:
+    """ASCII bytes of ``header``, then per outcome in order a line
+    ``"\\n  <index> (<label>): <count>"`` with the index right-aligned to
+    the width of 2^n − 1, and ``_PAD`` bytes left of each count to pad it to
+    the widest.
+
+    Every line is one row of a ``(outcomes, row)`` array after the header.
+    """
+    keys = sorted(counts.counts)
+    tallies = np.fromiter(map(counts.counts.__getitem__, keys), np.int64, len(keys))
+    labels = np.frombuffer("".join(keys).encode("ascii"), np.uint8).reshape(-1, n)
+    # One row of 32 bits per label (QUBIT_CAP < 32), its last n the label's:
+    # "0" and "1" differ in the low bit.
+    bits = np.zeros((len(keys), 32), np.uint8)
+    np.bitwise_and(labels, 1, out=bits[:, 32 - n :])
+    index = np.packbits(bits).view(">u4")
+    del bits  # before the text-sized buffer
+    fields = [3, len(str(2**n - 1)), 2, n, 3, len(str(tallies.max()))]
+    buffer = np.empty(len(header) + len(keys) * sum(fields), np.uint8)
+    buffer[: len(header)] = _ascii(header)
+    rows = buffer[len(header) :].reshape(len(keys), -1)
+    lead, number, opening, label, closing, tally = np.split(
+        rows, np.cumsum(fields[:-1]), axis=1
+    )
+    lead[:] = _ascii("\n  ")
+    _decimal(number, index, ord(" "))
+    opening[:] = _ascii(" (")
+    label[:] = labels
+    closing[:] = _ascii("): ")
+    _decimal(tally, tallies, _PAD[0])
+    return buffer
+
+
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), np.uint8)
+
+
+def _decimal(out: np.ndarray, values: np.ndarray, fill: int) -> None:
+    """Write ``values`` (>= 0) in decimal, right-aligned, into the ``(k, w)``
+    byte view ``out``; positions left of each leading digit get ``fill``."""
+    out[:, -1] = values % 10 + ord("0")
+    rest = values // 10
+    for column in range(out.shape[1] - 2, -1, -1):
+        out[:, column] = np.where(rest > 0, rest % 10 + ord("0"), fill)
+        rest //= 10
 
 
 def descriptor() -> AlgorithmDescriptor:

@@ -32,11 +32,16 @@ Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (cumsum + searchsorted),
 so equal seeds give bit-identical counts on any platform. A batch draws
 one uniform per row, in row order. :func:`run` returns only a histogram,
-so it draws its uniforms in chunks of 2^18, sorts each chunk before the
-search and tallies the sorted outcomes as runs of equal indices: PCG64
+so it draws its uniforms in chunks of 2^18 and sorts each chunk: PCG64
 gives the same doubles in chunks as in one call, and the order of the
-shots does not reach the counts. Its memory is O(chunk + distinct
-outcomes), not O(shots).
+shots does not reach the counts. It then searches from the cheaper side.
+When a chunk holds at least as many shots as the state has outcomes, the
+2^n − 1 edges of the running sum are searched into each sorted chunk, and
+the differences of their positions, summed over the chunks in one dense
+array of 2^n, are the counts. Otherwise each shot is searched among the
+edges, and each chunk's outcomes are tallied as runs of equal indices
+into a sparse histogram. Both give the same counts. Memory is O(chunk +
+distinct outcomes), not O(shots).
 """
 
 from __future__ import annotations
@@ -262,8 +267,18 @@ def _pauli_x(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _cnot(a: np.ndarray, b: np.ndarray) -> None:
+    # With the control as the higher qubit, the control-0 half is one run of
+    # 2^control contiguous amplitudes per index on axis 0. Copied whole, the
+    # run is numpy's inner loop; cut into columns, the inner loops would hold
+    # 2 amplitudes. A run of 2 (CNOT(1, 0)) is copied one target value at a
+    # time instead, so that each copy runs along axis 0.
+    control_high = a.strides[1] > a.strides[3]
+    if control_high:
+        for j in range(2) if a.shape[2] == a.shape[4] == 1 else (slice(None),):
+            b[:, 0, :, j] = a[:, 0, :, j]
     for x, y in _columns(a, b):
-        y[:, 0] = x[:, 0]
+        if not control_high:
+            y[:, 0] = x[:, 0]
         y[:, 1, :, 0] = x[:, 1, :, 1]
         y[:, 1, :, 1] = x[:, 1, :, 0]
 
@@ -495,27 +510,69 @@ class Counts(Mapping):
     def __len__(self) -> int:
         return len(self.counts)
 
+    # The wrapped dict's own views: Mapping's would call __getitem__ per key.
+    def keys(self):
+        return self.counts.keys()
+
+    def items(self):
+        return self.counts.items()
+
+    def values(self):
+        return self.counts.values()
+
+
+def _sorted_chunks(rng: np.random.Generator, shots: int) -> Iterator[np.ndarray]:
+    """The uniforms of ``rng.random(shots)``, ``_CHUNK`` at a time, each chunk sorted."""
+    for start in range(0, shots, _CHUNK):
+        uniforms = rng.random(min(_CHUNK, shots - start))
+        uniforms.sort()
+        yield uniforms
+
+
+def _search_edges(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """For each edge ``cum[i]``, i < 2^n − 1, how many of the sorted uniforms
+    land on outcomes 0..i: those whose target lies below the edge.
+
+    :func:`_search` puts a target past outcome i exactly when ``cum[i]`` is
+    at or below it, so these counts give the same histogram, zero-mass
+    outcomes and the clamp onto the last outcome included. ``uniforms`` is
+    scaled to the targets in place.
+    """
+    uniforms *= cum[-1]
+    return np.searchsorted(uniforms, cum[:-1], side="left")
+
 
 def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     """Evolve from |0...0>, then sample ``shots`` measure-all outcomes.
 
     Equal (circuit, shots, seed) gives bit-identical Counts. Keys are
     sorted by outcome. The uniforms of ``make_rng(seed).random(shots)`` are
-    drawn ``_CHUNK`` at a time; each chunk is sorted, searched, and counted
-    as runs of equal outcomes, then added to the running tally. Memory is
-    O(chunk + distinct outcomes) whatever the number of shots.
+    drawn ``_CHUNK`` at a time and each chunk is sorted. The search then
+    runs from the cheaper side. When a chunk holds at least as many shots
+    as the state has outcomes, the 2^n − 1 edges of the running sum are
+    searched into each chunk (:func:`_search_edges`), and the positions add
+    into one dense running total whose differences are the counts.
+    Otherwise each shot is searched (:func:`_search`), and each chunk is
+    counted as runs of equal outcomes and merged into a sparse tally.
+    Memory is O(chunk + distinct outcomes) whatever the number of shots.
     """
     check_count("shots", shots)
     check_seed(seed)
     probabilities = evolve(circuit).probabilities()
     cum = np.cumsum(probabilities, out=probabilities)
-    rng = make_rng(seed)
-    values = counts = None
-    for start in range(0, shots, _CHUNK):
-        uniforms = rng.random(min(_CHUNK, shots - start))
-        uniforms.sort()
-        tally = _tally(_search(cum, uniforms))
-        values, counts = tally if values is None else _merge(values, counts, *tally)
+    chunks = _sorted_chunks(make_rng(seed), shots)
+    if len(cum) <= min(shots, _CHUNK):
+        below = np.zeros(len(cum) - 1, dtype=np.int64)
+        for uniforms in chunks:
+            below += _search_edges(cum, uniforms)
+        tally = np.diff(below, prepend=0, append=shots)
+        values = np.flatnonzero(tally)
+        counts = tally[values]
+    else:
+        values = counts = None
+        for uniforms in chunks:
+            tally = _tally(_search(cum, uniforms))
+            values, counts = tally if values is None else _merge(values, counts, *tally)
     keys = _bitstrings(values, circuit.num_qubits)
     return Counts(dict(zip(keys, counts.tolist())), shots)
 

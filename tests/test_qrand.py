@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from qubitkit.algorithms import qrand
 from qubitkit.algorithms.qrand import qrand_circuit, qrand_value
 from qubitkit.backends import LOCAL_BACKEND_NAME, default_registry
 from qubitkit.errors import ValidationError
-from qubitkit.sim import evolve, run
+from qubitkit.sim import Counts, evolve, run
 
 
 def test_circuit_structure_n1():
@@ -73,3 +77,58 @@ def test_fixed_seed_reproduces_value():
 def test_backend_errors_propagate():
     with pytest.raises(Exception):
         qrand_value(3, default_registry(), backend_name="missing", seed=1)
+
+
+# ---------------------------------------------------------------------------
+# The histogram text. The reference is the line-by-line interpret that the
+# byte-array one replaced; both must give the same text.
+
+
+def reference_interpret(params, counts):
+    n = params["n"]
+    top = 2**n - 1
+    if counts.shots == 1:
+        (outcome,) = counts
+        return f"random value: {int(outcome, 2)} (range 0..{top})"
+    width = len(str(top))
+    lines = [f"outcome distribution over {counts.shots} shots (range 0..{top}):"]
+    lines += [
+        "  %*d (%s): %d" % (width, int(outcome, 2), outcome, count)
+        for outcome, count in sorted(counts.items())
+    ]
+    return "\n".join(lines)
+
+
+@st.composite
+def sparse_counts(draw):
+    """n, and Counts over some of its outcomes, keys in no particular order."""
+    n = draw(st.integers(1, 20))
+    tallies = draw(
+        st.dictionaries(st.integers(0, 2**n - 1), st.integers(1, 10**9), min_size=1, max_size=40)
+    )
+    counts = {format(index, f"0{n}b"): count for index, count in tallies.items()}
+    return n, Counts(counts, sum(counts.values()))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(sparse_counts())
+@example((1, Counts({"1": 1}, 1)))  # one shot
+@example((1, Counts({"1": 1, "0": 9}, 10)))
+@example((20, Counts({"1" * 20: 10**9, "0" * 20: 1}, 10**9 + 1)))
+def test_interpret_equals_the_line_by_line_text(case):
+    n, counts = case
+    assert qrand._interpret({"n": n}, counts) == reference_interpret({"n": n}, counts)
+
+
+def test_interpret_memory_is_a_few_texts():
+    # The line-by-line interpret peaked at 9.8 MB, 4.8 times its text.
+    counts = run(qrand_circuit(16), shots=1 << 20, seed=3)
+    assert len(counts) == 2**16
+    text = qrand._interpret({"n": 16}, counts)  # the first call pays numpy's lazy allocations
+    tracemalloc.start()
+    try:
+        qrand._interpret({"n": 16}, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -577,6 +578,13 @@ def test_counts_must_sum_to_shots():
         Counts({"0": 3}, shots=4)
 
 
+def test_counts_views_are_the_dicts():
+    counts = Counts({"10": 2, "01": 1}, shots=3)
+    for view in ("keys", "items", "values"):
+        mine, theirs = getattr(counts, view)(), getattr(counts.counts, view)()
+        assert type(mine) is type(theirs) and list(mine) == list(theirs)
+
+
 # ---------------------------------------------------------------------------
 # The histogram sampler: run draws, sorts and tallies _CHUNK uniforms at a
 # time. The reference searches every uniform of one unsorted draw and counts
@@ -596,14 +604,51 @@ def reference_counts(circuit, shots, seed):
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(circuits(), st.integers(1, 7), st.integers(1, 200), st.integers(0, 2**64 - 1))
 @example(qrand_circuit(3), 7, 1, 0)  # one shot
-@example(qrand_circuit(3), 7, 5, 0)  # below one chunk
+@example(qrand_circuit(3), 7, 5, 0)  # below one chunk, fewer shots than outcomes
 @example(qrand_circuit(3), 7, 200, 0)  # not a multiple of the chunk
 @example(qrand_circuit(6), 5, 200, 0)  # a multiple of the chunk
+# Edge search: every chunk holds at least as many shots as there are outcomes.
+@example(qrand_circuit(2), 4, 200, 0)  # dense chunks only
+@example(qrand_circuit(2), 7, 9, 1)  # a last chunk of 2 shots for 4 outcomes
+@example(Circuit(3).x(0), 8, 50, 2)  # one outcome; the last index has no mass
+@example(Circuit(3).h(0).h(1), 8, 200, 3)  # the upper half has no mass
+@example(bv_circuit("1"), 7, 60, 4)  # outcomes 1 and 3 only
+# Per-shot search with outcomes of no mass, the last index included.
+@example(Circuit(3).x(0), 7, 50, 2)
+@example(bv_circuit("101"), 7, 60, 4)  # 16 outcomes, two with mass
 def test_chunked_run_equals_one_unsorted_draw(circuit, chunk, shots, seed):
+    calls = Counter()
+
+    def spy(name):
+        search = getattr(sim, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return search(*args)
+
+        return counted
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_CHUNK", chunk)
+        for name in ("_search", "_search_edges"):
+            patch.setattr(sim, name, spy(name))
         counts = run(circuit, shots, seed)
     assert counts.counts == reference_counts(circuit, shots, seed)
+    # One search per chunk, from the edges when a chunk can hold every outcome.
+    dense = 2**circuit.num_qubits <= min(shots, chunk)
+    chunks = -(-shots // chunk)
+    assert calls == Counter({"_search_edges" if dense else "_search": chunks})
+
+
+def test_edge_search_counts_what_the_shot_search_finds():
+    # Random uniforms never land on an edge; these do, on edges that zero-mass
+    # outcomes share, and the last outcomes have no mass.
+    cum = np.cumsum([0.25, 0.0, 0.25, 0.5, 0.0, 0.0, 0.0, 0.0])
+    uniforms = np.array([0.0, 0.25, 0.25, 0.5, 0.6, 0.75, 1 - 2**-53])
+    per_shot = np.bincount(sim._search(cum, uniforms), minlength=len(cum))
+    below = sim._search_edges(cum, uniforms.copy())
+    assert np.diff(below, prepend=0, append=len(uniforms)).tolist() == per_shot.tolist()
+    assert per_shot.tolist() == [1, 0, 2, 4, 0, 0, 0, 0]
 
 
 def test_run_across_a_real_chunk_edge_equals_one_unsorted_draw(monkeypatch):
