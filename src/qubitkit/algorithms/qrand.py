@@ -61,19 +61,23 @@ def _histogram(header: str, counts: Counts, n: int) -> np.ndarray:
 
     Every line is one row of a ``(outcomes, row)`` array after the header.
     """
-    keys = sorted(counts.counts)
-    tallies = np.fromiter(map(counts.counts.__getitem__, keys), np.int64, len(keys))
-    labels = np.frombuffer("".join(keys).encode("ascii"), np.uint8).reshape(-1, n)
+    k = len(counts)
+    tallies = np.fromiter(counts.values(), np.int64, k)
+    labels = np.frombuffer("".join(counts.keys()).encode("ascii"), np.uint8).reshape(k, n)
     # One row of 32 bits per label (QUBIT_CAP < 32), its last n the label's:
     # "0" and "1" differ in the low bit.
-    bits = np.zeros((len(keys), 32), np.uint8)
+    bits = np.zeros((k, 32), np.uint8)
     np.bitwise_and(labels, 1, out=bits[:, 32 - n :])
     index = np.packbits(bits).view(">u4")
     del bits  # before the text-sized buffer
+    # Into outcome order; Counts from run are in it already, which the stable
+    # sort passes through in one sweep.
+    order = np.argsort(index, kind="stable")
+    index, tallies, labels = index[order], tallies[order], labels[order]
     fields = [3, len(str(2**n - 1)), 2, n, 3, len(str(tallies.max()))]
-    buffer = np.empty(len(header) + len(keys) * sum(fields), np.uint8)
+    buffer = np.empty(len(header) + k * sum(fields), np.uint8)
     buffer[: len(header)] = _ascii(header)
-    rows = buffer[len(header) :].reshape(len(keys), -1)
+    rows = buffer[len(header) :].reshape(k, -1)
     lead, number, opening, label, closing, tally = np.split(
         rows, np.cumsum(fields[:-1]), axis=1
     )

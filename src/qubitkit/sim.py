@@ -267,18 +267,8 @@ def _pauli_x(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _cnot(a: np.ndarray, b: np.ndarray) -> None:
-    # With the control as the higher qubit, the control-0 half is one run of
-    # 2^control contiguous amplitudes per index on axis 0. Copied whole, the
-    # run is numpy's inner loop; cut into columns, the inner loops would hold
-    # 2 amplitudes. A run of 2 (CNOT(1, 0)) is copied one target value at a
-    # time instead, so that each copy runs along axis 0.
-    control_high = a.strides[1] > a.strides[3]
-    if control_high:
-        for j in range(2) if a.shape[2] == a.shape[4] == 1 else (slice(None),):
-            b[:, 0, :, j] = a[:, 0, :, j]
     for x, y in _columns(a, b):
-        if not control_high:
-            y[:, 0] = x[:, 0]
+        y[:, 0] = x[:, 0]
         y[:, 1, :, 0] = x[:, 1, :, 1]
         y[:, 1, :, 1] = x[:, 1, :, 0]
 
