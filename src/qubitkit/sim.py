@@ -9,12 +9,13 @@ Bit-ordering convention, used everywhere in this package:
 
 Amplitudes are real ``float64``: H, X and CNOT are real orthogonal gates,
 so a state evolved from |0...0> never leaves the reals. Each gate is one
-out-of-place kernel over a view of the amplitude array with one axis per
-target's bit (strided butterflies and half swaps, no index arrays), and
-every kernel keeps the dtype of its input, so complex states given to
-:func:`apply_gate` stay complex. A state may also hold a batch: a
-``(k, 2^n)`` amplitude array is k independent registers, one per row, and
-every kernel and the sampler act on all rows at once.
+in-place kernel over a view of the amplitude array with one axis per
+target's bit (strided butterflies and half swaps, no index arrays), whose
+temporary holds at most half the view. Every kernel keeps the dtype of its
+input, so complex states given to :func:`apply_gate` stay complex. A state
+may also hold a batch: a ``(k, 2^n)`` amplitude array is k independent
+registers, one per row, and every kernel and the sampler act on all rows
+at once.
 
 A kernel whose view ends in an axis of 2–4 elements (lowest target qubit 1
 or 2) makes one numpy call per index along it, so each call's inner loop
@@ -23,10 +24,13 @@ runs over the rest of the view, not over 2–4 elements. Above 16 qubits,
 below qubit 16 one contiguous 2^16-amplitude slice at a time, so a slice
 stays in cache for the whole run. Every other gate is one full pass of
 :func:`apply_gate`, which cuts the view of any state above 2^16 amplitudes
-(batch rows included) into pieces. Slices and pieces are shared out over
-one thread per CPU this process may use. Every amplitude sees the same
-float operations in the same order on every path, so the amplitudes do not
-depend on the block size, the cut or the number of workers.
+(batch rows included) into pieces of at most 2^16 amplitudes. Slices and
+pieces are shared out over one thread per CPU this process may use. Every
+amplitude sees the same float operations in the same order on every path,
+so the amplitudes do not depend on the block size, the cut or the number
+of workers. :func:`evolve` updates the zero state it allocates in place,
+and :func:`run` squares and sums that buffer in place, so a run holds one
+state-sized array.
 
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (cumsum + searchsorted),
@@ -65,7 +69,8 @@ GATE_KINDS = ("H", "X", "CNOT")
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # evolve applies runs of gates below this qubit one 2^16-amplitude slice at a
-# time: an input and an output slice of float64 (512 KB each) fit in a
+# time, and apply_gate cuts larger states into pieces of at most that size: a
+# float64 slice (512 KB) and its kernel's temporary (at most 256 KB) fit in a
 # per-core L2 cache.
 _BLOCK_QUBITS = 16
 
@@ -91,7 +96,9 @@ def derive_seed(master: int, *parts: int) -> int:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    # ``type(value) is int`` first: the Integral check costs about 1 µs, and
+    # every Gate, Circuit and gate applied makes one.
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
 def check_count(param: str, value) -> int:
@@ -200,7 +207,9 @@ class Statevector:
     A ``(k, 2^n)`` array holds a batch of k registers, one per row. States
     built by :func:`new_zero_state` and :func:`evolve` hold real
     ``float64`` amplitudes. A complex array is accepted as well; gates keep
-    its dtype, and probabilities are ``|a|^2`` either way.
+    its dtype, and probabilities are ``|a|^2`` either way. :func:`apply_gate`
+    and :func:`sample_measurement` reject any other shape or dtype with a
+    ValidationError naming ``amplitudes``.
     """
 
     num_qubits: int
@@ -213,6 +222,28 @@ class Statevector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+
+def _amplitudes(state: Statevector) -> np.ndarray:
+    """The state's amplitudes, checked where they enter the kernels and sampler.
+
+    They must be a float or complex array of shape (2^n,) or (k, 2^n);
+    anything else raises a ValidationError naming ``amplitudes`` before
+    numpy fails on it, casts it or reads it as a different state.
+    """
+    n, amps = check_count("num_qubits", state.num_qubits), state.amplitudes
+    if not (
+        isinstance(amps, np.ndarray)
+        and amps.ndim in (1, 2)
+        and amps.dtype.kind in "fc"
+        and amps.shape[-1] == 1 << n
+    ):
+        raise ValidationError(
+            "amplitudes",
+            f"expected a float or complex array of shape (2^{n},) or (k, 2^{n}), "
+            f"got {getattr(amps, 'dtype', type(amps).__name__)} of shape {np.shape(amps)}",
+        )
+    return amps
 
 
 def new_zero_state(n: int) -> Statevector:
@@ -240,87 +271,101 @@ def _pair_view(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     return view if targets[0] == hi else view.swapaxes(1, 3)
 
 
-def _columns(a: np.ndarray, b: np.ndarray) -> Sequence[tuple[np.ndarray, np.ndarray]]:
-    """Matching sub-views that cover ``a`` and ``b``, each with a long inner loop.
+def _columns(view: np.ndarray) -> Sequence[np.ndarray]:
+    """Sub-views that cover ``view``, each with a long inner loop.
 
     numpy's inner loop runs along the last axis of these views, merged with
     the axes before it only where the memory is contiguous. When that axis
     holds 2–4 elements, one view per index along it gives every numpy call
     a long strided loop over the other axes instead.
     """
-    if 2 <= a.shape[-1] <= 4:
-        return [(a[..., j : j + 1], b[..., j : j + 1]) for j in range(a.shape[-1])]
-    return ((a, b),)
+    if 2 <= view.shape[-1] <= 4:
+        return [view[..., j : j + 1] for j in range(view.shape[-1])]
+    return (view,)
 
 
-def _hadamard(a: np.ndarray, b: np.ndarray) -> None:
-    for x, y in _columns(a, b):
-        np.add(x[:, 0], x[:, 1], out=y[:, 0])
-        np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
-    b *= _INV_SQRT2
+def _hadamard(view: np.ndarray) -> None:
+    for x in _columns(view):
+        x0, x1 = x[:, 0], x[:, 1]
+        t = x0 + x1
+        np.subtract(x0, x1, out=x1)
+        np.multiply(t, _INV_SQRT2, out=x0)
+        x1 *= _INV_SQRT2
 
 
-def _pauli_x(a: np.ndarray, b: np.ndarray) -> None:
-    for x, y in _columns(a, b):
-        y[:, 0] = x[:, 1]
-        y[:, 1] = x[:, 0]
+def _swap(x0: np.ndarray, x1: np.ndarray) -> None:
+    t = x0.copy()
+    x0[...] = x1
+    x1[...] = t
 
 
-def _cnot(a: np.ndarray, b: np.ndarray) -> None:
-    for x, y in _columns(a, b):
-        y[:, 0] = x[:, 0]
-        y[:, 1, :, 0] = x[:, 1, :, 1]
-        y[:, 1, :, 1] = x[:, 1, :, 0]
+def _pauli_x(view: np.ndarray) -> None:
+    for x in _columns(view):
+        _swap(x[:, 0], x[:, 1])
 
 
-# ``kernel(a, b)`` writes the gate applied to the view ``a`` into the view ``b``
-# (views from :func:`_pair_view`).
+def _cnot(view: np.ndarray) -> None:
+    # Only the control-1 half changes: its two target halves swap.
+    for x in _columns(view):
+        _swap(x[:, 1, :, 0], x[:, 1, :, 1])
+
+
+# ``kernel(view)`` applies the gate in place to a view from :func:`_pair_view`.
+# Its temporary holds half the view or less.
 _PAIR_KERNELS = {"H": _hadamard, "X": _pauli_x, "CNOT": _cnot}
 
 
-def _flat(kernel):
-    """``kernel`` as ``apply(amps, out, *targets)`` on flat ``(…, 2^n)`` arrays."""
+def apply_gate(
+    state: Statevector, gate: Gate, out: np.ndarray | None = None
+) -> Statevector:
+    """Return the state transformed by one gate, with its amplitudes in ``out``.
 
-    def apply(amps: np.ndarray, out: np.ndarray, *targets: int) -> None:
-        kernel(_pair_view(amps, targets), _pair_view(out, targets))
-
-    return apply
-
-
-_KERNELS = {kind: _flat(kernel) for kind, kernel in _PAIR_KERNELS.items()}
-
-
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Return the state transformed by one gate (the input is not touched).
-
-    The result has the input's dtype and shape, in C order; a batch is
-    transformed row by row. The kernel acts on a pair view of the amplitudes (see
-    :func:`_pair_view`). A state of more than 2^_BLOCK_QUBITS amplitudes is
-    one full pass over memory, so the view is cut along its longest axis
-    that the gate does not index, and the pieces are shared across the CPUs
-    this process may use. Each amplitude sees the same operations either
-    way.
+    By default ``out`` is a new C-order copy of the amplitudes, so the input
+    is not touched. ``out`` may also be a C-contiguous array of the
+    amplitudes' shape and dtype, the state's own amplitudes included (as in
+    :func:`evolve`); unless it is them, they are copied into it first. A
+    batch is transformed row by row. The kernel then updates ``out`` in
+    place through a pair view (see :func:`_pair_view`). A state of more than
+    2^_BLOCK_QUBITS amplitudes is one full pass over memory, so the view is
+    cut along its longest axis that the gate does not index, into pieces of
+    at most 2^_BLOCK_QUBITS amplitudes, and the pieces are shared across the
+    CPUs this process may use. Each amplitude sees the same operations
+    either way.
     """
+    amps = _amplitudes(state)
     for t in gate.targets:
         if not 0 <= t < state.num_qubits:
             raise IndexError(
                 f"gate {gate.kind} targets qubit {t}, state has {state.num_qubits}"
             )
-    out = np.empty_like(state.amplitudes, order="C")
-    a, b = _pair_view(state.amplitudes, gate.targets), _pair_view(out, gate.targets)
+    if out is None:
+        out = np.array(amps, order="C")
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == amps.shape
+        and out.dtype == amps.dtype
+        and out.flags.c_contiguous
+    ):
+        raise ValidationError(
+            "out", f"must be a C-contiguous {amps.dtype} array of shape {amps.shape}"
+        )
+    elif out is not amps:
+        np.copyto(out, amps)
+    view = _pair_view(out, gate.targets)
     kernel = _PAIR_KERNELS[gate.kind]
     if out.size <= 1 << _BLOCK_QUBITS:
-        kernel(a, b)
+        kernel(view)
     else:
         # The gate indexes the odd axes; cut the longest even one.
-        axis = max(range(0, a.ndim, 2), key=lambda axis: a.shape[axis])
+        axis = max(range(0, view.ndim, 2), key=lambda axis: view.shape[axis])
+        step = max(1, (view.shape[axis] << _BLOCK_QUBITS) // view.size)
         lead = (slice(None),) * axis
 
         def apply_share(first: int, stop: int) -> None:
-            piece = lead + (slice(first, stop),)
-            kernel(a[piece], b[piece])
+            for start in range(first * step, stop * step, step):
+                kernel(view[lead + (slice(start, start + step),)])
 
-        _share(apply_share, a.shape[axis])
+        _share(apply_share, -(-view.shape[axis] // step))
     return Statevector(state.num_qubits, out)
 
 
@@ -364,40 +409,38 @@ def _share(task, count: int) -> None:
         raise errors[0]
 
 
-def _apply_low_run(amps: np.ndarray, gates: list[Gate]) -> np.ndarray:
+def _apply_low_run(amps: np.ndarray, gates: list[Gate]) -> None:
     """Apply gates whose targets all lie below ``_BLOCK_QUBITS``, slice by slice.
 
     Each contiguous slice of 2^_BLOCK_QUBITS amplitudes holds whole pairs of
-    every such gate, so the run's kernels ping-pong between the slice of
-    ``amps`` and the slice of one new buffer while both stay in cache.
-    ``amps`` is overwritten; the buffer the last gate wrote is returned. The
-    slices are shared across the CPUs in contiguous blocks by :func:`_share`.
+    every such gate, so the run's kernels update one slice of ``amps`` in
+    place, one gate after another, while it stays in cache. The slices are
+    shared across the CPUs in contiguous blocks by :func:`_share`.
     """
-    out = np.empty_like(amps)
     size = 1 << _BLOCK_QUBITS
-    steps = [(_KERNELS[gate.kind], gate.targets) for gate in gates]
+    steps = [(_PAIR_KERNELS[gate.kind], gate.targets) for gate in gates]
 
     def apply_share(first: int, stop: int) -> None:
         for start in range(first * size, stop * size, size):
-            a, b = amps[start : start + size], out[start : start + size]
+            piece = amps[start : start + size]
             for kernel, targets in steps:
-                kernel(a, b, *targets)
-                a, b = b, a
+                kernel(_pair_view(piece, targets))
 
     _share(apply_share, len(amps) // size)
-    return out if len(gates) % 2 else amps
 
 
 def evolve(circuit: Circuit) -> Statevector:
-    """Apply the circuit's gates in order to the zero state.
+    """Apply the circuit's gates in order to the zero state, in place.
 
-    On more than ``_BLOCK_QUBITS`` qubits, each maximal run of consecutive
-    gates whose targets all lie below ``_BLOCK_QUBITS`` is applied one
-    2^_BLOCK_QUBITS-amplitude slice at a time, with the slices split across
-    the CPUs this process may use. Every other gate is one
-    :func:`apply_gate` call. Every amplitude sees the same operations in the
-    same order either way, so the result does not depend on the block size
-    or the number of workers.
+    The zero state's buffer is the only state-sized array: every gate
+    updates it in place. On more than ``_BLOCK_QUBITS`` qubits, each maximal
+    run of consecutive gates whose targets all lie below ``_BLOCK_QUBITS``
+    is applied one 2^_BLOCK_QUBITS-amplitude slice at a time, with the
+    slices split across the CPUs this process may use. Every other gate is
+    one :func:`apply_gate` call with ``out`` the state's own amplitudes.
+    Every amplitude sees the same operations in the same order either way,
+    so the result does not depend on the block size or the number of
+    workers.
     """
     n = circuit.num_qubits
     state = new_zero_state(n)
@@ -408,10 +451,10 @@ def evolve(circuit: Circuit) -> Statevector:
 
     for is_low, gates in groupby(circuit.gates, low):
         if is_low:
-            state = Statevector(n, _apply_low_run(state.amplitudes, list(gates)))
+            _apply_low_run(state.amplitudes, list(gates))
         else:
             for gate in gates:
-                state = apply_gate(state, gate)
+                apply_gate(state, gate, out=state.amplitudes)
     return state
 
 
@@ -473,7 +516,7 @@ def sample_measurement(
     index per row for a ``(k, 2^n)`` batch, drawn with ``rng.random(k)`` in
     row order: the same outcomes as k single-register calls.
     """
-    amps = state.amplitudes
+    amps = _amplitudes(state)
     if amps.ndim == 1:
         return int(_inverse_cdf(state.probabilities(), rng.random()))
     return _inverse_cdf(state.probabilities(), rng.random(len(amps)))
@@ -535,10 +578,11 @@ def _search_edges(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     """Evolve from |0...0>, then sample ``shots`` measure-all outcomes.
 
-    Equal (circuit, shots, seed) gives bit-identical Counts. Keys are
-    sorted by outcome. The uniforms of ``make_rng(seed).random(shots)`` are
-    drawn ``_CHUNK`` at a time and each chunk is sorted. The search then
-    runs from the cheaper side. When a chunk holds at least as many shots
+    The evolved amplitudes are squared, then summed, in place, so the state
+    is the only array of its size. Equal (circuit, shots, seed) gives
+    bit-identical Counts. Keys are sorted by outcome. The uniforms of
+    ``make_rng(seed).random(shots)`` are drawn ``_CHUNK`` at a time and each
+    chunk is sorted. The search then runs from the cheaper side. When a chunk holds at least as many shots
     as the state has outcomes, the 2^n − 1 edges of the running sum are
     searched into each chunk (:func:`_search_edges`), and the positions add
     into one dense running total whose differences are the counts.
@@ -548,8 +592,10 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     """
     check_count("shots", shots)
     check_seed(seed)
-    probabilities = evolve(circuit).probabilities()
-    cum = np.cumsum(probabilities, out=probabilities)
+    # The probabilities and their running sum overwrite the amplitudes. For
+    # float64, np.square equals np.abs(a) ** 2 bit for bit.
+    amps = evolve(circuit).amplitudes
+    cum = np.cumsum(np.square(amps, out=amps), out=amps)
     chunks = _sorted_chunks(make_rng(seed), shots)
     if len(cum) <= min(shots, _CHUNK):
         below = np.zeros(len(cum) - 1, dtype=np.int64)

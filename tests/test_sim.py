@@ -207,6 +207,36 @@ def test_gate_accepts_numpy_integer_targets():
     assert np.array_equal(state.amplitudes, [0, 0, 1, 0])
 
 
+@pytest.mark.parametrize(
+    "amplitudes, gate",
+    [
+        (np.array([1.0, 0.0]), Gate("X", (2,))),  # numpy could not reshape 2 into 8
+        (np.array([1, 0, 0, 0, 0, 0, 0, 0]), Gate("H", (0,))),  # a ufunc casting error
+        (np.zeros((1, 4, 8)), Gate("H", (0,))),  # 3-D: was accepted
+    ],
+    ids=["wrong-length", "int", "3-d"],
+)
+def test_malformed_amplitudes_raise_a_validation_error(amplitudes, gate):
+    with pytest.raises(ValidationError, match="amplitudes"):
+        apply_gate(Statevector(3, amplitudes), gate)
+    with pytest.raises(ValidationError, match="amplitudes"):
+        sample_measurement(Statevector(3, amplitudes), make_rng(0))
+
+
+def test_apply_gate_writes_into_out():
+    state = random_state(np.random.default_rng(5), 3, float)
+    before, gate = state.amplitudes.copy(), Gate("H", (1,))
+    expected = apply_gate(state, gate).amplitudes
+    out = np.empty(8)
+    assert apply_gate(state, gate, out=out).amplitudes is out
+    assert np.array_equal(out, expected) and np.array_equal(state.amplitudes, before)
+    for bad in (np.empty(4), np.empty(8, dtype=complex), np.empty(16)[::2], [0.0] * 8):
+        with pytest.raises(ValidationError, match="out"):
+            apply_gate(state, gate, out=bad)
+    assert apply_gate(state, gate, out=state.amplitudes).amplitudes is state.amplitudes
+    assert np.array_equal(state.amplitudes, expected)
+
+
 @pytest.mark.parametrize("num_qubits", [2.5, True, "2", None, 0, -1])
 def test_circuit_rejects_bad_qubit_counts(num_qubits):
     # Circuit(2.5) used to be accepted. ValidationError is a ValueError, so
@@ -353,8 +383,8 @@ def test_blocked_evolve_at_eighteen_qubits_equals_per_gate_chain():
 
 
 def test_blocked_evolve_with_more_workers_than_cpus_and_fast_switching(monkeypatch):
-    # Eight threads write disjoint slices of two shared buffers; an overlap or
-    # a lost write would change amplitudes.
+    # Eight threads update disjoint slices of one shared buffer in place; an
+    # overlap or a lost write would change amplitudes.
     circuit = Circuit(10, gates=random_gates(np.random.default_rng(2_718), 10, 100))
     expected = per_gate_chain(circuit)
     monkeypatch.setattr(sim, "_BLOCK_QUBITS", 5)
@@ -369,14 +399,14 @@ def test_blocked_evolve_with_more_workers_than_cpus_and_fast_switching(monkeypat
 
 
 def test_kernel_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
-    caller, hadamard = threading.current_thread(), sim._KERNELS["H"]
+    caller, hadamard = threading.current_thread(), sim._PAIR_KERNELS["H"]
 
-    def fails_off_the_calling_thread(amps, out, qubit):
+    def fails_off_the_calling_thread(view):
         if threading.current_thread() is not caller:
             raise RuntimeError("kernel failed in a worker")
-        hadamard(amps, out, qubit)
+        hadamard(view)
 
-    monkeypatch.setitem(sim._KERNELS, "H", fails_off_the_calling_thread)
+    monkeypatch.setitem(sim._PAIR_KERNELS, "H", fails_off_the_calling_thread)
     monkeypatch.setattr(sim, "_BLOCK_QUBITS", 1)
     monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match="kernel failed in a worker"):
@@ -389,11 +419,11 @@ def test_kernel_error_in_a_piece_of_a_shared_gate_reaches_the_caller(monkeypatch
     caller, hadamard = threading.current_thread(), sim._PAIR_KERNELS["H"]
     started = []
 
-    def fails_off_the_calling_thread(a, b):
+    def fails_off_the_calling_thread(view):
         if threading.current_thread() is not caller:
             started.append(threading.current_thread())
             raise RuntimeError("kernel failed in a worker")
-        hadamard(a, b)
+        hadamard(view)
 
     monkeypatch.setitem(sim._PAIR_KERNELS, "H", fails_off_the_calling_thread)
     monkeypatch.setattr(sim, "_BLOCK_QUBITS", 1)
@@ -413,6 +443,8 @@ def test_kernel_error_in_a_piece_of_a_shared_gate_reaches_the_caller(monkeypatch
     st.sampled_from([complex, float]),
     st.integers(0, 2**32 - 1),
 )
+# CNOT(1, 0) inside a low run: a 2-qubit block, so all three gates are blocked.
+@example(Circuit(3).h(1).cnot(1, 0).h(0), 2, 2, 2, float, 0)
 def test_evolve_and_apply_gate_equal_the_reference_kernels(
     circuit, block_qubits, workers, rows, dtype, seed
 ):
@@ -437,6 +469,94 @@ def test_twenty_qubit_circuit_equals_the_reference_kernels():
     expected = reference_chain(new_zero_state(20).amplitudes, circuit.gates)
     assert np.array_equal(evolve(circuit).amplitudes, expected)
     assert np.array_equal(per_gate_chain(circuit), expected)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle above the block size: an {H, X, CNOT} circuit takes
+# |0...0> to a stabilizer state, whose n generators a tableau tracks, after
+# Aaronson and Gottesman's CHP (quant-ph/0406196). With no measurement the
+# destabilizer half of their tableau is never read, so it is left out. Only
+# tests use this; it predicts properties of a state, it simulates nothing.
+
+
+class StabilizerTableau:
+    """Generators (-1)^r[i] P_i of the state's stabilizer group.
+
+    Row i of ``x`` and ``z`` holds P_i's bits, column j for qubit j: X for
+    x alone, Z for z alone, Y for both.
+    """
+
+    def __init__(self, n):
+        self.x = np.zeros((n, n), dtype=bool)
+        self.z = np.eye(n, dtype=bool)  # |0...0> is stabilized by each Z_j
+        self.r = np.zeros(n, dtype=bool)
+
+    def apply(self, gate):
+        x, z, r = self.x, self.z, self.r
+        if gate.kind == "H":
+            (a,) = gate.targets
+            r ^= x[:, a] & z[:, a]
+            x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
+        elif gate.kind == "X":
+            (a,) = gate.targets
+            r ^= z[:, a]  # X anticommutes with Z and Y
+        else:
+            a, b = gate.targets
+            r ^= x[:, a] & z[:, b] & ~(x[:, b] ^ z[:, a])
+            x[:, b] ^= x[:, a]
+            z[:, a] ^= z[:, b]
+
+    def support_rank(self):
+        """GF(2) rank of the X bits; the state's support has 2^rank entries."""
+        basis = []
+        for row in self.x:
+            mask = int(row @ (1 << np.arange(len(row))))
+            for b in basis:
+                mask = min(mask, mask ^ b)
+            if mask:
+                basis.append(mask)
+        return len(basis)
+
+
+def assert_stabilized(psi, tableau):
+    """P·psi = psi for every signed generator P of the tableau.
+
+    Y = iXZ, so P = (-1)^r i^(number of Ys) X^x Z^z. On index bit masks,
+    Z^z multiplies amplitude k by (-1)^|k & z| and X^x moves amplitude k to
+    k ^ x. A generator of a real state holds an even number of Ys.
+    """
+    index = np.arange(len(psi))
+    for x, z, r in zip(tableau.x, tableau.z, tableau.r):
+        ys = np.count_nonzero(x & z)
+        assert ys % 2 == 0
+        parity_signs = np.ones(1)
+        for z_j in z:  # qubit j is bit j of the index
+            parity_signs = np.concatenate([parity_signs, -parity_signs if z_j else parity_signs])
+        sign = -1 if r ^ (ys // 2 % 2) else 1
+        image = (sign * parity_signs * psi)[index ^ int(x @ (1 << np.arange(len(x))))]
+        assert np.max(np.abs(image - psi)) <= 1e-12
+
+
+@settings(max_examples=2, derandomize=True, database=None, deadline=None)
+@given(st.integers(17, 20), st.integers(0, 2**32 - 1))
+@example(20, 1_732)
+def test_evolve_reaches_the_stabilizer_state_the_tableau_predicts(n, seed):
+    # The real block size and CPU count: low runs and cut full passes both run.
+    circuit = Circuit(n, gates=random_gates(np.random.default_rng(seed), n, 60))
+    high = [max(gate.targets) >= sim._BLOCK_QUBITS for gate in circuit.gates]
+    assert 0 < sum(high) < len(high)
+    tableau = StabilizerTableau(n)
+    for gate in circuit.gates:
+        tableau.apply(gate)
+    psi = evolve(circuit).amplitudes
+    assert_stabilized(psi, tableau)
+    rank = tableau.support_rank()
+    magnitudes = np.abs(psi)
+    support = np.flatnonzero(magnitudes > 1e-12)
+    assert len(support) == 2**rank
+    assert np.allclose(magnitudes[support], 2 ** (-rank / 2), rtol=0, atol=1e-12)
+    counts = run(circuit, 1_000, seed)
+    assert set(int(outcome, 2) for outcome in counts) <= set(support.tolist())
 
 
 @st.composite
@@ -593,6 +713,13 @@ def test_counts_views_are_the_dicts():
 KEY_19 = "1011001110001111010"  # bv_circuit(KEY_19) has 20 qubits
 
 
+def evolved_once(circuit):
+    """A stand-in for ``sim.evolve`` that evolves ``circuit`` once, then
+    returns a fresh copy per call: ``run`` overwrites the state it gets."""
+    state = evolve(circuit)
+    return lambda _: Statevector(state.num_qubits, state.amplitudes.copy())
+
+
 def reference_counts(circuit, shots, seed):
     probabilities = sim.evolve(circuit).probabilities()
     indices = sim._inverse_cdf(probabilities, make_rng(seed).random(shots))
@@ -653,8 +780,7 @@ def test_edge_search_counts_what_the_shot_search_finds():
 
 def test_run_across_a_real_chunk_edge_equals_one_unsorted_draw(monkeypatch):
     circuit = bv_circuit(KEY_19)
-    state = evolve(circuit)
-    monkeypatch.setattr(sim, "evolve", lambda _: state)  # evolve 20 qubits once
+    monkeypatch.setattr(sim, "evolve", evolved_once(circuit))
     shots = sim._CHUNK + 3
     assert run(circuit, shots, 20_917).counts == reference_counts(circuit, shots, 20_917)
 
@@ -688,21 +814,28 @@ def test_run_memory_does_not_grow_with_shots(monkeypatch):
 
 
 def test_run_memory_has_no_tally_the_size_of_the_state():
-    # Evolving holds two state buffers; sampling must not add a third.
+    # Evolving holds one state buffer; sampling must not add a second.
     circuit = bv_circuit(KEY_19)
     state_bytes = (1 << circuit.num_qubits) * 8
-    assert peak_bytes(lambda: run(circuit, 1, 5)) < 2.2 * state_bytes
+    assert peak_bytes(lambda: run(circuit, 1, 5)) < 1.2 * state_bytes
+
+
+def test_run_at_the_qubit_cap_holds_one_state():
+    # evolve updates the zero state in place, and run squares and sums it in
+    # place: the largest register peaks at one state, not two.
+    state_bytes = (1 << sim.QUBIT_CAP) * 8
+    assert peak_bytes(lambda: run(qrand_circuit(sim.QUBIT_CAP), 1, 24)) <= 1.1 * state_bytes
 
 
 def test_sampling_memory_is_about_one_state(monkeypatch):
-    # With evolve done beforehand, run holds one array of the state's size,
-    # the running sum of probabilities. A tally of that size, even one made
-    # sparse at once, would be a second.
+    # With evolve done beforehand, run holds one array of the state's size:
+    # the fresh copy, which it turns into the running sum of probabilities.
+    # A tally of that size, even one made sparse at once, would be a second.
     circuit = bv_circuit(KEY_19)
-    state = evolve(circuit)
-    monkeypatch.setattr(sim, "evolve", lambda _: state)
+    monkeypatch.setattr(sim, "evolve", evolved_once(circuit))
     run(circuit, 1, 5)  # the first run pays numpy's lazy allocations
-    assert peak_bytes(lambda: run(circuit, 1, 5)) < 1.5 * state.amplitudes.nbytes
+    state_bytes = (1 << circuit.num_qubits) * 8
+    assert peak_bytes(lambda: run(circuit, 1, 5)) < 1.5 * state_bytes
 
 
 # ---------------------------------------------------------------------------
