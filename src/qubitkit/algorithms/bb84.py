@@ -15,9 +15,11 @@ The full protocol sends six qubits per message bit and repeats a round
 whose key comes up short, up to ten rounds; surviving key bits one-time-pad
 the message.
 
-Every qubit travels as a real statevector: encode as a circuit, evolve,
-collapse on measurement, re-prepare on resend. Nothing is shortcut with
-classical probability tables. A round's m qubits travel together as one
+Every qubit travels as a real statevector: prepared, collapsed on
+measurement, re-prepared on resend. Nothing is shortcut with classical
+probability tables. Only four preparations exist; their circuits are
+evolved once, at import, and every round indexes that table to prepare its
+qubits and to collapse them. A round's m qubits travel together as one
 batch, a ``Statevector(1, amplitudes)`` whose amplitudes have shape (m, 2),
 one row per qubit: interception and measurement rotate, sample and
 collapse all rows at once.
@@ -136,10 +138,11 @@ def encode_state(value: int, axis: Axis) -> Statevector:
     return evolve(encode_qubit(value, axis))
 
 
-# The four preparation states, amplitude row 2 * value + is_x for each
-# (value, axis), double as post-measurement states; collapse is an index
-# into them. The four possible interceptions are rowed the same way, and
-# shared, since EveAction is frozen.
+# The four preparation states, evolved once here at import, amplitude row
+# 2 * value + is_x for each (value, axis). Every round indexes them to
+# prepare its qubits, and they double as post-measurement states, so
+# collapse is an index into them too. The four possible interceptions are
+# rowed the same way, and shared, since EveAction is frozen.
 _COLLAPSED = np.stack(
     [encode_state(value, axis).amplitudes for value in (0, 1) for axis in Axis]
 )
@@ -248,26 +251,25 @@ def abort_probability(n: int, density: float) -> float:
 
 
 def _setup(density, backends, backend_name, seed):
-    """Channel policy, backend, effective seed and the three generators.
+    """Channel policy, effective seed and the three generators.
 
+    The backend name is only looked up, so a bad one fails before any draw.
     The generators belong to the sender, the eavesdropper and the receiver,
     in that order, and carry on across retry rounds.
     """
     policy = ChannelPolicy(density)
-    registry = default_registry() if backends is None else backends
-    backend = registry.get(backend_name)
+    (default_registry() if backends is None else backends).get(backend_name)
     effective_seed = fresh_seed() if seed is None else check_seed(seed)
     rngs = tuple(
         np.random.Generator(np.random.PCG64(child))
         for child in np.random.SeedSequence(effective_seed).spawn(3)
     )
-    return policy, backend, effective_seed, rngs
+    return policy, effective_seed, rngs
 
 
 def _single_exchange(
     transmitted: int,
     policy: ChannelPolicy,
-    backend,
     rngs: tuple[np.random.Generator, ...],
     compare_mode: str,
     seed: int,
@@ -276,16 +278,7 @@ def _single_exchange(
     bits = (sender_rng.random(transmitted) < 0.5).astype(np.int64)
     sender_x = sender_rng.random(transmitted) >= 0.5
     receiver_x = receiver_rng.random(transmitted) >= 0.5
-    # Only four distinct preparations exist; evolve each once per round, and
-    # row them like _COLLAPSED.
-    prepared = np.stack(
-        [
-            backend.evolve(encode_qubit(value, axis)).amplitudes
-            for value in (0, 1)
-            for axis in Axis
-        ]
-    )
-    states = Statevector(1, prepared[2 * bits + sender_x])
+    states = Statevector(1, _COLLAPSED[2 * bits + sender_x])
     states, eve_actions = intercept(states, policy, eve_rng)
     received, _ = measure_in_axis(states, receiver_x, receiver_rng)
 
@@ -325,8 +318,8 @@ def run_exchange(
     """
     check_count("transmitted", transmitted)
     _check_compare_mode(compare_mode)
-    policy, backend, seed, rngs = _setup(density, backends, backend_name, seed)
-    return _single_exchange(transmitted, policy, backend, rngs, compare_mode, seed)
+    policy, seed, rngs = _setup(density, backends, backend_name, seed)
+    return _single_exchange(transmitted, policy, rngs, compare_mode, seed)
 
 
 def run_protocol(
@@ -350,12 +343,12 @@ def run_protocol(
     ):
         raise ValidationError("message", "expected a non-empty sequence of 0/1 bits")
     message = tuple(int(b) for b in message)
-    policy, backend, seed, rngs = _setup(density, backends, backend_name, seed)
+    policy, seed, rngs = _setup(density, backends, backend_name, seed)
 
     transmitted = _OVERSAMPLE * len(message)
     for attempt in range(1, _MAX_ROUNDS + 1):
         trace = replace(
-            _single_exchange(transmitted, policy, backend, rngs, "half", seed),
+            _single_exchange(transmitted, policy, rngs, "half", seed),
             attempts=attempt,
             message_bits=message,
         )
@@ -465,7 +458,7 @@ def descriptor() -> AlgorithmDescriptor:
                 description="per-qubit interception probability, 0 to 1",
             ),
         ],
-        # The protocol drives many 1-qubit circuits itself; the build hook
+        # The protocol drives its 1-qubit states itself; the build hook
         # degenerates to a null circuit and the runner takes over.
         build=lambda params: Circuit(1),
         interpret=_interpret,

@@ -6,8 +6,10 @@ provides:
 
 * ``info`` — a :class:`BackendInfo`
 * ``run(circuit, shots, seed)`` — sample counts
-* ``evolve(circuit)`` — deterministic statevector of the circuit, used by
-  protocol drivers that need direct state access (BB84 transport)
+
+``LocalStatevectorBackend.evolve`` is not part of that protocol and nothing
+in the library calls it. It stays only as a boundary the benchmark's traced
+pass wraps, until the trace targets move off it (ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -125,7 +125,7 @@ class AlgorithmDescriptor:
     ``explain`` is static text describing how to read that result.
 
     Algorithms that do not fit the one-circuit mold (BB84 drives many
-    single-qubit circuits interactively) set ``runner``; it receives
+    single-qubit states itself) set ``runner``; it receives
     (params, backends, backend_name, shots, seed) and returns
     (text, counts), and ``build`` degenerates to a null circuit.
     """
@@ -141,12 +141,14 @@ class AlgorithmDescriptor:
 
 @dataclass
 class AlgorithmRun:
-    """Outcome of one run_algorithm call, replayable via ``seed``."""
+    """Outcome of one run_algorithm call: the interpreted text, the counts
+    it was read from, and the effective seed. Rerunning with the same
+    params, backend, shots and this seed gives identical text and counts.
+    """
 
     text: str
     counts: Counts
     seed: int
-    circuit: Circuit | None
 
 
 def parse_params(descriptor: AlgorithmDescriptor, raw: Sequence[str]) -> dict:
@@ -212,12 +214,8 @@ def run_algorithm(
         text, counts = descriptor.runner(
             params, backends, backend_name, shots, effective_seed
         )
-        return AlgorithmRun(text, counts, effective_seed, circuit=None)
-    circuit = descriptor.build(params)
-    result = backends.execute(backend_name, circuit, shots, effective_seed)
-    return AlgorithmRun(
-        descriptor.interpret(params, result.counts),
-        result.counts,
-        result.seed,
-        circuit,
-    )
+    else:
+        circuit = descriptor.build(params)
+        counts = backends.execute(backend_name, circuit, shots, effective_seed).counts
+        text = descriptor.interpret(params, counts)
+    return AlgorithmRun(text, counts, effective_seed)

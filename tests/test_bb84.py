@@ -24,8 +24,13 @@ from qubitkit.algorithms.bb84 import (
     sift,
     verify,
 )
-from qubitkit.backends import default_registry
-from qubitkit.errors import ValidationError
+from qubitkit.backends import (
+    BackendInfo,
+    BackendRegistry,
+    LOCAL_BACKEND_NAME,
+    default_registry,
+)
+from qubitkit.errors import UnknownBackendError, ValidationError
 from qubitkit.framework import run_algorithm
 from qubitkit.sim import (
     Gate,
@@ -518,6 +523,39 @@ def test_render_trace_layout():
     assert f"verdict: {SECURE}" in text
     assert "round trip: ok" in text
     assert f"seed: {trace.seed}" in text
+
+
+# ---------------------------------------------------------------------------
+# Backend use: BB84 prepares its own states and only looks the name up
+
+
+class _RaisingBackend:
+    info = BackendInfo(LOCAL_BACKEND_NAME, "fails if BB84 calls it", 1)
+
+    def run(self, circuit, shots, seed):
+        raise AssertionError("BB84 ran a circuit on the backend")
+
+    def evolve(self, circuit):
+        raise AssertionError("BB84 evolved a circuit on the backend")
+
+
+def test_exchange_never_calls_the_backend():
+    stub = BackendRegistry()
+    stub.register(_RaisingBackend())
+    for seed in (0, 1, 17, 2**63):
+        trace = run_exchange(64, 0.5, stub, seed=seed, compare_mode="full")
+        assert trace == run_exchange(64, 0.5, seed=seed, compare_mode="full")
+
+
+def test_unknown_backend_name_raises():
+    backends = default_registry()
+    params = {"message": "hi", "density": 0.5}
+    with pytest.raises(UnknownBackendError, match="nope"):
+        run_exchange(8, 0.5, backends, "nope", seed=1)
+    with pytest.raises(UnknownBackendError, match="nope"):
+        run_protocol((1, 0), 0.5, backends, "nope", seed=1)
+    with pytest.raises(UnknownBackendError, match="nope"):
+        run_algorithm(bb84.descriptor(), params, backends, "nope", 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,27 @@ def test_extension_needs_no_framework_changes():
     assert result.counts.shots == 5
 
 
+@pytest.mark.parametrize(
+    "name, raw, shots",
+    [
+        ("qrand", ["3"], 50),
+        ("bernstein-vazirani", ["101"], 1),
+        ("bb84", ["hi", "0.5"], 3),
+    ],
+)
+def test_returned_seed_replays_the_run(name, raw, shots):
+    descriptor = default_algorithms().get(name)
+    params = parse_params(descriptor, raw)
+    backends = default_registry()
+    first = run_algorithm(descriptor, params, backends, LOCAL_BACKEND_NAME, shots)
+    again = run_algorithm(
+        descriptor, params, backends, LOCAL_BACKEND_NAME, shots, seed=first.seed
+    )
+    assert again.seed == first.seed
+    assert again.text == first.text
+    assert again.counts == first.counts
+
+
 @pytest.mark.parametrize("name", ["qrand", "bernstein-vazirani", "bb84"])
 @pytest.mark.parametrize("shots", [0, -2, True, 2.5])
 def test_run_algorithm_rejects_bad_shots_for_every_descriptor(name, shots):
