@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import otp
-from ..backends import BackendRegistry, LOCAL_BACKEND_NAME, default_registry, fresh_seed
+from ..backends import BackendRegistry, LOCAL_BACKEND_NAME, default_registry
 from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params
 from ..sim import (
@@ -51,9 +51,9 @@ from ..sim import (
     Statevector,
     apply_gate,
     check_count,
-    check_seed,
     derive_seed,
     evolve,
+    resolve_seed,
     sample_measurement,
 )
 
@@ -165,7 +165,8 @@ def measure_in_axis(
     """
     x_rows = np.asarray(x_rows, dtype=bool)
     probe = states.amplitudes.copy()
-    probe[x_rows] = apply_gate(Statevector(1, probe[x_rows]), _H).amplitudes
+    rows = probe[x_rows]
+    probe[x_rows] = apply_gate(Statevector(1, rows), _H, out=rows).amplitudes
     bits = sample_measurement(Statevector(1, probe), rng)
     return bits, Statevector(1, _COLLAPSED[2 * bits + x_rows])
 
@@ -259,7 +260,7 @@ def _setup(density, backends, backend_name, seed):
     """
     policy = ChannelPolicy(density)
     (default_registry() if backends is None else backends).get(backend_name)
-    effective_seed = fresh_seed() if seed is None else check_seed(seed)
+    effective_seed = resolve_seed(seed)
     rngs = tuple(
         np.random.Generator(np.random.PCG64(child))
         for child in np.random.SeedSequence(effective_seed).spawn(3)

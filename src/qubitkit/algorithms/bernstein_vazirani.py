@@ -21,7 +21,7 @@ import numpy as np
 
 from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
 from ..errors import ValidationError
-from ..framework import AlgorithmDescriptor, ParamSpec, Params
+from ..framework import AlgorithmDescriptor, ParamSpec, Params, run_algorithm
 from ..sim import QUBIT_CAP, Circuit, Counts, check_count, evolve
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -118,9 +118,10 @@ def bv_run(
     backend_name: str = LOCAL_BACKEND_NAME,
     seed: int | None = None,
 ) -> str:
-    """Single-query recovery; returns the key verbatim on every seed."""
-    result = backends.execute(backend_name, bv_circuit(key), shots=1, seed=seed)
-    (outcome,) = result.counts
+    """Single-query recovery, a one-shot run of :func:`descriptor`; returns
+    the key verbatim on every seed."""
+    run = run_algorithm(descriptor(), {"key": key}, backends, backend_name, seed=seed)
+    (outcome,) = run.counts
     return recovered_key(outcome)
 
 

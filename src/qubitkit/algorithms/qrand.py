@@ -10,7 +10,7 @@ import numpy as np
 
 from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
 from ..errors import ValidationError
-from ..framework import AlgorithmDescriptor, ParamSpec, Params
+from ..framework import AlgorithmDescriptor, ParamSpec, Params, run_algorithm
 from ..sim import QUBIT_CAP, Circuit, Counts, check_count
 
 
@@ -31,9 +31,9 @@ def qrand_value(
     backend_name: str = LOCAL_BACKEND_NAME,
     seed: int | None = None,
 ) -> int:
-    """One uniform draw from [0, 2^n - 1]."""
-    result = backends.execute(backend_name, qrand_circuit(n), shots=1, seed=seed)
-    (outcome,) = result.counts
+    """One uniform draw from [0, 2^n - 1]: a one-shot run of :func:`descriptor`."""
+    run = run_algorithm(descriptor(), {"n": n}, backends, backend_name, seed=seed)
+    (outcome,) = run.counts
     return int(outcome, 2)
 
 

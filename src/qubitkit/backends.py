@@ -7,6 +7,9 @@ provides:
 * ``info`` — a :class:`BackendInfo`
 * ``run(circuit, shots, seed)`` — sample counts
 
+:meth:`BackendRegistry.execute` runs a circuit on the caller's seed and
+returns its ``sim.Counts``; ``framework.run_algorithm`` resolves that seed.
+
 ``LocalStatevectorBackend.evolve`` is not part of that protocol and nothing
 in the library calls it. It stays only as a boundary the benchmark's traced
 pass wraps, until the trace targets move off it (ROADMAP item 1).
@@ -14,7 +17,6 @@ pass wraps, until the trace targets move off it (ROADMAP item 1).
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 
 from . import sim
@@ -46,19 +48,6 @@ class LocalStatevectorBackend:
         return sim.evolve(circuit)
 
 
-@dataclass
-class ExecutionResult:
-    """Counts plus the seed that replays the run exactly."""
-
-    counts: sim.Counts
-    seed: int
-
-
-def fresh_seed() -> int:
-    """Entropy-derived seed; always recorded so any run is replayable."""
-    return secrets.randbits(63)
-
-
 class BackendRegistry:
     """Named backends, listed in registration order."""
 
@@ -88,18 +77,16 @@ class BackendRegistry:
         backend_name: str,
         circuit: sim.Circuit,
         shots: int,
-        seed: int | None = None,
-    ) -> ExecutionResult:
-        """Run a circuit; a missing seed is drawn from entropy and recorded."""
+        seed: int,
+    ) -> sim.Counts:
+        """Run a circuit on the named backend with the caller's seed."""
         backend = self.get(backend_name)
         if circuit.num_qubits > backend.info.max_qubits:
             raise CapacityError(
                 f"circuit needs {circuit.num_qubits} qubits, backend "
                 f"{backend_name!r} caps at {backend.info.max_qubits}"
             )
-        effective_seed = fresh_seed() if seed is None else seed
-        counts = backend.run(circuit, shots, effective_seed)
-        return ExecutionResult(counts, effective_seed)
+        return backend.run(circuit, shots, seed)
 
 
 def default_registry() -> BackendRegistry:

@@ -4,7 +4,7 @@ result interpretation.
 Every algorithm is described by an :class:`AlgorithmDescriptor`. Parameters
 arrive as one raw string per :class:`ParamSpec`, in declaration order, and
 are validated in that order. Registering a new algorithm never requires
-touching this module, the backends, or the CLI.
+touching this module or the backends.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .backends import BackendRegistry, fresh_seed
+from .backends import BackendRegistry
 from .errors import ValidationError
-from .sim import Circuit, Counts, check_count, check_seed
+from .sim import Circuit, Counts, check_count, resolve_seed
 
 PARAM_KINDS = ("natural_number", "bitstring", "probability", "text")
 
@@ -205,17 +205,18 @@ def run_algorithm(
 ) -> AlgorithmRun:
     """Build, execute and interpret; shots=1 is the run-once mode.
 
-    Shots and the seed are validated here, before any descriptor's
-    ``build`` or ``runner`` sees them.
+    This is where a circuit run's seed is resolved: shots and the seed are
+    validated, and a missing seed is drawn, before any descriptor's
+    ``build`` or ``runner`` sees them. The returned seed replays the run.
     """
     check_count("shots", shots)
-    effective_seed = fresh_seed() if seed is None else check_seed(seed)
+    effective_seed = resolve_seed(seed)
     if descriptor.runner is not None:
         text, counts = descriptor.runner(
             params, backends, backend_name, shots, effective_seed
         )
     else:
         circuit = descriptor.build(params)
-        counts = backends.execute(backend_name, circuit, shots, effective_seed).counts
+        counts = backends.execute(backend_name, circuit, shots, effective_seed)
         text = descriptor.interpret(params, counts)
     return AlgorithmRun(text, counts, effective_seed)

@@ -33,7 +33,7 @@ and :func:`run` squares and sums that buffer in place, so a run holds one
 state-sized array.
 
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
-inverse-CDF over ``Generator.random()`` uniforms (cumsum + searchsorted),
+inverse-CDF over ``Generator.random()`` uniforms (a running sum, searched),
 so equal seeds give bit-identical counts on any platform. A batch draws
 one uniform per row, in row order. :func:`run` returns only a histogram,
 so it draws its uniforms in chunks of 2^18 and sorts each chunk: PCG64
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 import os
+import secrets
 import threading
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -116,6 +117,15 @@ def check_seed(seed) -> int:
     if not _is_int(seed) or not 0 <= seed < _SEED_BOUND:
         raise ValidationError("seed", f"must be an integer in [0, 2^64), got {seed!r}")
     return seed
+
+
+def resolve_seed(seed) -> int:
+    """The seed a run uses: ``seed`` once checked, or a fresh one if it is None.
+
+    This is the only place a seed is drawn from entropy. The caller returns
+    the seed it resolved, so any run can be replayed.
+    """
+    return secrets.randbits(63) if seed is None else check_seed(seed)
 
 
 def _bitstrings(indices: np.ndarray, num_qubits: int) -> list[str]:
@@ -321,11 +331,11 @@ def apply_gate(
     """Return the state transformed by one gate, with its amplitudes in ``out``.
 
     By default ``out`` is a new C-order copy of the amplitudes, so the input
-    is not touched. ``out`` may also be a C-contiguous array of the
-    amplitudes' shape and dtype, the state's own amplitudes included (as in
-    :func:`evolve`); unless it is them, they are copied into it first. A
-    batch is transformed row by row. The kernel then updates ``out`` in
-    place through a pair view (see :func:`_pair_view`). A state of more than
+    is not touched. ``out`` may also be the state's own amplitudes, if they
+    are C-contiguous, to update the state in place (as :func:`evolve`
+    does); anything else raises a ValidationError naming ``out``. A batch
+    is transformed row by row. The kernel then updates ``out`` in place
+    through a pair view (see :func:`_pair_view`). A state of more than
     2^_BLOCK_QUBITS amplitudes is one full pass over memory, so the view is
     cut along its longest axis that the gate does not index, into pieces of
     at most 2^_BLOCK_QUBITS amplitudes, and the pieces are shared across the
@@ -340,17 +350,10 @@ def apply_gate(
             )
     if out is None:
         out = np.array(amps, order="C")
-    elif not (
-        isinstance(out, np.ndarray)
-        and out.shape == amps.shape
-        and out.dtype == amps.dtype
-        and out.flags.c_contiguous
-    ):
+    elif out is not amps or not out.flags.c_contiguous:
         raise ValidationError(
-            "out", f"must be a C-contiguous {amps.dtype} array of shape {amps.shape}"
+            "out", "must be None or the state's own C-contiguous amplitudes"
         )
-    elif out is not amps:
-        np.copyto(out, amps)
     view = _pair_view(out, gate.targets)
     kernel = _PAIR_KERNELS[gate.kind]
     if out.size <= 1 << _BLOCK_QUBITS:
@@ -458,21 +461,6 @@ def evolve(circuit: Circuit) -> Statevector:
     return state
 
 
-def _inverse_cdf(probabilities: np.ndarray, uniforms: float | np.ndarray):
-    """Outcome indices for uniforms in [0, 1): cumsum, then :func:`_search`.
-
-    Overwrites ``probabilities`` with their running sum. For a ``(k, 2^n)``
-    batch, row i is searched with ``uniforms[i]``; counting the entries at
-    or below the target is what ``searchsorted(side="right")`` returns on a
-    sorted row.
-    """
-    cum = np.cumsum(probabilities, axis=-1, out=probabilities)
-    if cum.ndim == 1:
-        return _search(cum, uniforms)
-    targets = uniforms * cum[:, -1]
-    return np.count_nonzero(cum[:, :-1] <= targets[:, None], axis=-1)
-
-
 def _search(cum: np.ndarray, uniforms: float | np.ndarray):
     """Outcome indices for uniforms in [0, 1) under the running sum ``cum``.
 
@@ -514,12 +502,19 @@ def sample_measurement(
     Returns the outcome index (an ``int``; the module docstring gives its
     bit order and label) for one register, or an integer array with one
     index per row for a ``(k, 2^n)`` batch, drawn with ``rng.random(k)`` in
-    row order: the same outcomes as k single-register calls.
+    row order: the same outcomes as k single-register calls. One register
+    is a batch of one. Each row's outcome is the number of entries of its
+    running sum, all but the last, at or below its target: on a sorted row,
+    what ``searchsorted(side="right")`` returns, with a uniform that rounds
+    onto the total mass clamped to the last outcome.
     """
     amps = _amplitudes(state)
-    if amps.ndim == 1:
-        return int(_inverse_cdf(state.probabilities(), rng.random()))
-    return _inverse_cdf(state.probabilities(), rng.random(len(amps)))
+    probabilities = state.probabilities()
+    rows = probabilities.reshape(-1, probabilities.shape[-1])
+    cum = np.cumsum(rows, axis=-1, out=rows)
+    targets = rng.random(len(rows)) * cum[:, -1]
+    indices = np.count_nonzero(cum[:, :-1] <= targets[:, None], axis=-1)
+    return int(indices[0]) if amps.ndim == 1 else indices
 
 
 @dataclass

@@ -1,12 +1,15 @@
 import pytest
 
+from qubitkit import sim
+from qubitkit.algorithms import default_algorithms
 from qubitkit.backends import (
     BackendInfo,
     LOCAL_BACKEND_NAME,
     LocalStatevectorBackend,
     default_registry,
 )
-from qubitkit.errors import CapacityError, UnknownBackendError
+from qubitkit.errors import CapacityError, UnknownBackendError, ValidationError
+from qubitkit.framework import parse_params, run_algorithm
 from qubitkit.sim import Circuit
 
 
@@ -15,9 +18,6 @@ class StubBackend:
         self.info = BackendInfo(name, "test stub", 2)
 
     def run(self, circuit, shots, seed):
-        raise NotImplementedError
-
-    def evolve(self, circuit):
         raise NotImplementedError
 
 
@@ -45,13 +45,12 @@ def test_execute_is_deterministic_given_seed():
     circuit = Circuit(1).h(0).measure_all()
     a = registry.execute(LOCAL_BACKEND_NAME, circuit, 100, seed=7)
     b = registry.execute(LOCAL_BACKEND_NAME, circuit, 100, seed=7)
-    assert a.counts == b.counts
-    assert a.seed == b.seed == 7
+    assert a == b
 
 
 def test_unknown_backend():
     with pytest.raises(UnknownBackendError):
-        default_registry().execute("nope", Circuit(1).measure_all(), 1)
+        default_registry().execute("nope", Circuit(1).measure_all(), 1, seed=0)
 
 
 def test_circuit_over_backend_capacity():
@@ -60,9 +59,33 @@ def test_circuit_over_backend_capacity():
         registry.execute(LOCAL_BACKEND_NAME, Circuit(30).measure_all(), 1, seed=0)
 
 
-def test_default_seed_is_recorded_and_replayable():
+def test_execute_requires_a_seed():
+    circuit = Circuit(1).h(0).measure_all()
+    with pytest.raises(ValidationError, match="seed"):
+        default_registry().execute(LOCAL_BACKEND_NAME, circuit, 10, seed=None)
+
+
+class RunOnlyBackend:
+    """The whole backend protocol: ``info`` and ``run``."""
+
+    info = BackendInfo("run-only", "sim.run with nothing else", sim.QUBIT_CAP)
+
+    def run(self, circuit, shots, seed):
+        return sim.run(circuit, shots, seed)
+
+
+@pytest.mark.parametrize(
+    "name, raw, shots",
+    [("qrand", ["5"], 1), ("qrand", ["5"], 300), ("bernstein-vazirani", ["1011"], 4)],
+)
+def test_a_backend_needs_only_info_and_run(name, raw, shots):
     registry = default_registry()
-    circuit = Circuit(2).h(0).h(1).measure_all()
-    first = registry.execute(LOCAL_BACKEND_NAME, circuit, 200)
-    replay = registry.execute(LOCAL_BACKEND_NAME, circuit, 200, seed=first.seed)
-    assert replay.counts == first.counts
+    registry.register(RunOnlyBackend())
+    descriptor = default_algorithms().get(name)
+    params = parse_params(descriptor, raw)
+    for seed in (0, 41):
+        runs = [
+            run_algorithm(descriptor, params, registry, backend, shots, seed)
+            for backend in ("run-only", LOCAL_BACKEND_NAME)
+        ]
+        assert runs[0].text == runs[1].text and runs[0].counts == runs[1].counts

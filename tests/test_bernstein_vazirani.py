@@ -8,12 +8,14 @@ from qubitkit.algorithms.bernstein_vazirani import (
     bv_run,
     classical_oracle,
     classical_solve,
+    descriptor,
     input_register_state,
     recovered_key,
     state_after_oracle,
 )
-from qubitkit.backends import default_registry
+from qubitkit.backends import LOCAL_BACKEND_NAME, default_registry
 from qubitkit.errors import ValidationError
+from qubitkit.framework import run_algorithm
 
 
 def all_keys(n):
@@ -138,6 +140,22 @@ def test_recovery_of_random_keys_any_seed():
         n = int(rng.integers(1, 11))
         key = "".join(str(b) for b in rng.integers(0, 2, size=n))
         assert bv_run(key, backends, seed=trial) == key
+
+
+def test_run_is_the_descriptor_run_outcome():
+    backends = default_registry()
+    for seed in (0, 5, 2**64 - 1):
+        run = run_algorithm(
+            descriptor(), {"key": "1101"}, backends, LOCAL_BACKEND_NAME, seed=seed
+        )
+        (outcome,) = run.counts
+        assert bv_run("1101", backends, seed=seed) == recovered_key(outcome)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 2.5])
+def test_run_rejects_bad_seed(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        bv_run("101", default_registry(), seed=seed)
 
 
 def test_single_quantum_query_beats_n_classical_queries():

@@ -10,7 +10,8 @@ from scipy import stats
 from qubitkit.algorithms import qrand
 from qubitkit.algorithms.qrand import qrand_circuit, qrand_value
 from qubitkit.backends import LOCAL_BACKEND_NAME, default_registry
-from qubitkit.errors import ValidationError
+from qubitkit.errors import UnknownBackendError, ValidationError
+from qubitkit.framework import run_algorithm
 from qubitkit.sim import Counts, evolve, run
 
 
@@ -75,8 +76,24 @@ def test_fixed_seed_reproduces_value():
 
 
 def test_backend_errors_propagate():
-    with pytest.raises(Exception):
+    with pytest.raises(UnknownBackendError):
         qrand_value(3, default_registry(), backend_name="missing", seed=1)
+
+
+def test_value_is_the_descriptor_run_outcome():
+    backends = default_registry()
+    for seed in (0, 1, 77, 2**64 - 1):
+        run = run_algorithm(
+            qrand.descriptor(), {"n": 6}, backends, LOCAL_BACKEND_NAME, seed=seed
+        )
+        (outcome,) = run.counts
+        assert qrand_value(6, backends, seed=seed) == int(outcome, 2)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 2.5])
+def test_value_rejects_bad_seed(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        qrand_value(3, default_registry(), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -227,12 +227,15 @@ def test_apply_gate_writes_into_out():
     state = random_state(np.random.default_rng(5), 3, float)
     before, gate = state.amplitudes.copy(), Gate("H", (1,))
     expected = apply_gate(state, gate).amplitudes
-    out = np.empty(8)
-    assert apply_gate(state, gate, out=out).amplitudes is out
-    assert np.array_equal(out, expected) and np.array_equal(state.amplitudes, before)
-    for bad in (np.empty(4), np.empty(8, dtype=complex), np.empty(16)[::2], [0.0] * 8):
+    assert np.array_equal(state.amplitudes, before)
+    bad_outs = (np.empty(4), np.empty(8, dtype=complex), np.empty(16)[::2], [0.0] * 8)
+    # A distinct buffer, even of the right shape and dtype, is not accepted.
+    for bad in (*bad_outs, np.empty(8)):
         with pytest.raises(ValidationError, match="out"):
             apply_gate(state, gate, out=bad)
+    column_major = Statevector(3, np.asfortranarray(np.stack([before, before])))
+    with pytest.raises(ValidationError, match="out"):
+        apply_gate(column_major, gate, out=column_major.amplitudes)
     assert apply_gate(state, gate, out=state.amplitudes).amplitudes is state.amplitudes
     assert np.array_equal(state.amplitudes, expected)
 
@@ -721,8 +724,9 @@ def evolved_once(circuit):
 
 
 def reference_counts(circuit, shots, seed):
-    probabilities = sim.evolve(circuit).probabilities()
-    indices = sim._inverse_cdf(probabilities, make_rng(seed).random(shots))
+    cum = np.cumsum(sim.evolve(circuit).probabilities())
+    uniforms = make_rng(seed).random(shots)
+    indices = np.searchsorted(cum[:-1], uniforms * cum[-1], side="right")
     values, tallies = np.unique(indices, return_counts=True)
     n = circuit.num_qubits
     return {format(int(v), f"0{n}b"): int(c) for v, c in zip(values, tallies)}
