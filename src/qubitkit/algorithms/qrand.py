@@ -11,7 +11,7 @@ import numpy as np
 from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
 from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params, run_algorithm
-from ..sim import QUBIT_CAP, Circuit, Counts, check_count
+from ..sim import QUBIT_CAP, Circuit, Counts, check_count, outcome_bits
 
 
 def qrand_circuit(n: int) -> Circuit:
@@ -61,19 +61,8 @@ def _histogram(header: str, counts: Counts, n: int) -> np.ndarray:
 
     Every line is one row of a ``(outcomes, row)`` array after the header.
     """
-    k = len(counts)
-    tallies = np.fromiter(counts.values(), np.int64, k)
-    labels = np.frombuffer("".join(counts.keys()).encode("ascii"), np.uint8).reshape(k, n)
-    # One row of 32 bits per label (QUBIT_CAP < 32), its last n the label's:
-    # "0" and "1" differ in the low bit.
-    bits = np.zeros((k, 32), np.uint8)
-    np.bitwise_and(labels, 1, out=bits[:, 32 - n :])
-    index = np.packbits(bits).view(">u4")
-    del bits  # before the text-sized buffer
-    # Into outcome order; Counts from run are in it already, which the stable
-    # sort passes through in one sweep.
-    order = np.argsort(index, kind="stable")
-    index, tallies, labels = index[order], tallies[order], labels[order]
+    index, tallies = counts.arrays
+    k = len(index)
     fields = [3, len(str(2**n - 1)), 2, n, 3, len(str(tallies.max()))]
     buffer = np.empty(len(header) + k * sum(fields), np.uint8)
     buffer[: len(header)] = _ascii(header)
@@ -84,7 +73,7 @@ def _histogram(header: str, counts: Counts, n: int) -> np.ndarray:
     lead[:] = _ascii("\n  ")
     _decimal(number, index, ord(" "))
     opening[:] = _ascii(" (")
-    label[:] = labels
+    np.add(outcome_bits(index, n), ord("0"), out=label)
     closing[:] = _ascii("): ")
     _decimal(tally, tallies, _PAD[0])
     return buffer

@@ -33,19 +33,22 @@ and :func:`run` squares and sums that buffer in place, so a run holds one
 state-sized array.
 
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
-inverse-CDF over ``Generator.random()`` uniforms (a running sum, searched),
-so equal seeds give bit-identical counts on any platform. A batch draws
-one uniform per row, in row order. :func:`run` returns only a histogram,
-so it draws its uniforms in chunks of 2^18 and sorts each chunk: PCG64
-gives the same doubles in chunks as in one call, and the order of the
-shots does not reach the counts. It then searches from the cheaper side.
-When a chunk holds at least as many shots as the state has outcomes, the
-2^n − 1 edges of the running sum are searched into each sorted chunk, and
-the differences of their positions, summed over the chunks in one dense
-array of 2^n, are the counts. Otherwise each shot is searched among the
-edges, and each chunk's outcomes are tallied as runs of equal indices
-into a sparse histogram. Both give the same counts. Memory is O(chunk +
-distinct outcomes), not O(shots).
+inverse-CDF over ``Generator.random()`` uniforms (a running sum,
+searched), so equal seeds give bit-identical counts on any platform. A
+batch draws one uniform per row, in row order. :func:`run` returns only
+a histogram, so it draws its uniforms in chunks of 2^18, into one reused
+buffer, and sorts each chunk: PCG64 gives the same doubles in chunks as
+in one call, and the order of the shots does not reach the counts. It
+then searches from the cheaper side. When a chunk holds at least as many
+shots as the state has outcomes, the 2^n − 1 edges of the running sum
+are searched into each sorted chunk, and the differences of their
+positions, summed over the chunks in one dense array of 2^n, are the
+counts. Otherwise each shot is searched among the edges, and each
+chunk's outcomes are tallied as runs of equal indices into a sparse
+histogram. Both give the same counts. Memory is O(chunk + distinct
+outcomes), not O(shots). The :class:`Counts` it returns hold the
+distinct outcome indices and their tallies as arrays; the bitstring
+labels and their dict are built only when first read by label, and kept.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import os
 import secrets
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from numbers import Integral
 from typing import Iterator, Mapping, Sequence
@@ -128,12 +132,23 @@ def resolve_seed(seed) -> int:
     return secrets.randbits(63) if seed is None else check_seed(seed)
 
 
+def outcome_bits(indices: np.ndarray, width: int) -> np.ndarray:
+    """The low ``width`` bits (<= 32) of each index, most significant first.
+
+    A ``(k, width)`` uint8 array of 0 and 1: row i read left to right is
+    outcome ``indices[i]``'s label (bit order: module docstring), for
+    ``width`` its number of qubits.
+    """
+    # The indices' big-endian bytes, only those that hold the bits asked for.
+    octets = indices.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - (width + 7) // 8 :]
+    bits = np.unpackbits(octets, axis=1)
+    return bits[:, bits.shape[1] - width :]
+
+
 def _bitstrings(indices: np.ndarray, num_qubits: int) -> list[str]:
     """Outcome labels of the indices, in order (bit order: module docstring)."""
-    # One row of 32 bits per index (QUBIT_CAP < 32); its last n bits become
-    # the label's characters and the bit before them a separating space.
-    bits = np.unpackbits(indices.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
-    rows = bits[:, 31 - num_qubits :]
+    # One more bit than the label holds, always 0, becomes a separating space.
+    rows = outcome_bits(indices, num_qubits + 1)
     rows += ord("0")
     rows[:, 0] = ord(" ")
     return rows.tobytes().decode().split()
@@ -517,17 +532,97 @@ def sample_measurement(
     return int(indices[0]) if amps.ndim == 1 else indices
 
 
-@dataclass
 class Counts(Mapping):
-    """Outcome histogram: bitstring -> occurrences, summing to ``shots``."""
+    """Outcome histogram: bitstring -> occurrences, summing to ``shots``.
 
-    counts: dict[str, int]
-    shots: int
+    Built from a dict, as ``Counts(counts, shots)``, or from the outcome
+    indices in ascending order and their tallies, as :meth:`from_arrays`
+    (what :func:`run` returns). Either way the other form is built on first
+    use and kept: the ``counts`` dict, which every Mapping access reads,
+    from the indices (labels as in the module docstring), and ``arrays``
+    from the dict's keys. ``len()`` reads whichever is there, so a Counts
+    from :func:`run` that no one reads by label never builds its labels.
+    ``num_qubits`` is None for a Counts built from a dict. Two Counts are
+    equal when their shots and their items are.
+    """
 
-    def __post_init__(self):
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected shots={self.shots}")
+    def __init__(self, counts: dict[str, int], shots: int):
+        total = sum(counts.values())
+        if total != shots:
+            raise ValueError(f"counts sum to {total}, expected shots={shots}")
+        self.counts = counts
+        self.shots = shots
+        self.num_qubits = None
+
+    @classmethod
+    def from_arrays(
+        cls, indices: np.ndarray, tallies: np.ndarray, num_qubits: int, shots: int
+    ) -> "Counts":
+        """Counts of outcome ``indices[i]`` seen ``tallies[i]`` times.
+
+        ``indices`` must be strictly increasing integers in [0, 2^num_qubits),
+        ``tallies`` as many integers >= 1 summing to ``shots``, both 1-D and
+        not empty; anything else raises a ValueError.
+        """
+        if not 1 <= num_qubits <= QUBIT_CAP:
+            raise ValueError(f"num_qubits must be within 1..{QUBIT_CAP}, got {num_qubits}")
+        if not (
+            indices.ndim == tallies.ndim == 1
+            and 1 <= len(indices) == len(tallies)
+            and indices.dtype.kind in "iu"
+            and tallies.dtype.kind in "iu"
+        ):
+            raise ValueError(
+                f"indices and tallies must be 1-D integer arrays of one length >= 1, "
+                f"got shapes {indices.shape} and {tallies.shape}"
+            )
+        if not (
+            np.all(indices[1:] > indices[:-1])
+            and 0 <= indices[0]
+            and indices[-1] < 1 << num_qubits
+        ):
+            raise ValueError(
+                f"indices must be strictly increasing within [0, 2^{num_qubits})"
+            )
+        if tallies.min() < 1:
+            raise ValueError("tallies must be >= 1")
+        total = int(tallies.sum())
+        if total != shots:
+            raise ValueError(f"counts sum to {total}, expected shots={shots}")
+        self = cls.__new__(cls)
+        self.arrays = indices, tallies
+        self.shots = shots
+        self.num_qubits = num_qubits
+        return self
+
+    @cached_property
+    def counts(self) -> dict[str, int]:
+        """Outcome label -> tally, in outcome order for a Counts from arrays."""
+        indices, tallies = self.arrays
+        return dict(zip(_bitstrings(indices, self.num_qubits), tallies.tolist()))
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The outcome indices, ascending, and their tallies.
+
+        A Counts built from a dict parses its keys, which must be bitstrings
+        of one length (bit order: module docstring); else a ValueError.
+        """
+        k = len(self.counts)
+        n = len(next(iter(self.counts), ""))
+        labels = np.frombuffer("".join(self.counts).encode("ascii"), np.uint8)
+        if not (
+            1 <= n <= QUBIT_CAP
+            and all(len(label) == n for label in self.counts)
+            and np.all((labels | 1) == ord("1"))
+        ):
+            raise ValueError(f"outcomes must be bitstrings of one length within 1..{QUBIT_CAP}")
+        tallies = np.fromiter(self.counts.values(), np.int64, k)
+        # "0" and "1" differ in the low bit; the first character is the top one.
+        indices = (labels.reshape(k, n) & 1) @ (1 << np.arange(n - 1, -1, -1))
+        # Stable, so keys already in outcome order pass through in one sweep.
+        order = np.argsort(indices, kind="stable")
+        return indices[order], tallies[order]
 
     def __getitem__(self, outcome: str) -> int:
         return self.counts[outcome]
@@ -536,9 +631,9 @@ class Counts(Mapping):
         return iter(self.counts)
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return len(self.counts) if "counts" in vars(self) else len(self.arrays[0])
 
-    # The wrapped dict's own views: Mapping's would call __getitem__ per key.
+    # The dict's own views: Mapping's would call __getitem__ per key.
     def keys(self):
         return self.counts.keys()
 
@@ -548,11 +643,25 @@ class Counts(Mapping):
     def values(self):
         return self.counts.values()
 
+    def __eq__(self, other):
+        if not isinstance(other, Counts):
+            return NotImplemented
+        return self.shots == other.shots and self.counts == other.counts
+
+    def __repr__(self) -> str:
+        return f"Counts({self.counts!r}, shots={self.shots})"
+
 
 def _sorted_chunks(rng: np.random.Generator, shots: int) -> Iterator[np.ndarray]:
-    """The uniforms of ``rng.random(shots)``, ``_CHUNK`` at a time, each chunk sorted."""
+    """The uniforms of ``rng.random(shots)``, ``_CHUNK`` at a time, each chunk sorted.
+
+    Every chunk is drawn into one buffer, so each overwrites the one before
+    it and one chunk is alive at a time. PCG64 fills ``out`` with the same
+    doubles that it would return.
+    """
+    buffer = np.empty(min(_CHUNK, shots))
     for start in range(0, shots, _CHUNK):
-        uniforms = rng.random(min(_CHUNK, shots - start))
+        uniforms = rng.random(out=buffer[: min(_CHUNK, shots - start)])
         uniforms.sort()
         yield uniforms
 
@@ -575,15 +684,18 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
 
     The evolved amplitudes are squared, then summed, in place, so the state
     is the only array of its size. Equal (circuit, shots, seed) gives
-    bit-identical Counts. Keys are sorted by outcome. The uniforms of
-    ``make_rng(seed).random(shots)`` are drawn ``_CHUNK`` at a time and each
-    chunk is sorted. The search then runs from the cheaper side. When a chunk holds at least as many shots
-    as the state has outcomes, the 2^n − 1 edges of the running sum are
-    searched into each chunk (:func:`_search_edges`), and the positions add
-    into one dense running total whose differences are the counts.
-    Otherwise each shot is searched (:func:`_search`), and each chunk is
-    counted as runs of equal outcomes and merged into a sparse tally.
-    Memory is O(chunk + distinct outcomes) whatever the number of shots.
+    bit-identical Counts. They hold the outcome indices, ascending, and
+    their tallies (:meth:`Counts.from_arrays`); the bitstring labels, sorted
+    by outcome, are built on first Mapping access. The uniforms of
+    ``make_rng(seed).random(shots)`` are drawn ``_CHUNK`` at a time into one
+    buffer and each chunk is sorted. The search then runs from the cheaper
+    side. When a chunk holds at least as many shots as the state has
+    outcomes, the 2^n − 1 edges of the running sum are searched into each
+    chunk (:func:`_search_edges`), and the positions add into one dense
+    running total whose differences are the counts. Otherwise each shot is
+    searched (:func:`_search`), and each chunk is counted as runs of equal
+    outcomes and merged into a sparse tally. Memory is O(chunk + distinct
+    outcomes) whatever the number of shots.
     """
     check_count("shots", shots)
     check_seed(seed)
@@ -604,8 +716,7 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
         for uniforms in chunks:
             tally = _tally(_search(cum, uniforms))
             values, counts = tally if values is None else _merge(values, counts, *tally)
-    keys = _bitstrings(values, circuit.num_qubits)
-    return Counts(dict(zip(keys, counts.tolist())), shots)
+    return Counts.from_arrays(values, counts, circuit.num_qubits, shots)
 
 
 _CELL = {

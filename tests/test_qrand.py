@@ -132,6 +132,14 @@ def sparse_counts(draw):
 @example((1, Counts({"1": 1}, 1)))  # one shot
 @example((1, Counts({"1": 1, "0": 9}, 10)))
 @example((20, Counts({"1" * 20: 10**9, "0" * 20: 1}, 10**9 + 1)))
+# Counts as run returns them: outcome 1 has no mass, and a sparse 20-qubit one.
+@example((2, Counts.from_arrays(np.array([0, 2, 3]), np.array([5, 1, 4]), 2, 10)))
+@example(
+    (
+        20,
+        Counts.from_arrays(np.array([3, 2**19, 2**20 - 1]), np.array([7, 1, 10**9]), 20, 10**9 + 8),
+    )
+)
 def test_interpret_equals_the_line_by_line_text(case):
     n, counts = case
     assert qrand._interpret({"n": n}, counts) == reference_interpret({"n": n}, counts)

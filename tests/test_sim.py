@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qubitkit import sim
+from qubitkit.algorithms import qrand
 from qubitkit.algorithms.bernstein_vazirani import bv_circuit
 from qubitkit.algorithms.qrand import qrand_circuit
 from qubitkit.errors import CapacityError, ValidationError
@@ -708,6 +709,68 @@ def test_counts_views_are_the_dicts():
         assert type(mine) is type(theirs) and list(mine) == list(theirs)
 
 
+def from_arrays(indices, tallies, num_qubits, shots):
+    return Counts.from_arrays(np.array(indices), np.array(tallies), num_qubits, shots)
+
+
+@pytest.mark.parametrize(
+    "indices, tallies, num_qubits, shots",
+    [
+        pytest.param([[0], [1]], [[1], [1]], 2, 2, id="not-1-D"),
+        pytest.param([0, 1], [2], 2, 2, id="unequal-lengths"),
+        pytest.param([], [], 2, 0, id="empty"),
+        pytest.param([0.0, 1.0], [1, 1], 2, 2, id="float-indices"),
+        pytest.param([0, 1], [1.0, 1.0], 2, 2, id="float-tallies"),
+        pytest.param([1, 1], [1, 1], 2, 2, id="repeated-index"),
+        pytest.param([2, 1], [1, 1], 2, 2, id="decreasing-indices"),
+        pytest.param([-1, 1], [1, 1], 2, 2, id="index-below-0"),
+        pytest.param([1, 4], [1, 1], 2, 2, id="index-at-2^n"),
+        pytest.param([0, 1], [0, 2], 2, 2, id="tally-below-1"),
+        pytest.param([0, 1], [1, 1], 2, 3, id="sum-is-not-shots"),
+        pytest.param([0], [1], sim.QUBIT_CAP + 1, 1, id="num-qubits-above-cap"),
+    ],
+)
+def test_counts_from_bad_arrays_raise(indices, tallies, num_qubits, shots):
+    with pytest.raises(ValueError):
+        from_arrays(indices, tallies, num_qubits, shots)
+
+
+@pytest.mark.parametrize(
+    "counts", [{"01": 1, "1": 1}, {"00": 1, "0": 1, "000": 1}, {"02": 1}, {"ab": 1}, {"é": 1}]
+)
+def test_counts_arrays_of_a_dict_that_is_not_bitstrings_raise(counts):
+    with pytest.raises(ValueError):
+        Counts(counts, sum(counts.values())).arrays
+
+
+def test_counts_from_arrays_and_from_a_dict_are_equal():
+    arrays = from_arrays([0, 2, 7], [4, 1, 2], 3, 7)
+    labels = Counts({"111": 2, "000": 4, "010": 1}, 7)
+    assert arrays == labels and labels == arrays
+    assert [a.tolist() for a in labels.arrays] == [[0, 2, 7], [4, 1, 2]]
+    assert arrays != Counts({"111": 2, "000": 4, "011": 1}, 7)
+    assert arrays != from_arrays([0, 2, 7], [4, 1, 3], 3, 8)
+    assert arrays != dict(arrays)
+
+
+def test_run_counts_build_no_labels_for_len_or_a_histogram(monkeypatch):
+    def spy(*args):
+        raise AssertionError("labels were built")
+
+    counts = run(qrand_circuit(10), shots=20_000, seed=8)
+    monkeypatch.setattr(sim, "_bitstrings", spy)
+    assert len(counts) == len(counts.arrays[0]) == 2**10
+    assert qrand._interpret({"n": 10}, counts).count("\n") == 2**10
+    assert "counts" not in vars(counts)
+
+
+def test_assigned_counts_are_what_mapping_access_reads():
+    counts = run(qrand_circuit(4), shots=100, seed=2)
+    counts.counts = {"0000": 100}
+    assert dict(counts) == {"0000": 100} and list(counts.items()) == [("0000", 100)]
+    assert (len(counts), counts["0000"], "0001" in counts) == (1, 100, False)
+
+
 # ---------------------------------------------------------------------------
 # The histogram sampler: run draws, sorts and tallies _CHUNK uniforms at a
 # time. The reference searches every uniform of one unsorted draw and counts
@@ -792,6 +855,7 @@ def test_run_across_a_real_chunk_edge_equals_one_unsorted_draw(monkeypatch):
 @pytest.mark.parametrize("n", [1, 16, 20])
 def test_counts_keys_are_ascending_n_bit_strings(n):
     counts = run(qrand_circuit(n), shots=20_000, seed=n)
+    assert "counts" not in vars(counts)  # the labels are built below, on first read
     keys = list(counts)
     assert keys == sorted(keys)
     assert all(type(key) is str and len(key) == n and not set(key) - {"0", "1"} for key in keys)
@@ -815,6 +879,15 @@ def test_run_memory_does_not_grow_with_shots(monkeypatch):
     one = peak_bytes(lambda: run(circuit, 1 << 16, 3))
     sixteen = peak_bytes(lambda: run(circuit, 16 << 16, 3))
     assert sixteen <= 1.1 * one
+
+
+def test_qrand_hist_run_memory():
+    # 10^6 shots of 2^16 outcomes: one chunk of uniforms (2 MB), the running
+    # sum and its edge positions (0.5 MB each) and the tally arrays; no
+    # labels, which are built on first read.
+    circuit = qrand_circuit(16)
+    run(circuit, 1, 3)  # the first run pays numpy's lazy allocations
+    assert peak_bytes(lambda: run(circuit, 10**6, 3)) < 6e6
 
 
 def test_run_memory_has_no_tally_the_size_of_the_state():
