@@ -11,7 +11,7 @@ from qubitkit.framework import (
     parse_params,
     run_algorithm,
 )
-from qubitkit.sim import Circuit
+from qubitkit.sim import QUBIT_CAP, Circuit
 
 
 DEFAULT_RAW = {"qrand": ["3"], "bernstein-vazirani": ["101"], "bb84": ["hi", "0.5"]}
@@ -78,6 +78,23 @@ def test_parse_rejects_out_of_range_density():
     descriptor = default_algorithms().get("bb84")
     with pytest.raises(ValidationError, match=r"\[0, 1\]"):
         parse_params(descriptor, ["hello", "1.5"])
+
+
+@pytest.mark.parametrize(
+    "name, raw, param",
+    [
+        ("qrand", ["0"], "n"),
+        ("qrand", [str(QUBIT_CAP + 1)], "n"),
+        ("bernstein-vazirani", [""], "key"),
+        ("bernstein-vazirani", ["1" * QUBIT_CAP], "key"),
+        ("bb84", ["", "0.5"], "message"),
+        ("bb84", ["hi", "1.5"], "density"),
+    ],
+)
+def test_every_shipped_parameter_rejects_its_bounds(name, raw, param):
+    with pytest.raises(ValidationError) as excinfo:
+        parse_params(default_algorithms().get(name), raw)
+    assert excinfo.value.param == param
 
 
 def test_parse_rejects_wrong_arity():
