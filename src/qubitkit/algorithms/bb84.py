@@ -451,7 +451,6 @@ def descriptor() -> AlgorithmDescriptor:
                 "message",
                 "text",
                 description="message to transport one-time-padded (UTF-8)",
-                min_len=1,
             ),
             ParamSpec(
                 "density",

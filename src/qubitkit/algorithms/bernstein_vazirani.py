@@ -143,7 +143,6 @@ def descriptor() -> AlgorithmDescriptor:
                 "key",
                 "bitstring",
                 description="hidden key the oracle encodes",
-                min_len=1,
                 max_len=QUBIT_CAP - 1,  # circuit needs len+1 qubits
             )
         ],

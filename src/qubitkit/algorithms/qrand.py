@@ -102,7 +102,6 @@ def descriptor() -> AlgorithmDescriptor:
                 "n",
                 "natural_number",
                 description="number of qubits; the result lies in [0, 2^n - 1]",
-                min_value=1,
                 max_value=QUBIT_CAP,
             )
         ],

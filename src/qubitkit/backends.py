@@ -5,7 +5,8 @@ surface is the seam where remote backends would plug in. A backend object
 provides:
 
 * ``info`` — a :class:`BackendInfo`
-* ``run(circuit, shots, seed)`` — sample counts
+* ``run(circuit, shots, seed)`` — the ``sim.Counts`` that ``sim.run``
+  builds, with its ``arrays`` (qrand's histogram reads them)
 
 :meth:`BackendRegistry.execute` runs a circuit on the caller's seed and
 returns its ``sim.Counts``; ``framework.run_algorithm`` resolves that seed.

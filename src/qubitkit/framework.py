@@ -24,31 +24,21 @@ Params = Mapping[str, object]
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One user-entered parameter: how to parse and validate it."""
+    """One user-entered parameter: how to parse and validate it.
+
+    A natural number is >= 1 and at most ``max_value``; a bitstring or a
+    text is not empty and at most ``max_len`` long.
+    """
 
     name: str
     kind: str
     description: str = ""
-    min_value: int | None = None
     max_value: int | None = None
-    min_len: int | None = None
     max_len: int | None = None
 
     def __post_init__(self):
         if self.kind not in PARAM_KINDS:
             raise ValueError(f"unknown parameter kind {self.kind!r}")
-        if (
-            self.min_value is not None
-            and self.max_value is not None
-            and self.min_value > self.max_value
-        ):
-            raise ValueError(f"{self.name}: min_value > max_value")
-        if (
-            self.min_len is not None
-            and self.max_len is not None
-            and self.min_len > self.max_len
-        ):
-            raise ValueError(f"{self.name}: min_len > max_len")
 
     def parse(self, raw: str):
         if self.kind == "natural_number":
@@ -69,9 +59,8 @@ class ParamSpec:
         if not (text.isascii() and text.isdigit()):
             raise ValidationError(self.name, f"expected a natural number, got {raw!r}")
         value = int(text)
-        low = 1 if self.min_value is None else self.min_value
-        if value < low:
-            raise ValidationError(self.name, f"must be >= {low}, got {value}")
+        if value < 1:
+            raise ValidationError(self.name, f"must be >= 1, got {value}")
         if self.max_value is not None and value > self.max_value:
             raise ValidationError(
                 self.name, f"must be <= {self.max_value}, got {value}"
@@ -80,39 +69,36 @@ class ParamSpec:
 
     def _parse_bitstring(self, raw: str) -> str:
         text = raw.strip()
-        if not text or set(text) - {"0", "1"}:
+        if set(text) - {"0", "1"}:
             raise ValidationError(
                 self.name, f"expected a bitstring over {{0,1}}, got {raw!r}"
             )
-        self._check_length(len(text))
-        return text
+        return self._parse_text(text)
 
     def _parse_probability(self, raw: str) -> float:
+        text = raw.strip()
         try:
-            value = float(raw.strip())
+            if not text.isascii() or "_" in text:  # float() would accept both
+                raise ValueError
+            value = float(text)
         except ValueError:
             raise ValidationError(
                 self.name, f"expected a probability, got {raw!r}"
             ) from None
         if not math.isfinite(value) or not 0.0 <= value <= 1.0:
             raise ValidationError(
-                self.name, f"probability must be within [0, 1], got {raw.strip()}"
+                self.name, f"probability must be within [0, 1], got {text}"
             )
         return value
 
-    def _parse_text(self, raw: str) -> str:
-        self._check_length(len(raw))
-        return raw
-
-    def _check_length(self, length: int) -> None:
-        if self.min_len is not None and length < self.min_len:
+    def _parse_text(self, text: str) -> str:
+        if not text:
+            raise ValidationError(self.name, "must not be empty")
+        if self.max_len is not None and len(text) > self.max_len:
             raise ValidationError(
-                self.name, f"length must be >= {self.min_len}, got {length}"
+                self.name, f"length must be <= {self.max_len}, got {len(text)}"
             )
-        if self.max_len is not None and length > self.max_len:
-            raise ValidationError(
-                self.name, f"length must be <= {self.max_len}, got {length}"
-            )
+        return text
 
 
 @dataclass

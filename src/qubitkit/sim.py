@@ -48,7 +48,8 @@ chunk's outcomes are tallied as runs of equal indices into a sparse
 histogram. Both give the same counts. Memory is O(chunk + distinct
 outcomes), not O(shots). The :class:`Counts` it returns hold the
 distinct outcome indices and their tallies as arrays; the bitstring
-labels and their dict are built only when first read by label, and kept.
+labels and their dict are built from them only when first read by
+label, and kept. A Counts built from a dict has no arrays.
 """
 
 from __future__ import annotations
@@ -533,17 +534,17 @@ def sample_measurement(
 
 
 class Counts(Mapping):
-    """Outcome histogram: bitstring -> occurrences, summing to ``shots``.
+    """Outcome histogram: label -> occurrences, summing to ``shots``.
 
     Built from a dict, as ``Counts(counts, shots)``, or from the outcome
     indices in ascending order and their tallies, as :meth:`from_arrays`
-    (what :func:`run` returns). Either way the other form is built on first
-    use and kept: the ``counts`` dict, which every Mapping access reads,
-    from the indices (labels as in the module docstring), and ``arrays``
-    from the dict's keys. ``len()`` reads whichever is there, so a Counts
-    from :func:`run` that no one reads by label never builds its labels.
-    ``num_qubits`` is None for a Counts built from a dict. Two Counts are
-    equal when their shots and their items are.
+    (what :func:`run` returns). A Counts from arrays keeps them as
+    ``arrays`` and builds the ``counts`` dict, which every Mapping access
+    reads, from the indices on first use (labels as in the module
+    docstring). ``len()`` reads whichever is there, so a Counts from
+    :func:`run` that no one reads by label never builds its labels.
+    ``arrays`` and ``num_qubits`` are None for a Counts built from a dict.
+    Two Counts are equal when their shots and their items are.
     """
 
     def __init__(self, counts: dict[str, int], shots: int):
@@ -552,6 +553,7 @@ class Counts(Mapping):
             raise ValueError(f"counts sum to {total}, expected shots={shots}")
         self.counts = counts
         self.shots = shots
+        self.arrays = None
         self.num_qubits = None
 
     @classmethod
@@ -600,29 +602,6 @@ class Counts(Mapping):
         """Outcome label -> tally, in outcome order for a Counts from arrays."""
         indices, tallies = self.arrays
         return dict(zip(_bitstrings(indices, self.num_qubits), tallies.tolist()))
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The outcome indices, ascending, and their tallies.
-
-        A Counts built from a dict parses its keys, which must be bitstrings
-        of one length (bit order: module docstring); else a ValueError.
-        """
-        k = len(self.counts)
-        n = len(next(iter(self.counts), ""))
-        labels = np.frombuffer("".join(self.counts).encode("ascii"), np.uint8)
-        if not (
-            1 <= n <= QUBIT_CAP
-            and all(len(label) == n for label in self.counts)
-            and np.all((labels | 1) == ord("1"))
-        ):
-            raise ValueError(f"outcomes must be bitstrings of one length within 1..{QUBIT_CAP}")
-        tallies = np.fromiter(self.counts.values(), np.int64, k)
-        # "0" and "1" differ in the low bit; the first character is the top one.
-        indices = (labels.reshape(k, n) & 1) @ (1 << np.arange(n - 1, -1, -1))
-        # Stable, so keys already in outcome order pass through in one sweep.
-        order = np.argsort(indices, kind="stable")
-        return indices[order], tallies[order]
 
     def __getitem__(self, outcome: str) -> int:
         return self.counts[outcome]

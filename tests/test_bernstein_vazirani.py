@@ -45,12 +45,20 @@ def test_classical_oracle_rejects_a_bad_candidate(key, x):
 
 
 def test_classical_solve_uses_n_queries():
-    result = classical_solve(lambda x: classical_oracle("110", x), 3)
-    assert result.key == "110"
-    assert result.queries == 3
-    result = classical_solve(lambda x: classical_oracle("0", x), 1)
-    assert result.key == "0"
-    assert result.queries == 1
+    # queries is what classical_solve reports; calls is what the oracle saw.
+    for key in ("110", "0", "1011001"):
+        calls = []
+
+        def oracle(x):
+            calls.append(x)
+            return classical_oracle(key, x)
+
+        n = len(key)
+        result = classical_solve(oracle, n)
+        assert result.key == key
+        assert len(calls) == n
+        assert sorted(calls) == sorted(format(1 << i, f"0{n}b") for i in range(n))
+        assert result.queries == len(calls)
 
 
 def test_classical_solve_recovers_random_length_10_keys():

@@ -21,7 +21,7 @@ def dummy_descriptor():
     return AlgorithmDescriptor(
         name="coin",
         description="single Hadamard coin flip",
-        param_specs=[ParamSpec("flips", "natural_number", min_value=1, max_value=8)],
+        param_specs=[ParamSpec("flips", "natural_number", max_value=8)],
         build=lambda params: Circuit(params["flips"]).h(0).measure_all(),
         interpret=lambda params, counts: f"coin says {max(counts, key=counts.get)}",
         explain="heads or tails",
@@ -97,15 +97,24 @@ def test_every_shipped_parameter_rejects_its_bounds(name, raw, param):
     assert excinfo.value.param == param
 
 
+@pytest.mark.parametrize("raw", ["٠.٥", "１", "0.2_5", "1_0e-1", " ½ "])
+def test_parse_probability_rejects_non_ascii_digits_and_underscores(raw):
+    # float() reads the first four as 0.5, 1.0, 0.25 and 1.0.
+    spec = default_algorithms().get("bb84").param_specs[1]
+    with pytest.raises(ValidationError, match="expected a probability") as excinfo:
+        spec.parse(raw)
+    assert excinfo.value.param == "density"
+
+
+@pytest.mark.parametrize("raw, value", [(" 0.5 ", 0.5), ("1e-1", 0.1), ("1", 1.0), ("0", 0.0)])
+def test_parse_probability_reads_ascii_decimals(raw, value):
+    assert default_algorithms().get("bb84").param_specs[1].parse(raw) == value
+
+
 def test_parse_rejects_wrong_arity():
     descriptor = default_algorithms().get("qrand")
     with pytest.raises(ValidationError):
         parse_params(descriptor, [])
-
-
-def test_param_spec_rejects_inconsistent_bounds():
-    with pytest.raises(ValueError):
-        ParamSpec("n", "natural_number", min_value=5, max_value=2)
 
 
 def test_parse_format_round_trip():
