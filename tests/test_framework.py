@@ -97,9 +97,9 @@ def test_every_shipped_parameter_rejects_its_bounds(name, raw, param):
     assert excinfo.value.param == param
 
 
-@pytest.mark.parametrize("raw", ["٠.٥", "１", "0.2_5", "1_0e-1", " ½ "])
+@pytest.mark.parametrize("raw", ["٠.٥", "１", "0.2_5", "1_0e-1"])
 def test_parse_probability_rejects_non_ascii_digits_and_underscores(raw):
-    # float() reads the first four as 0.5, 1.0, 0.25 and 1.0.
+    # float() reads these as 0.5, 1.0, 0.25 and 1.0.
     spec = default_algorithms().get("bb84").param_specs[1]
     with pytest.raises(ValidationError, match="expected a probability") as excinfo:
         spec.parse(raw)
