@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,23 +72,23 @@ class Axis(Enum):
     X = "X"
 
 
+MESSAGE = ParamSpec(
+    "message", "text", description="message to transport one-time-padded (UTF-8)"
+)
+DENSITY = ParamSpec(
+    "density", "probability", description="per-qubit interception probability, 0 to 1"
+)
+
+
 @dataclass(frozen=True)
 class ChannelPolicy:
-    """Per-qubit probability that the eavesdropper measures it."""
+    """Per-qubit probability that the eavesdropper measures it, checked by
+    :data:`DENSITY`, the descriptor's spec."""
 
     interception_density: float
 
     def __post_init__(self):
-        density = self.interception_density
-        if (
-            not isinstance(density, Real)
-            or isinstance(density, bool)
-            or not 0.0 <= density <= 1.0
-        ):
-            raise ValidationError(
-                "density",
-                f"probability must be a number within [0, 1], got {density!r}",
-            )
+        DENSITY.check(self.interception_density)
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,10 @@ def run_protocol(
     for the message runs another round, with fresh randomness, up to 10
     rounds before giving up with verdict key_too_short.
     """
-    message = tuple(message_bits)
+    try:
+        message = tuple(message_bits)
+    except TypeError:  # not iterable
+        message = ()
     if not message or not all(
         isinstance(b, Integral) and not isinstance(b, bool) and b in (0, 1)
         for b in message
@@ -446,18 +449,7 @@ def descriptor() -> AlgorithmDescriptor:
     return AlgorithmDescriptor(
         name="bb84",
         description="quantum key distribution with a tunable intercept-resend attacker",
-        param_specs=[
-            ParamSpec(
-                "message",
-                "text",
-                description="message to transport one-time-padded (UTF-8)",
-            ),
-            ParamSpec(
-                "density",
-                "probability",
-                description="per-qubit interception probability, 0 to 1",
-            ),
-        ],
+        param_specs=[MESSAGE, DENSITY],
         # The protocol drives its 1-qubit states itself; the build hook
         # degenerates to a null circuit and the runner takes over.
         build=lambda params: Circuit(1),

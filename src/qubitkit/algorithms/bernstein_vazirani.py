@@ -10,6 +10,10 @@ Qubit layout: key character i (leftmost is position 0) rides on input qubit
 n-1-i, the phase ancilla is qubit n. Under the package bit-ordering this
 makes the measured input register print byte-identical to the key as typed;
 the ancilla is the first printed character and is never part of the result.
+
+Every entry point that builds a circuit checks its key with :data:`KEY`,
+the descriptor's spec, which caps it at ``QUBIT_CAP - 1`` bits for the
+ancilla. The classical oracle builds no circuit and has no cap.
 """
 
 from __future__ import annotations
@@ -26,17 +30,17 @@ from ..sim import QUBIT_CAP, Circuit, Counts, check_count, evolve
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
-
-def _check_key(key: str, param: str = "key") -> str:
-    if not isinstance(key, str) or not key or set(key) - {"0", "1"}:
-        raise ValidationError(param, f"expected a bitstring over {{0,1}}, got {key!r}")
-    return key
+KEY = ParamSpec(
+    "key", "bitstring", description="hidden key the oracle encodes", max_len=QUBIT_CAP - 1
+)
+_ORACLE_KEY = ParamSpec("key", "bitstring")
+_CANDIDATE = ParamSpec("x", "bitstring")
 
 
 def classical_oracle(key: str, x: str) -> int:
     """f(x) = sum_i key_i * x_i mod 2."""
-    _check_key(key)
-    _check_key(x, "x")
+    _ORACLE_KEY.check(key)
+    _CANDIDATE.check(x)
     if len(x) != len(key):
         raise ValidationError("x", f"candidate length {len(x)} != key length {len(key)}")
     return sum(int(k) & int(c) for k, c in zip(key, x)) % 2
@@ -77,7 +81,7 @@ def bv_circuit(key: str) -> Circuit:
     Contains exactly popcount(key) CNOTs. The ancilla gets no trailing H;
     its measured bit is noise and interpretation drops it.
     """
-    _check_key(key)
+    KEY.check(key)
     circuit = _oracle_prefix(key)
     for q in range(len(key)):
         circuit.h(q)
@@ -98,7 +102,7 @@ def state_after_oracle(key: str) -> np.ndarray:
     Index x (with key character i at bit n-1-i, i.e. index int(x_string, 2))
     should carry (-1)^(key.x) / sqrt(2^n).
     """
-    _check_key(key)
+    KEY.check(key)
     return _project_out_ancilla(evolve(_oracle_prefix(key)).amplitudes, len(key))
 
 
@@ -138,14 +142,7 @@ def descriptor() -> AlgorithmDescriptor:
     return AlgorithmDescriptor(
         name="bernstein-vazirani",
         description="recover a hidden bitstring with a single oracle query",
-        param_specs=[
-            ParamSpec(
-                "key",
-                "bitstring",
-                description="hidden key the oracle encodes",
-                max_len=QUBIT_CAP - 1,  # circuit needs len+1 qubits
-            )
-        ],
+        param_specs=[KEY],
         build=lambda params: bv_circuit(params["key"]),
         interpret=_interpret,
         explain=(

@@ -9,16 +9,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
-from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params, run_algorithm
-from ..sim import QUBIT_CAP, Circuit, Counts, check_count, outcome_bits
+from ..sim import QUBIT_CAP, Circuit, Counts, outcome_bits
+
+N = ParamSpec(
+    "n",
+    "natural_number",
+    description="number of qubits; the result lies in [0, 2^n - 1]",
+    max_value=QUBIT_CAP,
+)
 
 
 def qrand_circuit(n: int) -> Circuit:
     """H on each of n qubits, then measure all."""
-    check_count("n", n)
-    if not 1 <= n <= QUBIT_CAP:
-        raise ValidationError("n", f"must be within 1..{QUBIT_CAP}, got {n}")
+    N.check(n)
     circuit = Circuit(n)
     for q in range(n):
         circuit.h(q)
@@ -97,14 +101,7 @@ def descriptor() -> AlgorithmDescriptor:
     return AlgorithmDescriptor(
         name="qrand",
         description="uniform random integer from measuring n qubits in superposition",
-        param_specs=[
-            ParamSpec(
-                "n",
-                "natural_number",
-                description="number of qubits; the result lies in [0, 2^n - 1]",
-                max_value=QUBIT_CAP,
-            )
-        ],
+        param_specs=[N],
         build=lambda params: qrand_circuit(params["n"]),
         interpret=_interpret,
         explain=(

@@ -67,7 +67,7 @@ class BackendRegistry:
     def get(self, name: str):
         try:
             return self._backends[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             known = ", ".join(self._backends) or "none"
             raise UnknownBackendError(
                 f"no backend named {name!r} (available: {known})"

@@ -1,17 +1,19 @@
-"""Algorithm registry: string-parameter validation, circuit construction,
+"""Algorithm registry: parameter validation, circuit construction,
 result interpretation.
 
-Every algorithm is described by an :class:`AlgorithmDescriptor`. Parameters
-arrive as one raw string per :class:`ParamSpec`, in declaration order, and
-are validated in that order. Registering a new algorithm never requires
-touching this module or the backends.
+Every algorithm is described by an :class:`AlgorithmDescriptor`. Each of
+its parameters is a :class:`ParamSpec`, whose ``check`` is the one rule a
+value obeys: ``parse`` reads a raw string's syntax, then checks, and
+:func:`run_algorithm` and the algorithm's entry points check typed values
+with the same spec. Registering a new algorithm never requires touching
+this module or the backends.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from numbers import Real
 
 from .backends import BackendRegistry
 from .errors import ValidationError
@@ -24,10 +26,12 @@ Params = Mapping[str, object]
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One user-entered parameter: how to parse and validate it.
+    """One user-entered parameter: the rule it obeys and how to parse it.
 
-    A natural number is >= 1 and at most ``max_value``; a bitstring or a
-    text is not empty and at most ``max_len`` long.
+    :meth:`check` is the rule: a natural number is an integer >= 1 and at
+    most ``max_value``; a bitstring (of 0s and 1s) or a text is a non-empty
+    string at most ``max_len`` long; a probability is a real number within
+    [0, 1]. :meth:`parse` reads one raw string's syntax, then checks.
     """
 
     name: str
@@ -40,65 +44,53 @@ class ParamSpec:
         if self.kind not in PARAM_KINDS:
             raise ValueError(f"unknown parameter kind {self.kind!r}")
 
-    def parse(self, raw: str):
+    def check(self, value):
+        """Return ``value`` if it obeys the rule, else raise a ValidationError
+        naming the parameter."""
+        name = self.name
         if self.kind == "natural_number":
-            return self._parse_natural(raw)
+            check_count(name, value)
+            if self.max_value is not None and value > self.max_value:
+                raise ValidationError(name, f"must be <= {self.max_value}, got {value}")
+        elif self.kind == "probability":
+            if not isinstance(value, Real) or isinstance(value, bool) or not 0 <= value <= 1:
+                raise ValidationError(name, f"must be a number within [0, 1], got {value!r}")
+        else:
+            if not isinstance(value, str) or not value:
+                raise ValidationError(name, f"must be a non-empty string, got {value!r}")
+            if self.kind == "bitstring" and set(value) - {"0", "1"}:
+                raise ValidationError(name, f"expected a bitstring over {{0,1}}, got {value!r}")
+            if self.max_len is not None and len(value) > self.max_len:
+                raise ValidationError(name, f"length must be <= {self.max_len}, got {len(value)}")
+        return value
+
+    def parse(self, raw: str):
+        """The checked value of one raw string: a text verbatim; any other
+        kind stripped, a natural number as ASCII digits and a probability as
+        ``float`` reads ASCII text without underscores."""
+        if not isinstance(raw, str):
+            raise ValidationError(self.name, f"expected a string, got {raw!r}")
+        if self.kind == "text":
+            return self.check(raw)
+        text = raw.strip()
         if self.kind == "bitstring":
-            return self._parse_bitstring(raw)
-        if self.kind == "probability":
-            return self._parse_probability(raw)
-        return self._parse_text(raw)
+            return self.check(text)
+        read = int if self.kind == "natural_number" else float
+        try:
+            # int() and float() would also read non-ASCII digits and
+            # underscores, and int() a sign.
+            if not text.isascii() or "_" in text or (read is int and not text.isdigit()):
+                raise ValueError
+            value = read(text)
+        except ValueError:
+            kind = self.kind.replace("_", " ")
+            raise ValidationError(self.name, f"expected a {kind}, got {raw!r}") from None
+        return self.check(value)
 
     def format(self, value) -> str:
         if self.kind == "probability":
             return repr(float(value))
         return str(value)
-
-    def _parse_natural(self, raw: str) -> int:
-        text = raw.strip()
-        if not (text.isascii() and text.isdigit()):
-            raise ValidationError(self.name, f"expected a natural number, got {raw!r}")
-        value = int(text)
-        if value < 1:
-            raise ValidationError(self.name, f"must be >= 1, got {value}")
-        if self.max_value is not None and value > self.max_value:
-            raise ValidationError(
-                self.name, f"must be <= {self.max_value}, got {value}"
-            )
-        return value
-
-    def _parse_bitstring(self, raw: str) -> str:
-        text = raw.strip()
-        if set(text) - {"0", "1"}:
-            raise ValidationError(
-                self.name, f"expected a bitstring over {{0,1}}, got {raw!r}"
-            )
-        return self._parse_text(text)
-
-    def _parse_probability(self, raw: str) -> float:
-        text = raw.strip()
-        try:
-            if not text.isascii() or "_" in text:  # float() would accept both
-                raise ValueError
-            value = float(text)
-        except ValueError:
-            raise ValidationError(
-                self.name, f"expected a probability, got {raw!r}"
-            ) from None
-        if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-            raise ValidationError(
-                self.name, f"probability must be within [0, 1], got {text}"
-            )
-        return value
-
-    def _parse_text(self, text: str) -> str:
-        if not text:
-            raise ValidationError(self.name, "must not be empty")
-        if self.max_len is not None and len(text) > self.max_len:
-            raise ValidationError(
-                self.name, f"length must be <= {self.max_len}, got {len(text)}"
-            )
-        return text
 
 
 @dataclass
@@ -138,18 +130,18 @@ class AlgorithmRun:
 
 
 def parse_params(descriptor: AlgorithmDescriptor, raw: Sequence[str]) -> dict:
-    """Validate one raw string per ParamSpec, in order."""
-    if len(raw) != len(descriptor.param_specs):
-        expected = ", ".join(s.name for s in descriptor.param_specs) or "none"
-        raise ValidationError(
-            descriptor.name,
-            f"takes {len(descriptor.param_specs)} parameter(s) ({expected}), "
-            f"got {len(raw)}",
-        )
+    """Parse one raw string per ParamSpec, in order."""
+    if not isinstance(raw, Sequence) or len(raw) != len(descriptor.param_specs):
+        raise _params_error(descriptor, raw)
     return {
         spec.name: spec.parse(value)
         for spec, value in zip(descriptor.param_specs, raw)
     }
+
+
+def _params_error(descriptor: AlgorithmDescriptor, got) -> ValidationError:
+    expected = ", ".join(s.name for s in descriptor.param_specs) or "none"
+    return ValidationError(descriptor.name, f"takes the parameters ({expected}), got {got!r}")
 
 
 def format_params(descriptor: AlgorithmDescriptor, params: Params) -> list[str]:
@@ -191,10 +183,18 @@ def run_algorithm(
 ) -> AlgorithmRun:
     """Build, execute and interpret; shots=1 is the run-once mode.
 
-    This is where a circuit run's seed is resolved: shots and the seed are
-    validated, and a missing seed is drawn, before any descriptor's
-    ``build`` or ``runner`` sees them. The returned seed replays the run.
+    This is where a circuit run's seed is resolved: params (one value per
+    spec, each passing its ``check``), shots and the seed are validated, and
+    a missing seed is drawn, before any descriptor's ``build`` or ``runner``
+    sees them. The returned seed replays the run.
     """
+    names = {spec.name for spec in descriptor.param_specs}
+    if not isinstance(params, Mapping) or set(params) - names:
+        raise _params_error(descriptor, params)
+    for spec in descriptor.param_specs:
+        if spec.name not in params:
+            raise ValidationError(spec.name, "missing")
+        spec.check(params[spec.name])
     check_count("shots", shots)
     effective_seed = resolve_seed(seed)
     if descriptor.runner is not None:

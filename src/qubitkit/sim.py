@@ -157,22 +157,23 @@ def _bitstrings(indices: np.ndarray, num_qubits: int) -> list[str]:
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate application; ``targets`` is (qubit,) or (control, target)."""
+    """One gate application; ``targets`` is the tuple (qubit,) or (control, target)."""
 
     kind: str
     targets: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in GATE_KINDS:
             raise ValidationError("kind", f"unknown gate kind {self.kind!r}")
+        targets = self.targets
+        if not (isinstance(targets, tuple) and all(_is_int(t) for t in targets)):
+            raise ValidationError(
+                "targets", f"must be a tuple of integer qubit indices, got {targets!r}"
+            )
         arity = 2 if self.kind == "CNOT" else 1
         if len(self.targets) != arity:
             raise ValidationError(
                 "targets", f"{self.kind} takes {arity} target(s), got {self.targets}"
-            )
-        if not all(_is_int(t) for t in self.targets):
-            raise ValidationError(
-                "targets", f"qubit indices must be integers, got {self.targets}"
             )
         if len(set(self.targets)) != len(self.targets):
             raise ValidationError(
@@ -186,9 +187,11 @@ class Gate:
 class Circuit:
     """Ordered gate list over ``num_qubits`` qubits.
 
-    ``measured`` records a terminal measure-all directive; it controls the
-    [M] column in :func:`draw`. ``run`` always samples all qubits at the
-    end regardless (measurement here is terminal and total by design).
+    ``gates`` is a list of :class:`Gate`; anything else raises a
+    ValidationError naming ``gates``. ``measured`` records a terminal
+    measure-all directive; it controls the [M] column in :func:`draw`.
+    ``run`` always samples all qubits at the end regardless (measurement
+    here is terminal and total by design).
     """
 
     num_qubits: int
@@ -197,10 +200,14 @@ class Circuit:
 
     def __post_init__(self):
         check_count("num_qubits", self.num_qubits)
+        if not isinstance(self.gates, list):
+            raise ValidationError("gates", f"must be a list of Gate, got {self.gates!r}")
         for gate in self.gates:
             self._check(gate)
 
     def _check(self, gate: Gate) -> None:
+        if not isinstance(gate, Gate):
+            raise ValidationError("gates", f"expected a Gate, got {gate!r}")
         for t in gate.targets:
             if not 0 <= t < self.num_qubits:
                 raise IndexError(
@@ -461,6 +468,8 @@ def evolve(circuit: Circuit) -> Statevector:
     so the result does not depend on the block size or the number of
     workers.
     """
+    if not isinstance(circuit, Circuit):
+        raise ValidationError("circuit", f"expected a Circuit, got {circuit!r}")
     n = circuit.num_qubits
     state = new_zero_state(n)
     blocked = n > _BLOCK_QUBITS
@@ -533,8 +542,21 @@ def sample_measurement(
     return int(indices[0]) if amps.ndim == 1 else indices
 
 
+def _check_tallies(tallies: np.ndarray, shots: int) -> None:
+    """Raise a ValueError unless ``tallies`` is a 1-D array, not empty, of
+    integers >= 1 that sum to ``shots``."""
+    if not (
+        tallies.ndim == 1 and len(tallies) and tallies.dtype.kind in "iu" and tallies.min() >= 1
+    ):
+        raise ValueError(f"tallies must be a 1-D array of integers >= 1, got {tallies!r}")
+    total = int(tallies.sum())
+    if total != shots:
+        raise ValueError(f"counts sum to {total}, expected shots={shots}")
+
+
 class Counts(Mapping):
-    """Outcome histogram: label -> occurrences, summing to ``shots``.
+    """Outcome histogram: label -> occurrences, integers >= 1 summing to
+    ``shots`` (else a ValueError).
 
     Built from a dict, as ``Counts(counts, shots)``, or from the outcome
     indices in ascending order and their tallies, as :meth:`from_arrays`
@@ -548,9 +570,7 @@ class Counts(Mapping):
     """
 
     def __init__(self, counts: dict[str, int], shots: int):
-        total = sum(counts.values())
-        if total != shots:
-            raise ValueError(f"counts sum to {total}, expected shots={shots}")
+        _check_tallies(np.array(list(counts.values())), shots)
         self.counts = counts
         self.shots = shots
         self.arrays = None
@@ -563,34 +583,24 @@ class Counts(Mapping):
         """Counts of outcome ``indices[i]`` seen ``tallies[i]`` times.
 
         ``indices`` must be strictly increasing integers in [0, 2^num_qubits),
-        ``tallies`` as many integers >= 1 summing to ``shots``, both 1-D and
-        not empty; anything else raises a ValueError.
+        one per tally, and ``tallies`` pass the same check as a dict's;
+        anything else raises a ValueError.
         """
         if not 1 <= num_qubits <= QUBIT_CAP:
             raise ValueError(f"num_qubits must be within 1..{QUBIT_CAP}, got {num_qubits}")
+        _check_tallies(tallies, shots)
         if not (
-            indices.ndim == tallies.ndim == 1
-            and 1 <= len(indices) == len(tallies)
+            indices.ndim == 1
+            and len(indices) == len(tallies)
             and indices.dtype.kind in "iu"
-            and tallies.dtype.kind in "iu"
-        ):
-            raise ValueError(
-                f"indices and tallies must be 1-D integer arrays of one length >= 1, "
-                f"got shapes {indices.shape} and {tallies.shape}"
-            )
-        if not (
-            np.all(indices[1:] > indices[:-1])
+            and np.all(indices[1:] > indices[:-1])
             and 0 <= indices[0]
             and indices[-1] < 1 << num_qubits
         ):
             raise ValueError(
-                f"indices must be strictly increasing within [0, 2^{num_qubits})"
+                f"indices must be one per tally, strictly increasing integers "
+                f"within [0, 2^{num_qubits})"
             )
-        if tallies.min() < 1:
-            raise ValueError("tallies must be >= 1")
-        total = int(tallies.sum())
-        if total != shots:
-            raise ValueError(f"counts sum to {total}, expected shots={shots}")
         self = cls.__new__(cls)
         self.arrays = indices, tallies
         self.shots = shots

@@ -1,7 +1,7 @@
 import pytest
 
 from qubitkit import sim
-from qubitkit.algorithms import default_algorithms
+from qubitkit.algorithms import bb84, default_algorithms
 from qubitkit.backends import (
     BackendInfo,
     LOCAL_BACKEND_NAME,
@@ -51,6 +51,17 @@ def test_execute_is_deterministic_given_seed():
 def test_unknown_backend():
     with pytest.raises(UnknownBackendError):
         default_registry().execute("nope", Circuit(1).measure_all(), 1, seed=0)
+
+
+def test_unhashable_backend_name_is_unknown():
+    # Each used to raise TypeError: unhashable type: 'list'.
+    registry = default_registry()
+    with pytest.raises(UnknownBackendError):
+        registry.get(["x"])
+    with pytest.raises(UnknownBackendError):
+        registry.execute(["x"], Circuit(1).measure_all(), 1, seed=0)
+    with pytest.raises(UnknownBackendError):
+        bb84.run_exchange(4, 0.5, registry, backend_name=["x"], seed=0)
 
 
 def test_circuit_over_backend_capacity():

@@ -481,9 +481,10 @@ def test_exchange_and_protocol_reject_bad_seeds(seed):
         run_protocol((1,), 0.5, seed=seed)
 
 
-@pytest.mark.parametrize("bits", [[1, 0, 1.7], [1, True], ["1", "0"]])
+@pytest.mark.parametrize("bits", [[1, 0, 1.7], [1, True], ["1", "0"], 5, None])
 def test_protocol_rejects_non_bit_message(bits):
-    # 1.7 used to be truncated to 1 without a word.
+    # 1.7 used to be truncated to 1 without a word; 5 and None, which are
+    # not iterable, raised a TypeError.
     with pytest.raises(ValidationError, match="message"):
         run_protocol(bits, 0.5, seed=1)
 

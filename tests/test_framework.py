@@ -1,8 +1,21 @@
-import pytest
+import math
 
-from qubitkit.algorithms import default_algorithms
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qubitkit import sim
+from qubitkit.algorithms import bb84, bernstein_vazirani, default_algorithms, qrand
+from qubitkit.algorithms.bernstein_vazirani import (
+    bv_circuit,
+    classical_oracle,
+    input_register_state,
+    state_after_oracle,
+)
+from qubitkit.algorithms.qrand import qrand_circuit
 from qubitkit.backends import LOCAL_BACKEND_NAME, default_registry
-from qubitkit.errors import ValidationError
+from qubitkit.errors import QubitkitError, ValidationError
 from qubitkit.framework import (
     AlgorithmDescriptor,
     AlgorithmRegistry,
@@ -11,10 +24,15 @@ from qubitkit.framework import (
     parse_params,
     run_algorithm,
 )
-from qubitkit.sim import QUBIT_CAP, Circuit
+from qubitkit.sim import QUBIT_CAP, Circuit, Gate
 
 
 DEFAULT_RAW = {"qrand": ["3"], "bernstein-vazirani": ["101"], "bb84": ["hi", "0.5"]}
+DEFAULT_PARAMS = {
+    "qrand": {"n": 3},
+    "bernstein-vazirani": {"key": "101"},
+    "bb84": {"message": "hi", "density": 0.5},
+}
 
 
 def dummy_descriptor():
@@ -80,21 +98,153 @@ def test_parse_rejects_out_of_range_density():
         parse_params(descriptor, ["hello", "1.5"])
 
 
+# (algorithm, parameter, a bad raw string, a bad typed value). Each bad
+# value goes in alone; the other parameters keep their default.
+BAD_PARAMS = [
+    ("qrand", "n", "0", 0),
+    ("qrand", "n", str(QUBIT_CAP + 1), QUBIT_CAP + 1),
+    ("bernstein-vazirani", "key", "", ""),
+    ("bernstein-vazirani", "key", "1" * QUBIT_CAP, "1" * QUBIT_CAP),
+    ("bb84", "message", "", ""),
+    ("bb84", "density", "1.5", 1.5),
+    ("qrand", "n", "-1", -1),
+    ("qrand", "n", "2.5", 2.5),
+    ("qrand", "n", "", True),
+    ("qrand", "n", "1" * 5000, "3"),  # int() refuses over 4300 digits
+    ("qrand", "n", "+3", None),
+    ("bernstein-vazirani", "key", "012", "012"),
+    ("bernstein-vazirani", "key", " ", 101),
+    ("bernstein-vazirani", "key", "1 0", b"10"),
+    ("bb84", "message", "", None),
+    ("bb84", "message", "", 5),
+    ("bb84", "density", "-0.1", -0.1),
+    ("bb84", "density", "nan", math.nan),
+    ("bb84", "density", "inf", math.inf),
+    ("bb84", "density", "half", "0.5"),
+    ("bb84", "density", "", True),
+]
+
+# The library entry point that takes each typed value, where there is one.
+ENTRY_POINTS = {
+    "n": qrand_circuit,
+    "key": bv_circuit,
+    "density": lambda density: bb84.run_exchange(4, density, seed=1),
+}
+
+
 @pytest.mark.parametrize(
-    "name, raw, param",
+    "name, param, raw, value",
     [
-        ("qrand", ["0"], "n"),
-        ("qrand", [str(QUBIT_CAP + 1)], "n"),
-        ("bernstein-vazirani", [""], "key"),
-        ("bernstein-vazirani", ["1" * QUBIT_CAP], "key"),
-        ("bb84", ["", "0.5"], "message"),
-        ("bb84", ["hi", "1.5"], "density"),
+        # The ids of the first six cases name their raw list by its index.
+        pytest.param(*case, id=f"{case[0]}-raw{i}-{case[1]}")
+        for i, case in enumerate(BAD_PARAMS)
     ],
 )
-def test_every_shipped_parameter_rejects_its_bounds(name, raw, param):
+def test_every_shipped_parameter_rejects_its_bounds(name, param, raw, value):
+    descriptor = default_algorithms().get(name)
+    position = [spec.name for spec in descriptor.param_specs].index(param)
+    raws = list(DEFAULT_RAW[name])
+    raws[position] = raw
     with pytest.raises(ValidationError) as excinfo:
-        parse_params(default_algorithms().get(name), raw)
+        parse_params(descriptor, raws)
     assert excinfo.value.param == param
+    params = {**DEFAULT_PARAMS[name], param: value}
+    with pytest.raises(ValidationError) as excinfo:
+        run_algorithm(descriptor, params, default_registry(), LOCAL_BACKEND_NAME, 1, 1)
+    assert excinfo.value.param == param
+    if param in ENTRY_POINTS:
+        with pytest.raises(ValidationError) as excinfo:
+            ENTRY_POINTS[param](value)
+        assert excinfo.value.param == param
+
+
+def test_descriptors_and_entry_points_share_one_spec_per_parameter():
+    registry = default_algorithms()
+    specs = {
+        spec.name: spec for name in DEFAULT_RAW for spec in registry.get(name).param_specs
+    }
+    assert specs["n"] is qrand.N
+    assert specs["key"] is bernstein_vazirani.KEY
+    assert specs["message"] is bb84.MESSAGE and specs["density"] is bb84.DENSITY
+
+
+@pytest.mark.parametrize(
+    "name, params, param",
+    [
+        ("qrand", {}, "n"),
+        ("qrand", {"n": 3, "m": 1}, "qrand"),
+        ("qrand", None, "qrand"),
+        ("qrand", [("n", 3)], "qrand"),
+        ("bb84", {"message": "hi"}, "density"),
+        ("bb84", {"message": 5, "density": 0.5}, "message"),
+    ],
+)
+def test_run_algorithm_rejects_missing_extra_and_mistyped_params(name, params, param):
+    # {} used to raise KeyError and a message of 5 an AttributeError.
+    descriptor = default_algorithms().get(name)
+    with pytest.raises(ValidationError) as excinfo:
+        run_algorithm(descriptor, params, default_registry(), LOCAL_BACKEND_NAME, 1, 1)
+    assert excinfo.value.param == param
+
+
+@pytest.mark.parametrize("raw", [[None], [5], [b"3"], None, 3])
+def test_parse_params_rejects_what_is_not_strings(raw):
+    # [None] and [5] used to raise AttributeError, None and 3 a TypeError.
+    with pytest.raises(ValidationError) as excinfo:
+        parse_params(default_algorithms().get("qrand"), raw)
+    assert excinfo.value.param in ("n", "qrand")
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.floats(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+    st.sampled_from(
+        [np.int64(2), np.uint8(1), np.float64(0.5), np.float64("nan"), np.bool_(True)]
+    ),
+)
+_PARAMS = st.one_of(
+    _JUNK,
+    st.dictionaries(st.sampled_from(["n", "key", "message", "density", "x"]), _JUNK, max_size=3),
+)
+_RAW = st.one_of(_JUNK, st.lists(_JUNK, max_size=2))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_JUNK, _JUNK, _PARAMS, _RAW)
+def test_public_entry_points_return_or_raise_qubitkit_errors(a, b, params, raw):
+    backends = default_registry()
+    calls = [
+        lambda: qrand_circuit(a),
+        lambda: bv_circuit(a),
+        lambda: state_after_oracle(a),
+        lambda: input_register_state(a),
+        lambda: classical_oracle(a, b),
+        lambda: bb84.ChannelPolicy(a),
+        lambda: bb84.run_exchange(a, b, seed=0),
+        lambda: bb84.run_exchange(4, 0.5, backends, a, seed=0),
+        lambda: bb84.run_protocol(a, b, seed=0),
+        lambda: backends.get(a),
+        lambda: backends.execute(a, Circuit(1), 1, 0),
+        lambda: Gate(a, b),
+        lambda: Circuit(a, gates=b),
+        lambda: Circuit(2, gates=[a]),
+        lambda: sim.run(a, 1, 0),
+        lambda: sim.evolve(a),
+    ]
+    for descriptor in map(default_algorithms().get, DEFAULT_RAW):
+        calls.append(lambda d=descriptor: parse_params(d, raw))
+        calls.append(lambda d=descriptor: run_algorithm(d, params, backends, LOCAL_BACKEND_NAME))
+    for call in calls:
+        try:
+            call()
+        except QubitkitError:
+            pass
 
 
 @pytest.mark.parametrize("raw", ["٠.٥", "１", "0.2_5", "1_0e-1"])

@@ -196,11 +196,48 @@ def test_gate_rejects_bad_targets():
         ("X", ("0",)),
         ("X", (np.float64(0),)),
         ("CNOT", (0, True)),
+        ("H", 0),
+        ("H", [0]),
+        ("CNOT", [0, 1]),
+        ("X", None),
     ],
 )
 def test_gate_rejects_non_integer_targets(kind, targets):
+    # A bare 0 or None used to raise TypeError; lists were accepted, and
+    # made a Gate that could not be hashed.
     with pytest.raises(ValidationError, match="targets"):
         Gate(kind, targets)
+
+
+@pytest.mark.parametrize(
+    "make, param",
+    [
+        (lambda: Circuit(2, gates=[("H", 0)]), "gates"),
+        (lambda: Circuit(2, gates=[Gate("H", (0,)), "X"]), "gates"),
+        (lambda: Circuit(2).append(("H", 0)), "gates"),
+        (lambda: Circuit(2, gates=None), "gates"),
+        (lambda: Gate(np.array(["H"]), (0,)), "kind"),
+        (lambda: run(None, 1, 1), "circuit"),
+        (lambda: evolve(None), "circuit"),
+        (lambda: evolve(Gate("H", (0,))), "circuit"),
+    ],
+    ids=[
+        "tuple-in-gates",
+        "str-in-gates",
+        "append-a-tuple",
+        "gates-none",
+        "kind-array",
+        "run-none",
+        "evolve-none",
+        "evolve-a-gate",
+    ],
+)
+def test_circuits_hold_only_gates_and_the_simulator_takes_only_circuits(make, param):
+    # Each used to raise an AttributeError or a TypeError, or, for the
+    # array kind, to build a Gate that no kernel could look up.
+    with pytest.raises(ValidationError) as excinfo:
+        make()
+    assert excinfo.value.param == param
 
 
 def test_gate_accepts_numpy_integer_targets():
@@ -700,6 +737,16 @@ def test_sampling_matches_born_rule_on_random_circuits():
 def test_counts_must_sum_to_shots():
     with pytest.raises(ValueError):
         Counts({"0": 3}, shots=4)
+
+
+@pytest.mark.parametrize("tallies", [{"0": -1, "1": 2}, {"0": 0.5, "1": 0.5}])
+def test_counts_from_a_dict_rejects_the_tallies_from_arrays_rejects(tallies):
+    # Both used to build a Counts of one shot; from_arrays refuses a tally
+    # below 1 and a non-integer tally.
+    with pytest.raises(ValueError, match="tallies"):
+        Counts(tallies, 1)
+    with pytest.raises(ValueError, match="tallies"):
+        from_arrays([0, 1], list(tallies.values()), 1, 1)
 
 
 def test_counts_views_are_the_dicts():
