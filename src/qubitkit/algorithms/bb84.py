@@ -13,7 +13,14 @@ sifted key too short to verify is the verdict key_too_short.
 
 The full protocol sends six qubits per message bit and repeats a round
 whose key comes up short, up to ten rounds; surviving key bits one-time-pad
-the message.
+the message. An aborted verdict means the eavesdropper was detected; a
+secure one yields a shared key that decrypts the message.
+
+Run through the algorithm registry, a single run prints the per-qubit
+trace (:func:`render_trace`): what was sent on which axis, whether the
+eavesdropper measured it, what the receiver read, and whether the position
+was discarded, kept as key or published for verification. Repeated runs
+report the tally of verdicts.
 
 Every qubit travels as a real statevector: prepared, collapsed on
 measurement, re-prepared on resend. Nothing is shortcut with classical
@@ -35,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -194,21 +200,37 @@ def intercept(
     return Statevector(1, forwarded), actions.tolist()
 
 
+def _rows(names: tuple[str, str], first, second) -> tuple[np.ndarray, np.ndarray]:
+    """Two sequences as 1-D arrays of one length; anything else raises a
+    ValidationError naming the offending one of ``names``."""
+    rows = []
+    for name, values in zip(names, (first, second)):
+        try:
+            row = np.asarray(values)
+        except ValueError:  # a ragged nesting
+            row = None
+        if row is None or row.ndim != 1:
+            raise ValidationError(name, f"expected a sequence, got {values!r}")
+        rows.append(row)
+    if len(rows[0]) != len(rows[1]):
+        raise ValidationError(
+            names[1], f"has length {len(rows[1])}, {names[0]} has {len(rows[0])}"
+        )
+    return rows[0], rows[1]
+
+
 def sift(sender_axes: Sequence, receiver_axes: Sequence) -> list[int]:
     """Positions where both parties used the same axis (kept by both).
 
     The axes may be Axis members or any equal-comparable flags, such as
     the round's boolean is-X arrays.
     """
-    if len(sender_axes) != len(receiver_axes):
-        raise ValueError(
-            f"axis lists differ in length: {len(sender_axes)} vs {len(receiver_axes)}"
-        )
-    return np.flatnonzero(np.equal(sender_axes, receiver_axes)).tolist()
+    sender, receiver = _rows(("sender_axes", "receiver_axes"), sender_axes, receiver_axes)
+    return np.flatnonzero(sender == receiver).tolist()
 
 
 def _check_compare_mode(compare_mode: str) -> None:
-    if compare_mode not in ("half", "full"):
+    if not isinstance(compare_mode, str) or compare_mode not in ("half", "full"):
         raise ValidationError(
             "compare_mode", f"must be 'half' or 'full', got {compare_mode!r}"
         )
@@ -229,10 +251,9 @@ def verify(
     (KEY_TOO_SHORT, [], ()).
     """
     _check_compare_mode(compare_mode)
-    sender = np.asarray(sender_sifted_bits)
-    receiver = np.asarray(receiver_sifted_bits)
-    if len(sender) != len(receiver):
-        raise ValueError("sifted bit lists differ in length")
+    sender, receiver = _rows(
+        ("sender_sifted_bits", "receiver_sifted_bits"), sender_sifted_bits, receiver_sifted_bits
+    )
     length = len(sender)
     if length < (2 if compare_mode == "half" else 1):
         return KEY_TOO_SHORT, [], ()
@@ -337,16 +358,9 @@ def run_protocol(
     for the message runs another round, with fresh randomness, up to 10
     rounds before giving up with verdict key_too_short.
     """
-    try:
-        message = tuple(message_bits)
-    except TypeError:  # not iterable
-        message = ()
-    if not message or not all(
-        isinstance(b, Integral) and not isinstance(b, bool) and b in (0, 1)
-        for b in message
-    ):
+    message = otp.check_bits("message", message_bits)
+    if not message:
         raise ValidationError("message", "expected a non-empty sequence of 0/1 bits")
-    message = tuple(int(b) for b in message)
     policy, seed, rngs = _setup(density, backends, backend_name, seed)
 
     transmitted = _OVERSAMPLE * len(message)
@@ -454,14 +468,5 @@ def descriptor() -> AlgorithmDescriptor:
         # degenerates to a null circuit and the runner takes over.
         build=lambda params: Circuit(1),
         interpret=_interpret,
-        explain=(
-            "Single runs print the per-qubit trace: what was sent on which axis, "
-            "whether the eavesdropper measured it, what the receiver read, and "
-            "whether the position survived sifting or was published for "
-            "verification. 'aborted' means the published halves disagreed "
-            "(attack detected); 'secure' yields a shared key that decrypts the "
-            "message; 'key_too_short' means sifting never left enough key bits. "
-            "Repeated runs report the verdict tally."
-        ),
         runner=_runner,
     )

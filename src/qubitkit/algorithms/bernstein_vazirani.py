@@ -4,7 +4,8 @@ The hidden key s defines the parity function f(x) = s.x mod 2. Classically
 recovering s costs one oracle query per bit; quantumly a single query
 suffices: a phase oracle built from one CNOT per set key bit flips the sign
 of each amplitude by (-1)^(s.x), and Hadamards turn that phase pattern back
-into the basis state |s>.
+into the basis state |s>. The measured input register is therefore the key
+itself, with certainty, so a single run already gives the answer.
 
 Qubit layout: key character i (leftmost is position 0) rides on input qubit
 n-1-i, the phase ancilla is qubit n. Under the package bit-ordering this
@@ -76,7 +77,8 @@ def _oracle_prefix(key: str) -> Circuit:
 
 
 def bv_circuit(key: str) -> Circuit:
-    """Full recovery circuit: oracle prefix, H on the inputs, measure.
+    """Full recovery circuit: oracle prefix, then H on the inputs; running
+    it measures every qubit.
 
     Contains exactly popcount(key) CNOTs. The ancilla gets no trailing H;
     its measured bit is noise and interpretation drops it.
@@ -85,7 +87,7 @@ def bv_circuit(key: str) -> Circuit:
     circuit = _oracle_prefix(key)
     for q in range(len(key)):
         circuit.h(q)
-    return circuit.measure_all()
+    return circuit
 
 
 def _project_out_ancilla(amplitudes: np.ndarray, n: int) -> np.ndarray:
@@ -145,9 +147,4 @@ def descriptor() -> AlgorithmDescriptor:
         param_specs=[KEY],
         build=lambda params: bv_circuit(params["key"]),
         interpret=_interpret,
-        explain=(
-            "The measured input register is the hidden key itself: the oracle "
-            "phase pattern collapses to exactly one basis state, so the single "
-            "run already gives the answer with certainty."
-        ),
     )

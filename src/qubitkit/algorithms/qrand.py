@@ -1,7 +1,9 @@
 """Quantum random number generation: n Hadamards, measure, read an integer.
 
-The pre-measurement state is the uniform superposition, so the measured
-bitstring is a uniform draw from [0, 2^n - 1].
+The pre-measurement state is the uniform superposition, so every measured
+bit is an unbiased coin flip and the measured bitstring, read as one binary
+number, is a uniform draw from [0, 2^n - 1]. A single run reports that
+number; repeated runs report the histogram of outcomes.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ N = ParamSpec(
 
 
 def qrand_circuit(n: int) -> Circuit:
-    """H on each of n qubits, then measure all."""
+    """H on each of n qubits; running it measures every qubit."""
     N.check(n)
     circuit = Circuit(n)
     for q in range(n):
         circuit.h(q)
-    return circuit.measure_all()
+    return circuit
 
 
 def qrand_value(
@@ -104,9 +106,4 @@ def descriptor() -> AlgorithmDescriptor:
         param_specs=[N],
         build=lambda params: qrand_circuit(params["n"]),
         interpret=_interpret,
-        explain=(
-            "Each qubit is put into an equal superposition and measured, so every "
-            "bit is an unbiased coin flip; the bits read as one binary number. "
-            "Single runs report that number, repeated runs report the histogram."
-        ),
     )

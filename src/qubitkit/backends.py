@@ -1,4 +1,4 @@
-"""Execution backends: enumerate them, pick one, run circuits on it.
+"""Execution backends: register them, pick one, run circuits on it.
 
 Only local simulator backends ship here (guest-only model); the registry
 surface is the seam where remote backends would plug in. A backend object
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import sim
-from .errors import CapacityError, UnknownBackendError
+from .errors import CapacityError, UnknownBackendError, ValidationError
 
 LOCAL_BACKEND_NAME = "local_statevector"
 
@@ -50,7 +50,7 @@ class LocalStatevectorBackend:
 
 
 class BackendRegistry:
-    """Named backends, listed in registration order."""
+    """Named backends, looked up by name."""
 
     def __init__(self):
         self._backends: dict[str, object] = {}
@@ -60,9 +60,6 @@ class BackendRegistry:
         if name in self._backends:
             raise ValueError(f"backend name {name!r} already registered")
         self._backends[name] = backend
-
-    def list_backends(self) -> list[BackendInfo]:
-        return [b.info for b in self._backends.values()]
 
     def get(self, name: str):
         try:
@@ -81,6 +78,8 @@ class BackendRegistry:
         seed: int,
     ) -> sim.Counts:
         """Run a circuit on the named backend with the caller's seed."""
+        if not isinstance(circuit, sim.Circuit):
+            raise ValidationError("circuit", f"expected a Circuit, got {circuit!r}")
         backend = self.get(backend_name)
         if circuit.num_qubits > backend.info.max_qubits:
             raise CapacityError(

@@ -29,9 +29,10 @@ class ParamSpec:
     """One user-entered parameter: the rule it obeys and how to parse it.
 
     :meth:`check` is the rule: a natural number is an integer >= 1 and at
-    most ``max_value``; a bitstring (of 0s and 1s) or a text is a non-empty
-    string at most ``max_len`` long; a probability is a real number within
-    [0, 1]. :meth:`parse` reads one raw string's syntax, then checks.
+    most ``max_value``; a bitstring (of 0s and 1s) or a text (that UTF-8
+    encodes) is a non-empty string at most ``max_len`` long; a probability
+    is a real number within [0, 1]. :meth:`parse` reads one raw string's
+    syntax, then checks.
     """
 
     name: str
@@ -60,6 +61,11 @@ class ParamSpec:
                 raise ValidationError(name, f"must be a non-empty string, got {value!r}")
             if self.kind == "bitstring" and set(value) - {"0", "1"}:
                 raise ValidationError(name, f"expected a bitstring over {{0,1}}, got {value!r}")
+            if self.kind == "text":
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate
+                    raise ValidationError(name, f"must be UTF-8 text, got {value!r}") from None
             if self.max_len is not None and len(value) > self.max_len:
                 raise ValidationError(name, f"length must be <= {self.max_len}, got {len(value)}")
         return value
@@ -87,20 +93,15 @@ class ParamSpec:
             raise ValidationError(self.name, f"expected a {kind}, got {raw!r}") from None
         return self.check(value)
 
-    def format(self, value) -> str:
-        if self.kind == "probability":
-            return repr(float(value))
-        return str(value)
-
 
 @dataclass
 class AlgorithmDescriptor:
     """Name, parameters, circuit builder and result interpreter.
 
-    ``build`` maps validated params to a measured circuit; ``interpret``
-    turns raw counts into the human-readable result (it always receives
-    counts, single-shot included, so the histogram mode reuses it);
-    ``explain`` is static text describing how to read that result.
+    ``build`` maps validated params to a circuit, every qubit of which is
+    measured after its last gate; ``interpret`` turns raw counts into the
+    human-readable result (it always receives counts, single-shot included,
+    so the histogram mode reuses it).
 
     Algorithms that do not fit the one-circuit mold (BB84 drives many
     single-qubit states itself) set ``runner``; it receives
@@ -113,7 +114,6 @@ class AlgorithmDescriptor:
     param_specs: list[ParamSpec]
     build: Callable[[Params], Circuit]
     interpret: Callable[[Params, Counts], str]
-    explain: str = ""
     runner: Callable | None = field(default=None, repr=False)
 
 
@@ -144,11 +144,6 @@ def _params_error(descriptor: AlgorithmDescriptor, got) -> ValidationError:
     return ValidationError(descriptor.name, f"takes the parameters ({expected}), got {got!r}")
 
 
-def format_params(descriptor: AlgorithmDescriptor, params: Params) -> list[str]:
-    """Inverse of parse_params on valid values (round-trips exactly)."""
-    return [spec.format(params[spec.name]) for spec in descriptor.param_specs]
-
-
 class AlgorithmRegistry:
     """Named algorithm descriptors, listed in registration order."""
 
@@ -166,10 +161,10 @@ class AlgorithmRegistry:
     def get(self, name: str) -> AlgorithmDescriptor:
         try:
             return self._algorithms[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             known = ", ".join(self._algorithms) or "none"
-            raise ValueError(
-                f"no algorithm named {name!r} (available: {known})"
+            raise ValidationError(
+                "algorithm", f"no algorithm named {name!r} (available: {known})"
             ) from None
 
 
@@ -184,9 +179,10 @@ def run_algorithm(
     """Build, execute and interpret; shots=1 is the run-once mode.
 
     This is where a circuit run's seed is resolved: params (one value per
-    spec, each passing its ``check``), shots and the seed are validated, and
-    a missing seed is drawn, before any descriptor's ``build`` or ``runner``
-    sees them. The returned seed replays the run.
+    spec, each passing its ``check``), shots, the backend registry, the
+    backend name (looked up in it) and the seed are validated, and a missing
+    seed is drawn, before any descriptor's ``build`` or ``runner`` sees
+    them. The returned seed replays the run.
     """
     names = {spec.name for spec in descriptor.param_specs}
     if not isinstance(params, Mapping) or set(params) - names:
@@ -196,6 +192,9 @@ def run_algorithm(
             raise ValidationError(spec.name, "missing")
         spec.check(params[spec.name])
     check_count("shots", shots)
+    if not isinstance(backends, BackendRegistry):
+        raise ValidationError("backends", f"expected a BackendRegistry, got {backends!r}")
+    backends.get(backend_name)
     effective_seed = resolve_seed(seed)
     if descriptor.runner is not None:
         text, counts = descriptor.runner(

@@ -6,24 +6,50 @@ bit first, so "A" (0x41) becomes (0,1,0,0,0,0,0,1).
 
 from __future__ import annotations
 
-from .errors import KeyTooShortError
+from numbers import Integral
+
+from .errors import KeyTooShortError, ValidationError
 
 Bits = tuple[int, ...]
 
 
+def check_bits(param: str, bits) -> Bits:
+    """``bits`` as a tuple of ints, if it is an iterable of the integers 0
+    and 1 (not bools); anything else raises a ValidationError naming
+    ``param``."""
+    try:
+        checked = tuple(bits)
+    except TypeError:  # not iterable
+        checked = None
+    if checked is None or not all(
+        isinstance(b, Integral) and not isinstance(b, bool) and b in (0, 1) for b in checked
+    ):
+        raise ValidationError(param, f"expected a sequence of 0/1 bits, got {bits!r}")
+    return tuple(int(b) for b in checked)
+
+
 def text_to_bits(text: str) -> Bits:
-    data = text.encode("utf-8")
+    try:
+        data = text.encode("utf-8") if isinstance(text, str) else None
+    except UnicodeEncodeError:  # a lone surrogate
+        data = None
+    if data is None:
+        raise ValidationError("text", f"expected a str that UTF-8 encodes, got {text!r}")
     return tuple((byte >> (7 - i)) & 1 for byte in data for i in range(8))
 
 
 def bits_to_text(bits: Bits) -> str:
+    bits = check_bits("bits", bits)
     if len(bits) % 8:
-        raise ValueError(f"bit count {len(bits)} is not a whole number of bytes")
+        raise ValidationError("bits", f"bit count {len(bits)} is not a whole number of bytes")
     data = bytes(
         sum(bit << (7 - i) for i, bit in enumerate(bits[k : k + 8]))
         for k in range(0, len(bits), 8)
     )
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ValidationError("bits", f"not UTF-8: {error.reason}") from None
 
 
 def xor_bits(message: Bits, key: Bits) -> Bits:
@@ -31,6 +57,7 @@ def xor_bits(message: Bits, key: Bits) -> Bits:
 
     Encryption and decryption are the same operation.
     """
+    message, key = check_bits("message", message), check_bits("key", key)
     if len(key) < len(message):
         raise KeyTooShortError(
             f"key has {len(key)} bits, message needs {len(message)}"

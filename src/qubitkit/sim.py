@@ -188,15 +188,13 @@ class Circuit:
     """Ordered gate list over ``num_qubits`` qubits.
 
     ``gates`` is a list of :class:`Gate`; anything else raises a
-    ValidationError naming ``gates``. ``measured`` records a terminal
-    measure-all directive; it controls the [M] column in :func:`draw`.
-    ``run`` always samples all qubits at the end regardless (measurement
-    here is terminal and total by design).
+    ValidationError naming ``gates``. A circuit holds no measurement:
+    :func:`run` samples every qubit after the last gate (measurement here
+    is terminal and total by design).
     """
 
     num_qubits: int
     gates: list[Gate] = field(default_factory=list)
-    measured: bool = False
 
     def __post_init__(self):
         check_count("num_qubits", self.num_qubits)
@@ -228,10 +226,6 @@ class Circuit:
     def cnot(self, control: int, target: int) -> "Circuit":
         return self.append(Gate("CNOT", (control, target)))
 
-    def measure_all(self) -> "Circuit":
-        self.measured = True
-        return self
-
 
 @dataclass
 class Statevector:
@@ -260,10 +254,14 @@ class Statevector:
 def _amplitudes(state: Statevector) -> np.ndarray:
     """The state's amplitudes, checked where they enter the kernels and sampler.
 
-    They must be a float or complex array of shape (2^n,) or (k, 2^n);
-    anything else raises a ValidationError naming ``amplitudes`` before
-    numpy fails on it, casts it or reads it as a different state.
+    ``state`` must be a :class:`Statevector`, else a ValidationError names
+    ``state``. Its amplitudes must be a float or complex array of shape
+    (2^n,) or (k, 2^n); anything else raises a ValidationError naming
+    ``amplitudes`` before numpy fails on it, casts it or reads it as a
+    different state.
     """
+    if not isinstance(state, Statevector):
+        raise ValidationError("state", f"expected a Statevector, got {state!r}")
     n, amps = check_count("num_qubits", state.num_qubits), state.amplitudes
     if not (
         isinstance(amps, np.ndarray)
@@ -280,9 +278,11 @@ def _amplitudes(state: Statevector) -> np.ndarray:
 
 
 def new_zero_state(n: int) -> Statevector:
-    """|0...0> on n qubits; n outside [1, QUBIT_CAP] raises CapacityError."""
-    if not 1 <= n <= QUBIT_CAP:
+    """|0...0> on n qubits; an integer n outside [1, QUBIT_CAP] raises
+    CapacityError, and an n that is not an integer a ValidationError."""
+    if _is_int(n) and not 1 <= n <= QUBIT_CAP:
         raise CapacityError(f"qubit count {n} outside supported range 1..{QUBIT_CAP}")
+    check_count("num_qubits", n)
     amps = np.zeros(1 << n, dtype=np.float64)
     amps[0] = 1.0
     return Statevector(n, amps)
@@ -366,6 +366,8 @@ def apply_gate(
     either way.
     """
     amps = _amplitudes(state)
+    if not isinstance(gate, Gate):
+        raise ValidationError("gate", f"expected a Gate, got {gate!r}")
     for t in gate.targets:
         if not 0 <= t < state.num_qubits:
             raise IndexError(
@@ -706,34 +708,3 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
             tally = _tally(_search(cum, uniforms))
             values, counts = tally if values is None else _merge(values, counts, *tally)
     return Counts.from_arrays(values, counts, circuit.num_qubits, shots)
-
-
-_CELL = {
-    "H": "─[H]─",
-    "X": "─[X]─",
-    "control": "──●──",
-    "target": "──⊕──",
-    "wire": "─────",
-    "measure": "─[M]─",
-}
-
-
-def draw(circuit: Circuit) -> str:
-    """Text diagram: one row per qubit, one column per gate, in order."""
-    labels = [f"q{i}:" for i in range(circuit.num_qubits)]
-    width = max(len(s) for s in labels)
-    rows = [f"{label:<{width}} ─" for label in labels]
-    for gate in circuit.gates:
-        for q in range(circuit.num_qubits):
-            if gate.kind == "CNOT" and q == gate.targets[0]:
-                cell = _CELL["control"]
-            elif gate.kind == "CNOT" and q == gate.targets[1]:
-                cell = _CELL["target"]
-            elif gate.kind != "CNOT" and q == gate.targets[0]:
-                cell = _CELL[gate.kind]
-            else:
-                cell = _CELL["wire"]
-            rows[q] += cell
-    if circuit.measured:
-        rows = [row + _CELL["measure"] for row in rows]
-    return "\n".join(row + "─" for row in rows)

@@ -21,17 +21,12 @@ class StubBackend:
         raise NotImplementedError
 
 
-def test_default_registry_lists_local_backend():
-    names = [info.name for info in default_registry().list_backends()]
-    assert LOCAL_BACKEND_NAME in names
-
-
-def test_listing_keeps_registration_order():
+def test_a_registered_backend_joins_the_local_one():
     registry = default_registry()
-    registry.register(StubBackend())
-    names = [info.name for info in registry.list_backends()]
-    assert names == [LOCAL_BACKEND_NAME, "stub"]
-    assert names == [info.name for info in registry.list_backends()]
+    stub = StubBackend()
+    registry.register(stub)
+    assert registry.get("stub") is stub
+    assert registry.get(LOCAL_BACKEND_NAME).info.name == LOCAL_BACKEND_NAME
 
 
 def test_duplicate_registration_rejected():
@@ -42,7 +37,7 @@ def test_duplicate_registration_rejected():
 
 def test_execute_is_deterministic_given_seed():
     registry = default_registry()
-    circuit = Circuit(1).h(0).measure_all()
+    circuit = Circuit(1).h(0)
     a = registry.execute(LOCAL_BACKEND_NAME, circuit, 100, seed=7)
     b = registry.execute(LOCAL_BACKEND_NAME, circuit, 100, seed=7)
     assert a == b
@@ -50,7 +45,7 @@ def test_execute_is_deterministic_given_seed():
 
 def test_unknown_backend():
     with pytest.raises(UnknownBackendError):
-        default_registry().execute("nope", Circuit(1).measure_all(), 1, seed=0)
+        default_registry().execute("nope", Circuit(1), 1, seed=0)
 
 
 def test_unhashable_backend_name_is_unknown():
@@ -59,7 +54,7 @@ def test_unhashable_backend_name_is_unknown():
     with pytest.raises(UnknownBackendError):
         registry.get(["x"])
     with pytest.raises(UnknownBackendError):
-        registry.execute(["x"], Circuit(1).measure_all(), 1, seed=0)
+        registry.execute(["x"], Circuit(1), 1, seed=0)
     with pytest.raises(UnknownBackendError):
         bb84.run_exchange(4, 0.5, registry, backend_name=["x"], seed=0)
 
@@ -67,11 +62,11 @@ def test_unhashable_backend_name_is_unknown():
 def test_circuit_over_backend_capacity():
     registry = default_registry()
     with pytest.raises(CapacityError):
-        registry.execute(LOCAL_BACKEND_NAME, Circuit(30).measure_all(), 1, seed=0)
+        registry.execute(LOCAL_BACKEND_NAME, Circuit(30), 1, seed=0)
 
 
 def test_execute_requires_a_seed():
-    circuit = Circuit(1).h(0).measure_all()
+    circuit = Circuit(1).h(0)
     with pytest.raises(ValidationError, match="seed"):
         default_registry().execute(LOCAL_BACKEND_NAME, circuit, 10, seed=None)
 

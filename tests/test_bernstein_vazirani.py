@@ -70,13 +70,12 @@ def test_classical_solve_recovers_random_length_10_keys():
 
 
 def test_circuit_gate_layout():
-    # X on the ancilla, H on all, one CNOT per set bit, H on inputs, measured.
+    # X on the ancilla, H on all, one CNOT per set bit, H on inputs.
     circuit = bv_circuit("011")
     kinds = [g.kind for g in circuit.gates]
     assert circuit.num_qubits == 4
     assert kinds == ["X"] + ["H"] * 4 + ["CNOT"] * 2 + ["H"] * 3
     assert circuit.gates[0].targets == (3,)
-    assert circuit.measured
     # No trailing H on the ancilla.
     assert all(g.targets[0] != 3 for g in circuit.gates[7:])
 

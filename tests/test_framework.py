@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubitkit import sim
+from qubitkit import otp, sim
 from qubitkit.algorithms import bb84, bernstein_vazirani, default_algorithms, qrand
 from qubitkit.algorithms.bernstein_vazirani import (
     bv_circuit,
@@ -15,12 +15,11 @@ from qubitkit.algorithms.bernstein_vazirani import (
 )
 from qubitkit.algorithms.qrand import qrand_circuit
 from qubitkit.backends import LOCAL_BACKEND_NAME, default_registry
-from qubitkit.errors import QubitkitError, ValidationError
+from qubitkit.errors import QubitkitError, UnknownBackendError, ValidationError
 from qubitkit.framework import (
     AlgorithmDescriptor,
     AlgorithmRegistry,
     ParamSpec,
-    format_params,
     parse_params,
     run_algorithm,
 )
@@ -40,9 +39,8 @@ def dummy_descriptor():
         name="coin",
         description="single Hadamard coin flip",
         param_specs=[ParamSpec("flips", "natural_number", max_value=8)],
-        build=lambda params: Circuit(params["flips"]).h(0).measure_all(),
+        build=lambda params: Circuit(params["flips"]).h(0),
         interpret=lambda params, counts: f"coin says {max(counts, key=counts.get)}",
-        explain="heads or tails",
     )
 
 
@@ -64,8 +62,11 @@ def test_duplicate_algorithm_rejected():
 
 
 def test_unknown_algorithm_lookup():
-    with pytest.raises(ValueError, match="no algorithm named"):
-        default_algorithms().get("grover")
+    # A list used to raise TypeError: unhashable type: 'list'.
+    for name in ("grover", ["grover"]):
+        with pytest.raises(ValidationError, match="no algorithm named") as excinfo:
+            default_algorithms().get(name)
+        assert excinfo.value.param == "algorithm"
 
 
 def test_parse_qrand_n():
@@ -122,6 +123,7 @@ BAD_PARAMS = [
     ("bb84", "density", "inf", math.inf),
     ("bb84", "density", "half", "0.5"),
     ("bb84", "density", "", True),
+    ("bb84", "message", "\ud800", "\ud800"),  # a lone surrogate has no UTF-8
 ]
 
 # The library entry point that takes each typed value, where there is one.
@@ -197,6 +199,56 @@ def test_parse_params_rejects_what_is_not_strings(raw, param):
     assert excinfo.value.param == param
 
 
+def test_run_algorithm_looks_up_the_backend_before_building():
+    built = []
+    descriptor = dummy_descriptor()
+    descriptor.build = lambda params: built.append(params) or Circuit(1)
+    with pytest.raises(UnknownBackendError):
+        run_algorithm(descriptor, {"flips": 1}, default_registry(), "nope", 1, 1)
+    assert built == []
+
+
+# Calls that used to leak an error from outside qubitkit (BB84 with no
+# registry used to build a default one), and the parameter each must name.
+HELPER_LEAKS = {
+    "run_algorithm-qrand-backends": (
+        lambda: run_algorithm(qrand.descriptor(), {"n": 3}, None, LOCAL_BACKEND_NAME), "backends"
+    ),
+    "run_algorithm-bb84-backends": (
+        lambda: run_algorithm(bb84.descriptor(), DEFAULT_PARAMS["bb84"], None, LOCAL_BACKEND_NAME),
+        "backends",
+    ),
+    "execute-circuit": (
+        lambda: default_registry().execute(LOCAL_BACKEND_NAME, None, 1, 0), "circuit"
+    ),
+    "new_zero_state-float": (lambda: sim.new_zero_state(2.5), "num_qubits"),
+    "new_zero_state-None": (lambda: sim.new_zero_state(None), "num_qubits"),
+    "apply_gate-gate": (lambda: sim.apply_gate(sim.new_zero_state(1), None), "gate"),
+    "apply_gate-state": (lambda: sim.apply_gate(None, Gate("H", (0,))), "state"),
+    "sample_measurement-state": (lambda: sim.sample_measurement(None, sim.make_rng(0)), "state"),
+    "text_to_bits-int": (lambda: otp.text_to_bits(5), "text"),
+    "text_to_bits-surrogate": (lambda: otp.text_to_bits("\ud800"), "text"),
+    "encrypt-key": (lambda: otp.encrypt((1,), None), "key"),
+    "encrypt-message": (lambda: otp.encrypt(None, (1,)), "message"),
+    "bits_to_text-None": (lambda: otp.bits_to_text(None), "bits"),
+    "bits_to_text-not-utf8": (lambda: otp.bits_to_text((1,) * 8), "bits"),
+    "sift-None": (lambda: bb84.sift(None, None), "sender_axes"),
+    "verify-None": (lambda: bb84.verify(None, None), "sender_sifted_bits"),
+    "verify-ragged": (lambda: bb84.verify([[1], [1, 0]], [1, 0]), "sender_sifted_bits"),
+    "verify-compare_mode-array": (
+        lambda: bb84.verify([1], [1], compare_mode=np.array(["half", "full"])), "compare_mode"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(HELPER_LEAKS))
+def test_helpers_raise_a_validation_error_naming_the_parameter(case):
+    call, param = HELPER_LEAKS[case]
+    with pytest.raises(ValidationError) as excinfo:
+        call()
+    assert excinfo.value.param == param
+
+
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -208,6 +260,9 @@ _JUNK = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
     st.sampled_from(
         [np.int64(2), np.uint8(1), np.float64(0.5), np.float64("nan"), np.bool_(True)]
+    ),
+    st.sampled_from(
+        [np.array([0, 1]), np.array([[1]]), np.array([]), np.array(["a"]), np.array([0.5, 0.2])]
     ),
 )
 _PARAMS = st.one_of(
@@ -236,12 +291,29 @@ def test_public_entry_points_return_or_raise_qubitkit_errors(a, b, params, raw):
         lambda: Gate(a, b),
         lambda: Circuit(a, gates=b),
         lambda: Circuit(2, gates=[a]),
+        lambda: backends.execute(LOCAL_BACKEND_NAME, a, 1, 0),
         lambda: sim.run(a, 1, 0),
         lambda: sim.evolve(a),
+        lambda: sim.new_zero_state(a),
+        lambda: sim.apply_gate(sim.new_zero_state(1), a),
+        lambda: sim.apply_gate(a, Gate("H", (0,))),
+        lambda: sim.sample_measurement(a, sim.make_rng(0)),
+        lambda: otp.text_to_bits(a),
+        lambda: otp.bits_to_text(a),
+        lambda: otp.encrypt(a, b),
+        lambda: bb84.sift(a, b),
+        lambda: bb84.verify(a, b),
+        lambda: bb84.verify([1, 0], [1, 0], compare_mode=a),
+        lambda: default_algorithms().get(a),
     ]
-    for descriptor in map(default_algorithms().get, DEFAULT_RAW):
-        calls.append(lambda d=descriptor: parse_params(d, raw))
-        calls.append(lambda d=descriptor: run_algorithm(d, params, backends, LOCAL_BACKEND_NAME))
+    for name, good in DEFAULT_PARAMS.items():
+        d = default_algorithms().get(name)
+        calls += [
+            lambda d=d: parse_params(d, raw),
+            lambda d=d: run_algorithm(d, params, backends, LOCAL_BACKEND_NAME),
+            lambda d=d, good=good: run_algorithm(d, good, a, LOCAL_BACKEND_NAME),
+            lambda d=d, good=good: run_algorithm(d, good, backends, a),
+        ]
     for call in calls:
         try:
             call()
@@ -270,17 +342,18 @@ def test_parse_rejects_wrong_arity():
 
 
 def test_parse_format_round_trip():
+    # Each raw string parses to its typed value, and that value's str()
+    # parses back to it.
     registry = default_algorithms()
     cases = {
-        "qrand": ["12"],
-        "bernstein-vazirani": ["100101"],
-        "bb84": ["hello world", "0.35"],
+        "qrand": (["12"], {"n": 12}),
+        "bernstein-vazirani": (["100101"], {"key": "100101"}),
+        "bb84": (["hello world", "0.35"], {"message": "hello world", "density": 0.35}),
     }
-    for name, raw in cases.items():
+    for name, (raw, typed) in cases.items():
         descriptor = registry.get(name)
-        params = parse_params(descriptor, raw)
-        again = parse_params(descriptor, format_params(descriptor, params))
-        assert again == params
+        assert parse_params(descriptor, raw) == typed
+        assert parse_params(descriptor, [str(v) for v in typed.values()]) == typed
 
 
 def test_run_once_is_deterministic_end_to_end():

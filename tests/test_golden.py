@@ -35,7 +35,7 @@ def fixed_random_circuit(n: int, count: int, seed: int) -> Circuit:
             circuit.append(Gate("CNOT", (int(control), int(target))))
         else:
             circuit.append(Gate(kind, (int(rng.integers(n)),)))
-    return circuit.measure_all()
+    return circuit
 
 
 def test_qrand_histogram_counts():

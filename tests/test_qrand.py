@@ -18,7 +18,6 @@ from qubitkit.sim import Counts, evolve, run
 def test_circuit_structure_n1():
     circuit = qrand_circuit(1)
     assert [g.kind for g in circuit.gates] == ["H"]
-    assert circuit.measured
 
 
 def test_n3_amplitudes_are_uniform():

@@ -22,7 +22,6 @@ from qubitkit.sim import (
     Statevector,
     apply_gate,
     derive_seed,
-    draw,
     evolve,
     make_rng,
     new_zero_state,
@@ -667,24 +666,24 @@ def test_batch_sampling_equals_single_register_draws():
 
 
 def test_run_empty_circuit():
-    counts = run(Circuit(1).measure_all(), shots=100, seed=0)
+    counts = run(Circuit(1), shots=100, seed=0)
     assert counts.counts == {"0": 100}
 
 
 def test_run_x_circuit():
-    counts = run(Circuit(1).x(0).measure_all(), shots=50, seed=0)
+    counts = run(Circuit(1).x(0), shots=50, seed=0)
     assert counts.counts == {"1": 50}
 
 
 def test_run_h_circuit_binomial_bounds():
-    counts = run(Circuit(1).h(0).measure_all(), shots=10_000, seed=42)
+    counts = run(Circuit(1).h(0), shots=10_000, seed=42)
     assert set(counts) == {"0", "1"}
     assert 4700 <= counts["0"] <= 5300
     assert 4700 <= counts["1"] <= 5300
 
 
 def test_run_is_deterministic():
-    circuit = Circuit(3).h(0).cnot(0, 2).x(1).measure_all()
+    circuit = Circuit(3).h(0).cnot(0, 2).x(1)
     a = run(circuit, shots=1000, seed=99)
     b = run(circuit, shots=1000, seed=99)
     assert a == b
@@ -719,7 +718,7 @@ def test_sampling_matches_born_rule_on_random_circuits():
     shots = 100_000
     for trial in range(4):
         gates = random_gates(rng, 3, 10)
-        circuit = Circuit(3, gates=list(gates)).measure_all()
+        circuit = Circuit(3, gates=list(gates))
         counts = run(circuit, shots=shots, seed=1000 + trial)
         probs = evolve(circuit).probabilities()
         observed, expected = [], []
@@ -952,30 +951,3 @@ def test_sampling_memory_is_about_one_state(monkeypatch):
     run(circuit, 1, 5)  # the first run pays numpy's lazy allocations
     state_bytes = (1 << circuit.num_qubits) * 8
     assert peak_bytes(lambda: run(circuit, 1, 5)) < 1.5 * state_bytes
-
-
-# ---------------------------------------------------------------------------
-# Drawing
-
-
-def test_draw_orders_gates_left_to_right():
-    text = draw(Circuit(1).x(0).h(0))
-    assert text.index("[X]") < text.index("[H]")
-
-
-def test_draw_empty_circuit_is_bare_wires():
-    lines = draw(Circuit(2)).splitlines()
-    assert len(lines) == 2
-    assert all(set(line.split()[-1]) == {"─"} for line in lines)
-
-
-def test_draw_cnot_alignment():
-    lines = draw(Circuit(3).cnot(0, 2)).splitlines()
-    assert lines[0].index("●") == lines[2].index("⊕")
-    assert "●" not in lines[1] and "⊕" not in lines[1]
-
-
-def test_draw_is_stable():
-    circuit = Circuit(2).h(0).cnot(0, 1).measure_all()
-    assert draw(circuit) == draw(circuit)
-    assert "[M]" in draw(circuit)
