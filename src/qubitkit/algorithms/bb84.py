@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -130,8 +131,21 @@ class Bb84Trace:
         return self.decrypted is not None and self.decrypted == self.message_bits
 
 
+def _is_natural(value) -> bool:
+    """Whether ``value`` is an integer >= 0 (not a bool)."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 0
+
+
 def encode_qubit(value: int, axis: Axis) -> Circuit:
-    """Value-axis preparation circuit: X if value is 1, then H if axis is X."""
+    """Value-axis preparation circuit: X if value is 1, then H if axis is X.
+
+    A ``value`` other than the integer 0 or 1 (a bool included), or an
+    ``axis`` that is not an :class:`Axis`, raises a ValidationError naming it.
+    """
+    if not (_is_natural(value) and value <= 1):
+        raise ValidationError("value", f"must be the integer 0 or 1, got {value!r}")
+    if not isinstance(axis, Axis):
+        raise ValidationError("axis", f"must be an Axis, got {axis!r}")
     circuit = Circuit(1)
     if value == 1:
         circuit.x(0)
@@ -268,7 +282,12 @@ def abort_probability(n: int, density: float) -> float:
     Per transmitted qubit the detection odds are density/8 (intercepted,
     sifted, wrong axis guess, wrong collapse) when every non-discarded
     qubit is compared; n independent qubits compound to 1 - (1 - density/8)^n.
+    An ``n`` that is not an integer >= 0, or a density outside [0, 1], raises
+    a ValidationError naming it.
     """
+    if not _is_natural(n):
+        raise ValidationError("n", f"must be an integer >= 0, got {n!r}")
+    DENSITY.check(density)
     return 1.0 - (1.0 - density / 8.0) ** n
 
 
@@ -385,7 +404,12 @@ def run_protocol(
 
 
 def render_trace(trace: Bb84Trace) -> str:
-    """Aligned per-qubit table plus the verdict and key material."""
+    """Aligned per-qubit table plus the verdict and key material.
+
+    Anything but a :class:`Bb84Trace` raises a ValidationError naming ``trace``.
+    """
+    if not isinstance(trace, Bb84Trace):
+        raise ValidationError("trace", f"expected a Bb84Trace, got {trace!r}")
     published = set(trace.published_positions)
     sifted = set(trace.sifted_positions)
     header = (

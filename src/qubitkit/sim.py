@@ -9,28 +9,33 @@ Bit-ordering convention, used everywhere in this package:
 
 Amplitudes are real ``float64``: H, X and CNOT are real orthogonal gates,
 so a state evolved from |0...0> never leaves the reals. Each gate is one
-in-place kernel over a view of the amplitude array with one axis per
-target's bit (strided butterflies and half swaps, no index arrays), whose
-temporary holds at most half the view. Every kernel keeps the dtype of its
-input, so complex states given to :func:`apply_gate` stay complex. A state
-may also hold a batch: a ``(k, 2^n)`` amplitude array is k independent
-registers, one per row, and every kernel and the sampler act on all rows
-at once.
+kernel over a view of the amplitude array with one axis per target's bit
+(strided butterflies and half swaps, no index arrays). :func:`apply_gate`'s
+kernels work in place, with a temporary of at most half the view. Every
+kernel keeps the dtype of its input, so complex states given to
+:func:`apply_gate` stay complex. A state may also hold a batch: a
+``(k, 2^n)`` amplitude array is k independent registers, one per row, and
+every kernel and the sampler act on all rows at once.
 
 A kernel whose view ends in an axis of 2–4 elements (lowest target qubit 1
 or 2) makes one numpy call per index along it, so each call's inner loop
 runs over the rest of the view, not over 2–4 elements. Above 16 qubits,
 :func:`evolve` applies each run of consecutive gates whose targets all lie
 below qubit 16 one contiguous 2^16-amplitude slice at a time, so a slice
-stays in cache for the whole run. Every other gate is one full pass of
-:func:`apply_gate`, which cuts the view of any state above 2^16 amplitudes
-(batch rows included) into pieces of at most 2^16 amplitudes. Slices and
-pieces are shared out over one thread per CPU this process may use. Every
-amplitude sees the same float operations in the same order on every path,
-so the amplitudes do not depend on the block size, the cut or the number
-of workers. :func:`evolve` updates the zero state it allocates in place,
-and :func:`run` squares and sums that buffer in place, so a run holds one
-state-sized array.
+stays in cache for the whole run. Within a slice, the gates write out of
+place, back and forth between the slice and one scratch slice per worker,
+and a gate whose lowest target bit lies below 12 is preceded by a rotation
+of the slice's index bits (one transpose copy) that lifts it to bit 12, so
+every gate's inner loops run over at least 2^12 amplitudes. The slice ends
+with its bits back in order. Every other gate is one full pass of
+:func:`apply_gate`, which updates the state in place and cuts the view of
+any state above 2^16 amplitudes (batch rows included) into pieces of at
+most 2^16 amplitudes. Slices and pieces are shared out over one thread per
+CPU this process may use. Every amplitude sees the same float operations
+in the same order on every path, so the amplitudes do not depend on the
+block size, the cut, the rotations or the number of workers. :func:`evolve`
+updates the zero state it allocates, and :func:`run` squares and sums that
+buffer in place, so a run holds one state-sized array.
 
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (a running sum,
@@ -76,8 +81,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # evolve applies runs of gates below this qubit one 2^16-amplitude slice at a
 # time, and apply_gate cuts larger states into pieces of at most that size: a
-# float64 slice (512 KB) and its kernel's temporary (at most 256 KB) fit in a
-# per-core L2 cache.
+# float64 slice (512 KB) and the worker's scratch slice in evolve, or a piece's
+# in-place kernel temporary (at most 256 KB), fit in a per-core L2 cache.
 _BLOCK_QUBITS = 16
 
 # run draws, sorts and tallies this many uniforms at a time (2 MB of float64).
@@ -437,22 +442,90 @@ def _share(task, count: int) -> None:
         raise errors[0]
 
 
+def _hadamard_into(src: np.ndarray, dst: np.ndarray, targets: tuple[int, ...]) -> None:
+    a, b = _pair_view(src, targets), _pair_view(dst, targets)
+    np.add(a[:, 0], a[:, 1], out=b[:, 0])
+    np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+    dst *= _INV_SQRT2
+
+
+def _pauli_x_into(src: np.ndarray, dst: np.ndarray, targets: tuple[int, ...]) -> None:
+    a, b = _pair_view(src, targets), _pair_view(dst, targets)
+    b[:, 0] = a[:, 1]
+    b[:, 1] = a[:, 0]
+
+
+def _cnot_into(src: np.ndarray, dst: np.ndarray, targets: tuple[int, ...]) -> None:
+    a, b = _pair_view(src, targets), _pair_view(dst, targets)
+    b[:, 0] = a[:, 0]
+    b[:, 1, :, 0] = a[:, 1, :, 1]
+    b[:, 1, :, 1] = a[:, 1, :, 0]
+
+
+# ``kernel(src, dst, targets)`` writes ``src`` after the gate into ``dst``, a
+# distinct array of the same size, with the targets given as bits of the index.
+# The H kernel does the float operations of the in-place one, in the same order.
+_SLICE_KERNELS = {"H": _hadamard_into, "X": _pauli_x_into, "CNOT": _cnot_into}
+
+
+def _rotate(src: np.ndarray, dst: np.ndarray, k: int) -> None:
+    """Write ``src`` into ``dst`` with each index's bits rotated up by ``k``.
+
+    Amplitude i of ``src``, a 2^b-amplitude array, lands at index
+    ``(i << k | i >> b − k) mod 2^b`` of ``dst``: one transpose copy.
+    """
+    size = len(src)
+    np.copyto(dst.reshape(size >> k, 1 << k), src.reshape(1 << k, size >> k).T)
+
+
+def _low_run_steps(gates: list[Gate]) -> list[tuple]:
+    """The ``(step, arg)`` list that applies ``gates`` to one slice.
+
+    Each step reads one buffer and writes the other: ``_rotate(src, dst, k)``
+    or a kernel of ``_SLICE_KERNELS`` with its targets as slice bits. Logical
+    qubit q sits at slice bit (q + s) mod _BLOCK_QUBITS, for an offset s that
+    starts at 0. A gate whose lowest bit lies below _BLOCK_QUBITS − 4 is
+    preceded by a rotation that lifts that bit to _BLOCK_QUBITS − 4, where
+    its pair view's inner loops run over at least 2^(_BLOCK_QUBITS − 4)
+    amplitudes. A last rotation brings s back to 0.
+    """
+    bits = _BLOCK_QUBITS
+    fast = bits - 4
+    shift, steps = 0, []
+    for gate in gates:
+        targets = tuple((q + shift) % bits for q in gate.targets)
+        if min(targets) < fast:
+            k = fast - min(targets)
+            steps.append((_rotate, k))
+            shift = (shift + k) % bits
+            targets = tuple((t + k) % bits for t in targets)
+        steps.append((_SLICE_KERNELS[gate.kind], targets))
+    if shift:
+        steps.append((_rotate, bits - shift))
+    return steps
+
+
 def _apply_low_run(amps: np.ndarray, gates: list[Gate]) -> None:
     """Apply gates whose targets all lie below ``_BLOCK_QUBITS``, slice by slice.
 
     Each contiguous slice of 2^_BLOCK_QUBITS amplitudes holds whole pairs of
-    every such gate, so the run's kernels update one slice of ``amps`` in
-    place, one gate after another, while it stays in cache. The slices are
-    shared across the CPUs in contiguous blocks by :func:`_share`.
+    every such gate, so the run's steps (:func:`_low_run_steps`) go through
+    one slice at a time while it stays in cache. They alternate between the
+    slice of ``amps`` and one scratch slice per worker, and an odd number of
+    steps ends with a copy back into ``amps``. The slices are shared across
+    the CPUs in contiguous blocks by :func:`_share`.
     """
     size = 1 << _BLOCK_QUBITS
-    steps = [(_PAIR_KERNELS[gate.kind], gate.targets) for gate in gates]
+    steps = _low_run_steps(gates)
 
     def apply_share(first: int, stop: int) -> None:
+        scratch = np.empty(size, dtype=amps.dtype)
         for start in range(first * size, stop * size, size):
-            piece = amps[start : start + size]
-            for kernel, targets in steps:
-                kernel(_pair_view(piece, targets))
+            buffers = amps[start : start + size], scratch
+            for i, (step, arg) in enumerate(steps):
+                step(buffers[i % 2], buffers[1 - i % 2], arg)
+            if len(steps) % 2:
+                buffers[0][...] = scratch
 
     _share(apply_share, len(amps) // size)
 
@@ -460,15 +533,15 @@ def _apply_low_run(amps: np.ndarray, gates: list[Gate]) -> None:
 def evolve(circuit: Circuit) -> Statevector:
     """Apply the circuit's gates in order to the zero state, in place.
 
-    The zero state's buffer is the only state-sized array: every gate
-    updates it in place. On more than ``_BLOCK_QUBITS`` qubits, each maximal
-    run of consecutive gates whose targets all lie below ``_BLOCK_QUBITS``
-    is applied one 2^_BLOCK_QUBITS-amplitude slice at a time, with the
-    slices split across the CPUs this process may use. Every other gate is
-    one :func:`apply_gate` call with ``out`` the state's own amplitudes.
-    Every amplitude sees the same operations in the same order either way,
-    so the result does not depend on the block size or the number of
-    workers.
+    The zero state's buffer is the only state-sized array. On more than
+    ``_BLOCK_QUBITS`` qubits, each maximal run of consecutive gates whose
+    targets all lie below ``_BLOCK_QUBITS`` is applied one
+    2^_BLOCK_QUBITS-amplitude slice at a time (:func:`_apply_low_run`),
+    with the slices split across the CPUs this process may use; besides the
+    state, each worker holds one scratch slice. Every other gate is one
+    :func:`apply_gate` call with ``out`` the state's own amplitudes. Every
+    amplitude sees the same operations in the same order either way, so the
+    result does not depend on the block size or the number of workers.
     """
     if not isinstance(circuit, Circuit):
         raise ValidationError("circuit", f"expected a Circuit, got {circuit!r}")

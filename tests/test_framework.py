@@ -238,6 +238,19 @@ HELPER_LEAKS = {
     "verify-compare_mode-array": (
         lambda: bb84.verify([1], [1], compare_mode=np.array(["half", "full"])), "compare_mode"
     ),
+    "encode_qubit-value-2": (lambda: bb84.encode_qubit(2, bb84.Axis.X), "value"),
+    "encode_qubit-value-str": (lambda: bb84.encode_qubit("1", bb84.Axis.X), "value"),
+    "encode_qubit-value-bool": (lambda: bb84.encode_qubit(True, bb84.Axis.Z), "value"),
+    "encode_qubit-axis-str": (lambda: bb84.encode_qubit(1, "X"), "axis"),
+    "encode_state-value": (lambda: bb84.encode_state(-1, bb84.Axis.Z), "value"),
+    "encode_state-axis": (lambda: bb84.encode_state(0, None), "axis"),
+    "abort_probability-None": (lambda: bb84.abort_probability(None, None), "n"),
+    "abort_probability-negative-n": (lambda: bb84.abort_probability(-1, 0.5), "n"),
+    "abort_probability-float-n": (lambda: bb84.abort_probability(2.0, 0.5), "n"),
+    "abort_probability-density-above-1": (lambda: bb84.abort_probability(4, 9.0), "density"),
+    "abort_probability-density-below-0": (lambda: bb84.abort_probability(4, -0.1), "density"),
+    "abort_probability-density-None": (lambda: bb84.abort_probability(4, None), "density"),
+    "render_trace-None": (lambda: bb84.render_trace(None), "trace"),
 }
 
 
@@ -304,6 +317,12 @@ def test_public_entry_points_return_or_raise_qubitkit_errors(a, b, params, raw):
         lambda: bb84.sift(a, b),
         lambda: bb84.verify(a, b),
         lambda: bb84.verify([1, 0], [1, 0], compare_mode=a),
+        lambda: bb84.encode_qubit(a, b),
+        lambda: bb84.encode_state(a, b),
+        lambda: bb84.encode_qubit(1, a),
+        lambda: bb84.abort_probability(a, b),
+        lambda: bb84.abort_probability(a, 0.5),
+        lambda: bb84.render_trace(a),
         lambda: default_algorithms().get(a),
     ]
     for name, good in DEFAULT_PARAMS.items():

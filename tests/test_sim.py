@@ -352,8 +352,8 @@ def gates_on(draw, n):
 
 
 @st.composite
-def circuits(draw):
-    n = draw(st.integers(1, 6))
+def circuits(draw, max_qubits=6):
+    n = draw(st.integers(1, max_qubits))
     return Circuit(n, gates=draw(st.lists(gates_on(n), max_size=30)))
 
 
@@ -390,8 +390,9 @@ def test_apply_gate_matches_dense_oracle(n_and_gate, dtype, seed):
 
 # ---------------------------------------------------------------------------
 # Cache-blocked evolve: bit-identical to the per-gate apply_gate chain. A block
-# of 1-3 qubits makes these small circuits cross slice edges; three workers
-# get uneven shares of the slices.
+# of 1-3 qubits makes these small circuits cross slice edges; a block of 5 or 6
+# qubits makes a low run rotate a gate on slice bit 0 or 1 up to bit B - 4;
+# three workers get uneven shares of the slices.
 
 
 def per_gate_chain(circuit, state=None):
@@ -404,9 +405,9 @@ def per_gate_chain(circuit, state=None):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("block_qubits", [1, 2, 3])
+@pytest.mark.parametrize("block_qubits", [1, 2, 3, 5, 6])
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
-@given(circuits())
+@given(circuits(max_qubits=8))
 def test_blocked_evolve_equals_per_gate_chain(block_qubits, workers, circuit):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_BLOCK_QUBITS", block_qubits)
@@ -439,14 +440,15 @@ def test_blocked_evolve_with_more_workers_than_cpus_and_fast_switching(monkeypat
 
 
 def test_kernel_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
-    caller, hadamard = threading.current_thread(), sim._PAIR_KERNELS["H"]
+    # The low run's H kernel: H(0) on two qubits with a 1-qubit block.
+    caller, hadamard = threading.current_thread(), sim._SLICE_KERNELS["H"]
 
-    def fails_off_the_calling_thread(view):
+    def fails_off_the_calling_thread(src, dst, targets):
         if threading.current_thread() is not caller:
             raise RuntimeError("kernel failed in a worker")
-        hadamard(view)
+        hadamard(src, dst, targets)
 
-    monkeypatch.setitem(sim._PAIR_KERNELS, "H", fails_off_the_calling_thread)
+    monkeypatch.setitem(sim._SLICE_KERNELS, "H", fails_off_the_calling_thread)
     monkeypatch.setattr(sim, "_BLOCK_QUBITS", 1)
     monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match="kernel failed in a worker"):
@@ -474,10 +476,51 @@ def test_kernel_error_in_a_piece_of_a_shared_gate_reaches_the_caller(monkeypatch
     assert not any(thread.is_alive() for thread in started)
 
 
+# Low runs under a 6-qubit block, which lifts a gate on slice bit 0 or 1 to
+# bit 2 first, and the steps each slice goes through (sim._low_run_steps).
+ROTATING_RUNS = {
+    # Three steps: the result ends in the scratch slice and is copied back.
+    "ends-in-scratch": (
+        Circuit(7).h(0),
+        [("_rotate", 2), ("_hadamard_into", (2,)), ("_rotate", 4)],
+    ),
+    # Offset 2 after the last gate, restored by a rotation; four steps.
+    "nonzero-final-offset": (
+        Circuit(7).h(0).h(3),
+        [("_rotate", 2), ("_hadamard_into", (2,)), ("_hadamard_into", (5,)), ("_rotate", 4)],
+    ),
+    # The control, on bit 5, wraps round to bit 1, below the target on bit 2.
+    "cnot-wraps": (
+        Circuit(7).h(5).cnot(5, 0),
+        [("_hadamard_into", (5,)), ("_rotate", 2), ("_cnot_into", (1, 2)), ("_rotate", 4)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ROTATING_RUNS))
+def test_low_run_rotates_each_slice_and_restores_it(case, monkeypatch):
+    circuit, expected = ROTATING_RUNS[case]
+    monkeypatch.setattr(sim, "_BLOCK_QUBITS", 6)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 1)
+    low = [gate for gate in circuit.gates if max(gate.targets) < 6]
+    steps = sim._low_run_steps(low)
+    assert [(step.__name__, arg) for step, arg in steps] == expected
+    rotate, shifts = sim._rotate, []
+
+    def spy(src, dst, k):
+        shifts.append(k)
+        rotate(src, dst, k)
+
+    monkeypatch.setattr(sim, "_rotate", spy)
+    evolved = evolve(circuit).amplitudes
+    assert shifts == [arg for name, arg in expected if name == "_rotate"] * 2  # two slices
+    assert np.array_equal(evolved, reference_chain(new_zero_state(7).amplitudes, circuit.gates))
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(
-    circuits(),
-    st.integers(1, 3),
+    circuits(max_qubits=8),
+    st.integers(1, 6),
     st.integers(1, 3),
     st.integers(1, 4),
     st.sampled_from([complex, float]),
@@ -485,10 +528,14 @@ def test_kernel_error_in_a_piece_of_a_shared_gate_reaches_the_caller(monkeypatch
 )
 # CNOT(1, 0) inside a low run: a 2-qubit block, so all three gates are blocked.
 @example(Circuit(3).h(1).cnot(1, 0).h(0), 2, 2, 2, float, 0)
+@example(ROTATING_RUNS["ends-in-scratch"][0], 6, 2, 1, float, 0)
+@example(ROTATING_RUNS["nonzero-final-offset"][0], 6, 2, 1, float, 0)
+@example(ROTATING_RUNS["cnot-wraps"][0], 6, 2, 1, float, 0)
 def test_evolve_and_apply_gate_equal_the_reference_kernels(
     circuit, block_qubits, workers, rows, dtype, seed
 ):
-    # A block of 1-3 qubits sends most gates down the shared, cut path.
+    # A block of 1-3 qubits sends most gates down the shared, cut path; one
+    # of 5 or 6 qubits makes low runs rotate their slices.
     n = circuit.num_qubits
     rng = np.random.default_rng(seed)
     batch = Statevector(n, np.stack([random_state(rng, n, dtype).amplitudes for _ in range(rows)]))
@@ -926,6 +973,17 @@ def test_qrand_hist_run_memory():
     circuit = qrand_circuit(16)
     run(circuit, 1, 3)  # the first run pays numpy's lazy allocations
     assert peak_bytes(lambda: run(circuit, 10**6, 3)) < 6e6
+
+
+def test_evolve_memory_is_the_state_and_one_slice_per_worker():
+    # Each worker's low runs alternate between the state's slice and one
+    # scratch slice; no kernel or rotation holds a temporary of its own.
+    circuit = bv_circuit(KEY_19)
+    evolve(circuit)  # the first run pays numpy's lazy allocations
+    slice_bytes = (1 << sim._BLOCK_QUBITS) * 8
+    workers = min(sim._cpu_count(), 1 << circuit.num_qubits - sim._BLOCK_QUBITS)
+    bound = (1 << circuit.num_qubits) * 8 + workers * (slice_bytes + 16_384)
+    assert peak_bytes(lambda: evolve(circuit)) <= bound
 
 
 def test_run_memory_has_no_tally_the_size_of_the_state():
