@@ -26,14 +26,15 @@ stays in cache for the whole run. Within a slice, the gates write out of
 place, back and forth between the slice and one scratch slice per worker,
 and a gate whose lowest target bit lies below 12 is preceded by a rotation
 of the slice's index bits (one transpose copy) that lifts it to bit 12, so
-every gate's inner loops run over at least 2^12 amplitudes. The slice ends
-with its bits back in order. Every other gate is one full pass of
-:func:`apply_gate`, which updates the state in place and cuts the view of
-any state above 2^16 amplitudes (batch rows included) into pieces of at
-most 2^16 amplitudes. Slices and pieces are shared out over one thread per
-CPU this process may use. Every amplitude sees the same float operations
-in the same order on every path, so the amplitudes do not depend on the
-block size, the cut, the rotations or the number of workers. :func:`evolve`
+its inner loops run over at least 2^12 amplitudes (unless it is a CNOT
+whose other target wraps round past bit 15). The slice ends with its bits
+back in order. Every other gate is one full pass of :func:`apply_gate`,
+which updates the state in place and cuts the view of any state above
+2^16 amplitudes (batch rows included) into pieces of at most 2^16
+amplitudes. Slices and pieces are shared out over one thread per CPU this
+process may use. Every amplitude sees the same float operations in the
+same order on every path, so the amplitudes do not depend on the block
+size, the cut, the rotations or the number of workers. :func:`evolve`
 updates the zero state it allocates, and :func:`run` squares and sums that
 buffer in place, so a run holds one state-sized array.
 
@@ -487,19 +488,18 @@ def _low_run_steps(gates: list[Gate]) -> list[tuple]:
     starts at 0. A gate whose lowest bit lies below _BLOCK_QUBITS − 4 is
     preceded by a rotation that lifts that bit to _BLOCK_QUBITS − 4, where
     its pair view's inner loops run over at least 2^(_BLOCK_QUBITS − 4)
-    amplitudes. A last rotation brings s back to 0.
+    amplitudes, unless a CNOT's other target wraps round past the top bit.
+    A last rotation brings s back to 0.
     """
     bits = _BLOCK_QUBITS
     fast = bits - 4
     shift, steps = 0, []
     for gate in gates:
-        targets = tuple((q + shift) % bits for q in gate.targets)
-        if min(targets) < fast:
-            k = fast - min(targets)
-            steps.append((_rotate, k))
-            shift = (shift + k) % bits
-            targets = tuple((t + k) % bits for t in targets)
-        steps.append((_SLICE_KERNELS[gate.kind], targets))
+        low = min((q + shift) % bits for q in gate.targets)
+        if low < fast:
+            steps.append((_rotate, fast - low))
+            shift = (shift + fast - low) % bits
+        steps.append((_SLICE_KERNELS[gate.kind], tuple((q + shift) % bits for q in gate.targets)))
     if shift:
         steps.append((_rotate, bits - shift))
     return steps
