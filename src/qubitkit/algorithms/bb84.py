@@ -3,13 +3,14 @@
 A sender encodes random bits in random Z/X axes as single-qubit circuits
 (value-axis table: (0,Z) bare wire, (0,X) H, (1,Z) X, (1,X) X then H).
 An eavesdropper may measure each transiting qubit in a random axis and
-resend her collapsed state (intercept-resend); the receiver measures in
-his own random axis. Sifting keeps the positions where sender and
-receiver axes agree, verification publishes part of the sifted key, and
-any disagreement there aborts the run. The compare mode names how much is
-published: "half" (the first half of the sifted key, the protocol) or
-"full" (all of it, whose abort rate follows 1 - (1 - density/8)^m). A
-sifted key too short to verify is the verdict key_too_short.
+resend her collapsed state (intercept-resend), with one probability per
+qubit, the density; the receiver measures in his own random axis. Sifting
+keeps the positions where sender and receiver axes agree, verification
+publishes part of the sifted key, and any disagreement there aborts the
+run. The compare mode names how much is published: "half" (the first half
+of the sifted key, the protocol) or "full" (all of it, whose abort rate
+follows 1 - (1 - density/8)^m). A sifted key too short to verify is the
+verdict key_too_short.
 
 The full protocol sends six qubits per message bit and repeats a round
 whose key comes up short, up to ten rounds; surviving key bits one-time-pad
@@ -24,12 +25,12 @@ report the tally of verdicts.
 
 Every qubit travels as a real statevector: prepared, collapsed on
 measurement, re-prepared on resend. Nothing is shortcut with classical
-probability tables. Only four preparations exist; their circuits are
-evolved once, at import, and every round indexes that table to prepare its
-qubits and to collapse them. A round's m qubits travel together as one
-batch, a ``Statevector(1, amplitudes)`` whose amplitudes have shape (m, 2),
-one row per qubit: interception and measurement rotate, sample and
-collapse all rows at once.
+probability tables, and nothing runs on a backend. Only four preparations
+exist; their circuits are evolved once, at import, and every round indexes
+that table to prepare its qubits and to collapse them. A round's m qubits
+travel together as one batch, a ``Statevector(1, amplitudes)`` whose
+amplitudes have shape (m, 2), one row per qubit: interception and
+measurement rotate, sample and collapse all rows at once.
 
 Each party draws from its own generator. The sender draws m bit uniforms,
 then m axis uniforms; the receiver draws m axis uniforms, then m
@@ -58,8 +59,10 @@ from ..sim import (
     Statevector,
     apply_gate,
     check_count,
+    check_rng,
     derive_seed,
     evolve,
+    make_rng,
     resolve_seed,
     sample_measurement,
 )
@@ -85,17 +88,6 @@ MESSAGE = ParamSpec(
 DENSITY = ParamSpec(
     "density", "probability", description="per-qubit interception probability, 0 to 1"
 )
-
-
-@dataclass(frozen=True)
-class ChannelPolicy:
-    """Per-qubit probability that the eavesdropper measures it, checked by
-    :data:`DENSITY`, the descriptor's spec."""
-
-    interception_density: float
-
-    def __post_init__(self):
-        DENSITY.check(self.interception_density)
 
 
 @dataclass(frozen=True)
@@ -171,43 +163,73 @@ _EVE_ACTIONS = np.array(
 )
 
 
+def _batch(states: Statevector) -> np.ndarray:
+    """The amplitude rows of ``states``, a batch of qubits; anything else
+    raises a ValidationError naming ``states``."""
+    amps = getattr(states, "amplitudes", None)
+    if not (
+        isinstance(states, Statevector)
+        and states.num_qubits == 1
+        and isinstance(amps, np.ndarray)
+        and amps.ndim == 2
+        and amps.shape[1] == 2
+    ):
+        raise ValidationError(
+            "states", f"expected a 1-qubit Statevector of shape (m, 2), got {states!r}"
+        )
+    return amps
+
+
 def measure_in_axis(
     states: Statevector, x_rows: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, Statevector]:
     """Measure a batch of qubits, each in its own axis.
 
-    ``states`` holds one qubit per amplitude row; ``x_rows[i]`` is True
-    where row i is measured in the X axis, else Z. Returns (bits, collapsed
-    states) as an int array and a batch of the same shape. X rows are
-    rotated with H before sampling, and every row collapses onto the
-    prepared state of its observed bit in its axis, which for X is exactly
-    the collapse onto |+>/|->. One uniform is drawn per row, in row order.
+    ``states`` is a batch, a 1-qubit Statevector whose amplitudes have shape
+    (m, 2), one qubit per row; ``x_rows`` holds one bool per row, True where
+    the row is measured in the X axis, else Z. A ValidationError names either
+    one if it is not so. Returns (bits, collapsed states) as an int array
+    and a batch of the same shape. X rows are rotated with H before
+    sampling, and every row collapses onto the prepared state of its
+    observed bit in its axis, which for X is exactly the collapse onto
+    |+>/|->. One uniform is drawn per row, in row order.
     """
-    x_rows = np.asarray(x_rows, dtype=bool)
-    probe = states.amplitudes.copy()
-    rows = probe[x_rows]
-    probe[x_rows] = apply_gate(Statevector(1, rows), _H, out=rows).amplitudes
+    amps = _batch(states)
+    try:
+        flags = np.asarray(x_rows)
+    except ValueError:  # a ragged nesting
+        flags = np.array(None)
+    if flags.dtype != bool or flags.shape != (len(amps),):
+        raise ValidationError("x_rows", f"expected {len(amps)} bools, got {x_rows!r}")
+    probe = amps.copy()
+    rows = probe[flags]
+    probe[flags] = apply_gate(Statevector(1, rows), _H, out=rows).amplitudes
     bits = sample_measurement(Statevector(1, probe), rng)
-    return bits, Statevector(1, _COLLAPSED[2 * bits + x_rows])
+    return bits, Statevector(1, _COLLAPSED[2 * bits + flags])
 
 
 def intercept(
-    states: Statevector, policy: ChannelPolicy, rng: np.random.Generator
+    states: Statevector, density: float, rng: np.random.Generator
 ) -> tuple[Statevector, list[Optional[EveAction]]]:
     """Intercept-resend attack on a batch of transiting qubits.
 
-    Each row is hit with probability equal to the interception density;
-    the eavesdropper measures a hit row in a uniformly random axis and
-    forwards her collapsed state, and other rows pass untouched. Returns
-    the forwarded batch and one action per row (None where not hit). Draw
-    order: m interception decisions, then one axis per hit row, then the
-    hit rows' collapses.
+    Each row is hit with probability ``density``, checked by
+    :data:`DENSITY`, the descriptor's spec; the eavesdropper measures a hit
+    row in a uniformly random axis and forwards her collapsed state, and
+    other rows pass untouched. Returns the forwarded batch and one action
+    per row (None where not hit). Draw order: m interception decisions, then
+    one axis per hit row, then the hit rows' collapses. ``states`` is a
+    batch as in :func:`measure_in_axis`, and an ``rng`` that is not a numpy
+    Generator raises a ValidationError naming it.
     """
-    rows = len(states.amplitudes)
-    hit = np.flatnonzero(rng.random(rows) < policy.interception_density)
+    amps = _batch(states)
+    DENSITY.check(density)
+    check_rng(rng)
+    rows = len(amps)
+    hit = np.flatnonzero(rng.random(rows) < density)
     x_axis = rng.random(hit.size) >= 0.5
-    bits, resent = measure_in_axis(Statevector(1, states.amplitudes[hit]), x_axis, rng)
-    forwarded = states.amplitudes.copy()
+    bits, resent = measure_in_axis(Statevector(1, amps[hit]), x_axis, rng)
+    forwarded = amps.copy()
     forwarded[hit] = resent.amplitudes
     actions = np.full(rows, None, dtype=object)
     actions[hit] = _EVE_ACTIONS[2 * bits + x_axis]
@@ -254,15 +276,15 @@ def verify(
     sender_sifted_bits: Sequence[int],
     receiver_sifted_bits: Sequence[int],
     compare_mode: str = "half",
-) -> tuple[str, list[int], tuple[int, ...]]:
+) -> tuple[str, int, tuple[int, ...]]:
     """Compare published sifted bits; any mismatch means eavesdropping.
 
     Publishes the first ceil(L/2) sifted positions (compare_mode="half",
     the protocol mode) or all of them (compare_mode="full", the
-    detection-statistics mode). Returns (verdict, published indices into
-    the sifted list, the receiver's unpublished bits). A key too short to
-    publish from (under two bits for "half", none for "full") returns
-    (KEY_TOO_SHORT, [], ()).
+    detection-statistics mode). Returns (verdict, the number of bits
+    published, which are always the first ones of the sifted list, the
+    receiver's unpublished bits). A key too short to publish from (under two
+    bits for "half", none for "full") returns (KEY_TOO_SHORT, 0, ()).
     """
     _check_compare_mode(compare_mode)
     sender, receiver = _rows(
@@ -270,10 +292,10 @@ def verify(
     )
     length = len(sender)
     if length < (2 if compare_mode == "half" else 1):
-        return KEY_TOO_SHORT, [], ()
+        return KEY_TOO_SHORT, 0, ()
     cut = math.ceil(length / 2) if compare_mode == "half" else length
     verdict = SECURE if np.array_equal(sender[:cut], receiver[:cut]) else ABORTED
-    return verdict, list(range(cut)), tuple(receiver[cut:].tolist())
+    return verdict, cut, tuple(receiver[cut:].tolist())
 
 
 def abort_probability(n: int, density: float) -> float:
@@ -291,26 +313,21 @@ def abort_probability(n: int, density: float) -> float:
     return 1.0 - (1.0 - density / 8.0) ** n
 
 
-def _setup(density, backends, backend_name, seed):
-    """Channel policy, effective seed and the three generators.
+def _setup(density, seed):
+    """Effective seed and the three generators, once the density is checked.
 
-    The backend name is only looked up, so a bad one fails before any draw.
     The generators belong to the sender, the eavesdropper and the receiver,
     in that order, and carry on across retry rounds.
     """
-    policy = ChannelPolicy(density)
-    (default_registry() if backends is None else backends).get(backend_name)
+    DENSITY.check(density)
     effective_seed = resolve_seed(seed)
-    rngs = tuple(
-        np.random.Generator(np.random.PCG64(child))
-        for child in np.random.SeedSequence(effective_seed).spawn(3)
-    )
-    return policy, effective_seed, rngs
+    rngs = tuple(map(make_rng, np.random.SeedSequence(effective_seed).spawn(3)))
+    return effective_seed, rngs
 
 
 def _single_exchange(
     transmitted: int,
-    policy: ChannelPolicy,
+    density: float,
     rngs: tuple[np.random.Generator, ...],
     compare_mode: str,
     seed: int,
@@ -320,7 +337,7 @@ def _single_exchange(
     sender_x = sender_rng.random(transmitted) >= 0.5
     receiver_x = receiver_rng.random(transmitted) >= 0.5
     states = Statevector(1, _COLLAPSED[2 * bits + sender_x])
-    states, eve_actions = intercept(states, policy, eve_rng)
+    states, eve_actions = intercept(states, density, eve_rng)
     received, _ = measure_in_axis(states, receiver_x, receiver_rng)
 
     sifted = sift(sender_x, receiver_x)
@@ -335,8 +352,7 @@ def _single_exchange(
         receiver_axes=tuple(np.where(receiver_x, Axis.X, Axis.Z).tolist()),
         receiver_bits=tuple(received.tolist()),
         sifted_positions=tuple(sifted),
-        # verify always publishes a prefix of the sifted key.
-        published_positions=tuple(sifted[: len(published)]),
+        published_positions=tuple(sifted[:published]),
         verdict=verdict,
         shared_key=remaining if verdict == SECURE else None,
         seed=seed,
@@ -356,19 +372,25 @@ def run_exchange(
     compare_mode "half" publishes half the sifted key (protocol behavior);
     "full" publishes all of it, the mode whose abort rate follows
     1 - (1 - density/8)^transmitted exactly.
+
+    The exchange runs on no backend. ``backends`` (the default registry if
+    None) and ``backend_name`` are only checked and looked up, so a bad one
+    fails before any draw; they stay in the signature because the benchmark
+    passes them positionally.
     """
     check_count("transmitted", transmitted)
     _check_compare_mode(compare_mode)
-    policy, seed, rngs = _setup(density, backends, backend_name, seed)
-    return _single_exchange(transmitted, policy, rngs, compare_mode, seed)
+    if backends is None:
+        backends = default_registry()
+    elif not isinstance(backends, BackendRegistry):
+        raise ValidationError("backends", f"expected a BackendRegistry, got {backends!r}")
+    backends.get(backend_name)
+    seed, rngs = _setup(density, seed)
+    return _single_exchange(transmitted, density, rngs, compare_mode, seed)
 
 
 def run_protocol(
-    message_bits: Sequence[int],
-    density: float,
-    backends: BackendRegistry | None = None,
-    backend_name: str = LOCAL_BACKEND_NAME,
-    seed: int | None = None,
+    message_bits: Sequence[int], density: float, seed: int | None = None
 ) -> Bb84Trace:
     """Full protocol: exchange enough qubits to one-time-pad the message.
 
@@ -380,12 +402,12 @@ def run_protocol(
     message = otp.check_bits("message", message_bits)
     if not message:
         raise ValidationError("message", "expected a non-empty sequence of 0/1 bits")
-    policy, seed, rngs = _setup(density, backends, backend_name, seed)
+    seed, rngs = _setup(density, seed)
 
     transmitted = _OVERSAMPLE * len(message)
     for attempt in range(1, _MAX_ROUNDS + 1):
         trace = replace(
-            _single_exchange(transmitted, policy, rngs, "half", seed),
+            _single_exchange(transmitted, density, rngs, "half", seed),
             attempts=attempt,
             message_bits=message,
         )
@@ -462,11 +484,11 @@ def _interpret(params: Params, counts: Counts) -> str:
     return f"verdicts over {counts.shots} runs — " + ", ".join(parts)
 
 
-def _runner(params: Params, backends, backend_name, shots, seed):
+def _runner(params: Params, shots, seed):
     message = otp.text_to_bits(params["message"])
     density = params["density"]
     if shots == 1:
-        trace = run_protocol(message, density, backends, backend_name, seed)
+        trace = run_protocol(message, density, seed)
         counts = Counts({trace.verdict: 1}, 1)
         text = render_trace(trace)
         # A faithful round trip decrypts the UTF-8 bits of params["message"].
@@ -475,9 +497,7 @@ def _runner(params: Params, backends, backend_name, shots, seed):
         return text, counts
     tallies: dict[str, int] = {}
     for i in range(shots):
-        trace = run_protocol(
-            message, density, backends, backend_name, derive_seed(seed, i)
-        )
+        trace = run_protocol(message, density, derive_seed(seed, i))
         tallies[trace.verdict] = tallies.get(trace.verdict, 0) + 1
     counts = Counts(dict(sorted(tallies.items())), shots)
     return _interpret(params, counts), counts

@@ -55,6 +55,8 @@ class BvSolveResult:
 
 def classical_solve(oracle: Callable[[str], int], n: int) -> BvSolveResult:
     """Recover the key with exactly n queries, one unit vector per bit."""
+    if not callable(oracle):
+        raise ValidationError("oracle", f"expected a callable, got {oracle!r}")
     check_count("n", n)
     bits = []
     for i in range(n):
@@ -115,6 +117,8 @@ def input_register_state(key: str) -> np.ndarray:
 
 def recovered_key(outcome: str) -> str:
     """Drop the ancilla bit (printed first) from a measured outcome."""
+    if not isinstance(outcome, str):
+        raise ValidationError("outcome", f"expected an outcome label, got {outcome!r}")
     return outcome[1:]
 
 

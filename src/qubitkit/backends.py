@@ -56,7 +56,19 @@ class BackendRegistry:
         self._backends: dict[str, object] = {}
 
     def register(self, backend) -> None:
-        name = backend.info.name
+        """Add a backend under its ``info.name``; one without a
+        :class:`BackendInfo` ``info`` named by a ``str`` and a callable
+        ``run`` raises a ValidationError naming ``backend``."""
+        info = getattr(backend, "info", None)
+        if not (
+            isinstance(info, BackendInfo)
+            and isinstance(info.name, str)
+            and callable(getattr(backend, "run", None))
+        ):
+            raise ValidationError(
+                "backend", f"expected a str-named BackendInfo and a run method, got {backend!r}"
+            )
+        name = info.name
         if name in self._backends:
             raise ValueError(f"backend name {name!r} already registered")
         self._backends[name] = backend

@@ -104,9 +104,9 @@ class AlgorithmDescriptor:
     so the histogram mode reuses it).
 
     Algorithms that do not fit the one-circuit mold (BB84 drives many
-    single-qubit states itself) set ``runner``; it receives
-    (params, backends, backend_name, shots, seed) and returns
-    (text, counts), and ``build`` degenerates to a null circuit.
+    single-qubit states itself and runs on no backend) set ``runner``; it
+    receives (params, shots, seed), checked as :func:`run_algorithm` says,
+    and returns (text, counts), and ``build`` degenerates to a null circuit.
     """
 
     name: str
@@ -151,6 +151,10 @@ class AlgorithmRegistry:
         self._algorithms: dict[str, AlgorithmDescriptor] = {}
 
     def register(self, descriptor: AlgorithmDescriptor) -> None:
+        if not isinstance(descriptor, AlgorithmDescriptor):
+            raise ValidationError(
+                "descriptor", f"expected an AlgorithmDescriptor, got {descriptor!r}"
+            )
         if descriptor.name in self._algorithms:
             raise ValueError(f"algorithm name {descriptor.name!r} already registered")
         self._algorithms[descriptor.name] = descriptor
@@ -197,9 +201,7 @@ def run_algorithm(
     backends.get(backend_name)
     effective_seed = resolve_seed(seed)
     if descriptor.runner is not None:
-        text, counts = descriptor.runner(
-            params, backends, backend_name, shots, effective_seed
-        )
+        text, counts = descriptor.runner(params, shots, effective_seed)
     else:
         circuit = descriptor.build(params)
         counts = backends.execute(backend_name, circuit, shots, effective_seed)

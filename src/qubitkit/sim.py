@@ -92,17 +92,36 @@ _CHUNK = 1 << 18
 _SEED_BOUND = 1 << 64  # seeds lie in [0, 2^64), the range derive_seed returns
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Seeded PCG64 generator; the single RNG used for all sampling."""
+def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    """Seeded PCG64 generator; the single RNG used for all sampling.
+
+    ``seed`` is a ``SeedSequence`` (a spawned child) or a seed that passes
+    :func:`check_seed`.
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        check_seed(seed)
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def check_rng(rng) -> np.random.Generator:
+    """Return ``rng`` if it is a numpy ``Generator``, else raise a
+    ValidationError naming ``rng``."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError("rng", f"expected a numpy Generator, got {rng!r}")
+    return rng
 
 
 def derive_seed(master: int, *parts: int) -> int:
     """Child seed from (master, parts), independent of evaluation order.
 
     Work items seeded this way (heatmap cells, repeated protocol runs) give
-    identical results no matter how they are scheduled across workers.
+    identical results no matter how they are scheduled across workers. The
+    master and each part must pass :func:`check_seed`, else a
+    ValidationError names ``master`` or ``parts``.
     """
+    check_seed(master, "master")
+    for part in parts:
+        check_seed(part, "parts")
     sequence = np.random.SeedSequence([master, *parts])
     return int(sequence.generate_state(1, np.uint64)[0])
 
@@ -123,10 +142,11 @@ def check_count(param: str, value) -> int:
     return value
 
 
-def check_seed(seed) -> int:
-    """Return ``seed`` if it is an integer in [0, 2^64) (not a bool), else raise."""
+def check_seed(seed, param: str = "seed") -> int:
+    """Return ``seed`` if it is an integer in [0, 2^64) (not a bool), else
+    raise a ValidationError naming ``param``."""
     if not _is_int(seed) or not 0 <= seed < _SEED_BOUND:
-        raise ValidationError("seed", f"must be an integer in [0, 2^64), got {seed!r}")
+        raise ValidationError(param, f"must be an integer in [0, 2^64), got {seed!r}")
     return seed
 
 
@@ -144,8 +164,13 @@ def outcome_bits(indices: np.ndarray, width: int) -> np.ndarray:
 
     A ``(k, width)`` uint8 array of 0 and 1: row i read left to right is
     outcome ``indices[i]``'s label (bit order: module docstring), for
-    ``width`` its number of qubits.
+    ``width`` its number of qubits. ``indices`` must be a 1-D integer array
+    and ``width`` an integer within [1, 32], else a ValidationError names it.
     """
+    if not (isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu"):
+        raise ValidationError("indices", f"expected a 1-D integer array, got {indices!r}")
+    if not (_is_int(width) and 1 <= width <= 32):
+        raise ValidationError("width", f"must be an integer within [1, 32], got {width!r}")
     # The indices' big-endian bytes, only those that hold the bits asked for.
     octets = indices.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - (width + 7) // 8 :]
     bits = np.unpackbits(octets, axis=1)
@@ -254,7 +279,9 @@ class Statevector:
         return float(norms) if norms.ndim == 0 else norms
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        """``|a|^2`` of each amplitude, once they pass the check that
+        :func:`apply_gate` makes."""
+        return np.abs(_amplitudes(self)) ** 2
 
 
 def _amplitudes(state: Statevector) -> np.ndarray:
@@ -609,29 +636,38 @@ def sample_measurement(
     onto the total mass clamped to the last outcome.
     """
     amps = _amplitudes(state)
-    probabilities = state.probabilities()
-    rows = probabilities.reshape(-1, probabilities.shape[-1])
+    check_rng(rng)
+    rows = (np.abs(amps) ** 2).reshape(-1, amps.shape[-1])
     cum = np.cumsum(rows, axis=-1, out=rows)
     targets = rng.random(len(rows)) * cum[:, -1]
     indices = np.count_nonzero(cum[:, :-1] <= targets[:, None], axis=-1)
     return int(indices[0]) if amps.ndim == 1 else indices
 
 
-def _check_tallies(tallies: np.ndarray, shots: int) -> None:
-    """Raise a ValueError unless ``tallies`` is a 1-D array, not empty, of
-    integers >= 1 that sum to ``shots``."""
+def _check_tallies(param: str, tallies: np.ndarray, shots: int) -> None:
+    """Raise a ValidationError naming ``param`` unless ``tallies`` is a 1-D
+    array, not empty, of integers >= 1 that sum to ``shots`` (itself checked
+    by :func:`check_count`)."""
+    check_count("shots", shots)
     if not (
-        tallies.ndim == 1 and len(tallies) and tallies.dtype.kind in "iu" and tallies.min() >= 1
+        isinstance(tallies, np.ndarray)
+        and tallies.ndim == 1
+        and len(tallies)
+        and tallies.dtype.kind in "iu"
+        and tallies.min() >= 1
     ):
-        raise ValueError(f"tallies must be a 1-D array of integers >= 1, got {tallies!r}")
+        raise ValidationError(
+            param, f"tallies must be a 1-D array of integers >= 1, got {tallies!r}"
+        )
     total = int(tallies.sum())
     if total != shots:
-        raise ValueError(f"counts sum to {total}, expected shots={shots}")
+        raise ValidationError(param, f"counts sum to {total}, expected shots={shots}")
 
 
 class Counts(Mapping):
     """Outcome histogram: label -> occurrences, integers >= 1 summing to
-    ``shots`` (else a ValueError).
+    ``shots`` (else a ValidationError, which is a ValueError, naming the
+    argument at fault).
 
     Built from a dict, as ``Counts(counts, shots)``, or from the outcome
     indices in ascending order and their tallies, as :meth:`from_arrays`
@@ -645,7 +681,9 @@ class Counts(Mapping):
     """
 
     def __init__(self, counts: dict[str, int], shots: int):
-        _check_tallies(np.array(list(counts.values())), shots)
+        if not isinstance(counts, dict):
+            raise ValidationError("counts", f"expected a dict, got {counts!r}")
+        _check_tallies("counts", np.array(list(counts.values())), shots)
         self.counts = counts
         self.shots = shots
         self.arrays = None
@@ -659,22 +697,26 @@ class Counts(Mapping):
 
         ``indices`` must be strictly increasing integers in [0, 2^num_qubits),
         one per tally, and ``tallies`` pass the same check as a dict's;
-        anything else raises a ValueError.
+        anything else raises a ValidationError naming the argument.
         """
-        if not 1 <= num_qubits <= QUBIT_CAP:
-            raise ValueError(f"num_qubits must be within 1..{QUBIT_CAP}, got {num_qubits}")
-        _check_tallies(tallies, shots)
+        if not (_is_int(num_qubits) and 1 <= num_qubits <= QUBIT_CAP):
+            raise ValidationError(
+                "num_qubits", f"must be an integer within 1..{QUBIT_CAP}, got {num_qubits!r}"
+            )
+        _check_tallies("tallies", tallies, shots)
         if not (
-            indices.ndim == 1
+            isinstance(indices, np.ndarray)
+            and indices.ndim == 1
             and len(indices) == len(tallies)
             and indices.dtype.kind in "iu"
             and np.all(indices[1:] > indices[:-1])
             and 0 <= indices[0]
             and indices[-1] < 1 << num_qubits
         ):
-            raise ValueError(
-                f"indices must be one per tally, strictly increasing integers "
-                f"within [0, 2^{num_qubits})"
+            raise ValidationError(
+                "indices",
+                f"must be one per tally, strictly increasing integers "
+                f"within [0, 2^{num_qubits})",
             )
         self = cls.__new__(cls)
         self.arrays = indices, tallies

@@ -9,7 +9,6 @@ from qubitkit.algorithms import bb84
 from qubitkit.algorithms.bb84 import (
     ABORTED,
     Axis,
-    ChannelPolicy,
     EveAction,
     KEY_TOO_SHORT,
     SECURE,
@@ -119,7 +118,7 @@ def test_collapse_state_matches_outcome():
 def test_density_zero_never_touches():
     rng = make_rng(4)
     states = batch(1, Axis.X, 500)
-    out, actions = intercept(states, ChannelPolicy(0.0), rng)
+    out, actions = intercept(states, 0.0, rng)
     assert actions == [None] * 500
     assert np.array_equal(out.amplitudes, states.amplitudes)
 
@@ -127,7 +126,7 @@ def test_density_zero_never_touches():
 def test_density_one_always_measures_with_uniform_axis():
     rng = make_rng(5)
     trials = 10_000
-    _, actions = intercept(batch(0, Axis.Z, trials), ChannelPolicy(1.0), rng)
+    _, actions = intercept(batch(0, Axis.Z, trials), 1.0, rng)
     assert all(action is not None for action in actions)
     x_axis = sum(action.axis is Axis.X for action in actions)
     assert abs(x_axis / trials - 0.5) < 0.02
@@ -145,7 +144,7 @@ def test_wrong_axis_interception_randomizes_receiver():
 def test_intercept_actions_are_the_shared_collapses():
     rng = make_rng(9)
     states = batch(1, Axis.Z, 64)
-    out, actions = intercept(states, ChannelPolicy(0.5), rng)
+    out, actions = intercept(states, 0.5, rng)
     for row, action in enumerate(actions):
         if action is None:
             assert np.array_equal(out.amplitudes[row], states.amplitudes[row])
@@ -157,11 +156,10 @@ def test_intercept_actions_are_the_shared_collapses():
     assert len({id(a) for a in actions if a is not None}) <= 4
 
 
-def test_policy_validates_density():
-    with pytest.raises(ValidationError, match="density"):
-        ChannelPolicy(1.5)
-    with pytest.raises(ValidationError, match="density"):
-        ChannelPolicy(-0.1)
+def test_intercept_validates_density():
+    for density in (1.5, -0.1):
+        with pytest.raises(ValidationError, match="density"):
+            intercept(batch(0, Axis.Z, 4), density, make_rng(0))
 
 
 @pytest.mark.parametrize("density", ["0.5", None, True])
@@ -171,9 +169,13 @@ def test_exchange_rejects_non_numeric_density(density):
         run_exchange(4, density, seed=1)
 
 
-def test_policy_accepts_numpy_and_integer_densities():
+def test_intercept_accepts_numpy_and_integer_densities():
+    states = batch(0, Axis.Z, 8)
     for density in (np.float64(0.5), np.float32(0.25), 0, 1):
-        assert ChannelPolicy(density).interception_density == density
+        expected = intercept(states, float(density), make_rng(1))
+        out, actions = intercept(states, density, make_rng(1))
+        assert np.array_equal(out.amplitudes, expected[0].amplitudes)
+        assert actions == expected[1]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +274,7 @@ def test_sift_and_verify_agree_on_lists_and_arrays():
 def test_verify_secure_keeps_second_half():
     verdict, published, remaining = verify([1, 0, 1, 1, 0], [1, 0, 1, 1, 0])
     assert verdict == SECURE
-    assert published == [0, 1, 2]  # first ceil(5/2) positions
+    assert published == 3  # first ceil(5/2) positions
     assert remaining == (1, 0)
 
 
@@ -289,12 +291,12 @@ def test_verify_ignores_mismatch_outside_published_half():
 
 def test_verify_key_too_short():
     # Too short to publish from is a verdict, the same one run_exchange reports.
-    assert verify([], []) == (KEY_TOO_SHORT, [], ())
-    assert verify([1], [1]) == (KEY_TOO_SHORT, [], ())
-    assert verify([], [], compare_mode="full") == (KEY_TOO_SHORT, [], ())
+    assert verify([], []) == (KEY_TOO_SHORT, 0, ())
+    assert verify([1], [1]) == (KEY_TOO_SHORT, 0, ())
+    assert verify([], [], compare_mode="full") == (KEY_TOO_SHORT, 0, ())
     # Full publication works from one bit up.
     verdict, published, remaining = verify([1], [1], compare_mode="full")
-    assert verdict == SECURE and published == [0] and remaining == ()
+    assert verdict == SECURE and published == 1 and remaining == ()
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +397,9 @@ def test_interception_case_mix_and_disturbance():
 
 
 def test_density_zero_is_always_secure_and_faithful():
-    backends = default_registry()
     message = tuple(int(b) for b in "110100101")
     for seed in range(40):
-        trace = run_protocol(message, 0.0, backends, seed=seed)
+        trace = run_protocol(message, 0.0, seed=seed)
         assert trace.verdict == SECURE
         assert trace.decrypted == message
         assert trace.round_trip_ok
@@ -415,9 +416,8 @@ def test_fixed_seed_gives_bit_identical_trace():
 
 
 def test_trace_structural_invariants():
-    backends = default_registry()
     for seed in range(30):
-        trace = run_protocol((1, 0, 1), 0.8, backends, seed=seed)
+        trace = run_protocol((1, 0, 1), 0.8, seed=seed)
         m = trace.transmitted_count
         assert m == 6 * 3 * 1 or trace.attempts > 1 or m == 18
         assert all(0 <= p < m for p in trace.sifted_positions)
@@ -553,8 +553,6 @@ def test_unknown_backend_name_raises():
     params = {"message": "hi", "density": 0.5}
     with pytest.raises(UnknownBackendError, match="nope"):
         run_exchange(8, 0.5, backends, "nope", seed=1)
-    with pytest.raises(UnknownBackendError, match="nope"):
-        run_protocol((1, 0), 0.5, backends, "nope", seed=1)
     with pytest.raises(UnknownBackendError, match="nope"):
         run_algorithm(bb84.descriptor(), params, backends, "nope", 1, 1)
 

@@ -14,7 +14,7 @@ from qubitkit.algorithms.bernstein_vazirani import (
     state_after_oracle,
 )
 from qubitkit.algorithms.qrand import qrand_circuit
-from qubitkit.backends import LOCAL_BACKEND_NAME, default_registry
+from qubitkit.backends import LOCAL_BACKEND_NAME, BackendInfo, default_registry
 from qubitkit.errors import QubitkitError, UnknownBackendError, ValidationError
 from qubitkit.framework import (
     AlgorithmDescriptor,
@@ -208,6 +208,16 @@ def test_run_algorithm_looks_up_the_backend_before_building():
     assert built == []
 
 
+class _ListNamedBackend:
+    info = BackendInfo(["x"], "an unhashable name", 2)
+
+    def run(self, circuit, shots, seed):
+        raise NotImplementedError
+
+
+# A batch of three qubits, each |0>.
+_BATCH = sim.Statevector(1, np.tile([1.0, 0.0], (3, 1)))
+
 # Calls that used to leak an error from outside qubitkit (BB84 with no
 # registry used to build a default one), and the parameter each must name.
 HELPER_LEAKS = {
@@ -251,6 +261,45 @@ HELPER_LEAKS = {
     "abort_probability-density-below-0": (lambda: bb84.abort_probability(4, -0.1), "density"),
     "abort_probability-density-None": (lambda: bb84.abort_probability(4, None), "density"),
     "render_trace-None": (lambda: bb84.render_trace(None), "trace"),
+    "intercept-states": (lambda: bb84.intercept(None, 0.5, sim.make_rng(0)), "states"),
+    "intercept-rng": (lambda: bb84.intercept(_BATCH, 0.5, None), "rng"),
+    "measure_in_axis-states": (
+        lambda: bb84.measure_in_axis(None, np.zeros(1, bool), sim.make_rng(0)), "states"
+    ),
+    "measure_in_axis-x_rows-short": (
+        lambda: bb84.measure_in_axis(_BATCH, np.zeros(1, bool), sim.make_rng(0)), "x_rows"
+    ),
+    "sample_measurement-rng": (
+        lambda: sim.sample_measurement(sim.new_zero_state(1), None), "rng"
+    ),
+    "make_rng-negative": (lambda: sim.make_rng(-1), "seed"),
+    "derive_seed-negative": (lambda: sim.derive_seed(-1), "master"),
+    "derive_seed-None": (lambda: sim.derive_seed(None), "master"),
+    "derive_seed-negative-part": (lambda: sim.derive_seed(0, -1), "parts"),
+    "Counts-None": (lambda: sim.Counts(None, 1), "counts"),
+    "Counts-shots-array": (lambda: sim.Counts({"0": 1}, np.array([0, 1])), "shots"),
+    "Counts.from_arrays-lists": (lambda: sim.Counts.from_arrays([0], [1], 1, 1), "tallies"),
+    "Counts.from_arrays-indices-list": (
+        lambda: sim.Counts.from_arrays([0], np.array([1]), 1, 1), "indices"
+    ),
+    "BackendRegistry.register-None": (lambda: default_registry().register(None), "backend"),
+    "BackendRegistry.register-list-name": (
+        lambda: default_registry().register(_ListNamedBackend()), "backend"
+    ),
+    "run_exchange-backends": (lambda: bb84.run_exchange(4, 0.5, 5, seed=0), "backends"),
+    "AlgorithmRegistry.register-None": (
+        lambda: AlgorithmRegistry().register(None), "descriptor"
+    ),
+    "classical_solve-oracle": (
+        lambda: bernstein_vazirani.classical_solve(None, 3), "oracle"
+    ),
+    "recovered_key-None": (lambda: bernstein_vazirani.recovered_key(None), "outcome"),
+    "outcome_bits-None": (lambda: sim.outcome_bits(None, 3), "indices"),
+    "outcome_bits-width": (lambda: sim.outcome_bits(np.array([1]), None), "width"),
+    "Counts.from_arrays-num_qubits": (
+        lambda: sim.Counts.from_arrays(np.array([0]), np.array([1]), None, 1), "num_qubits"
+    ),
+    "Statevector.norm-None": (lambda: sim.Statevector(1, None).norm(), "amplitudes"),
 }
 
 
@@ -295,9 +344,22 @@ def test_public_entry_points_return_or_raise_qubitkit_errors(a, b, params, raw):
         lambda: state_after_oracle(a),
         lambda: input_register_state(a),
         lambda: classical_oracle(a, b),
-        lambda: bb84.ChannelPolicy(a),
+        lambda: bb84.intercept(_BATCH, a, sim.make_rng(0)),
+        lambda: bb84.intercept(a, 0.5, sim.make_rng(0)),
+        lambda: bb84.measure_in_axis(a, b, sim.make_rng(0)),
+        lambda: bb84.measure_in_axis(_BATCH, a, sim.make_rng(0)),
+        lambda: sim.make_rng(a),
+        lambda: sim.derive_seed(a, b),
+        lambda: sim.sample_measurement(sim.new_zero_state(1), a),
+        lambda: sim.Counts(a, b),
+        lambda: sim.Counts.from_arrays(a, b, 1, 1),
+        lambda: sim.outcome_bits(a, b),
+        lambda: sim.Statevector(1, a).norm(),
+        lambda: bernstein_vazirani.classical_solve(a, 3),
+        lambda: bernstein_vazirani.recovered_key(a),
         lambda: bb84.run_exchange(a, b, seed=0),
         lambda: bb84.run_exchange(4, 0.5, backends, a, seed=0),
+        lambda: bb84.run_exchange(4, 0.5, a, seed=0),
         lambda: bb84.run_protocol(a, b, seed=0),
         lambda: backends.get(a),
         lambda: backends.execute(a, Circuit(1), 1, 0),
@@ -324,6 +386,8 @@ def test_public_entry_points_return_or_raise_qubitkit_errors(a, b, params, raw):
         lambda: bb84.abort_probability(a, 0.5),
         lambda: bb84.render_trace(a),
         lambda: default_algorithms().get(a),
+        lambda: backends.register(a),
+        lambda: AlgorithmRegistry().register(a),
     ]
     for name, good in DEFAULT_PARAMS.items():
         d = default_algorithms().get(name)
