@@ -27,7 +27,7 @@ import numpy as np
 from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
 from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params, run_algorithm
-from ..sim import QUBIT_CAP, Circuit, Counts, check_count, evolve
+from ..sim import QUBIT_CAP, Circuit, Counts, _is_int, check_count, evolve
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -54,14 +54,21 @@ class BvSolveResult:
 
 
 def classical_solve(oracle: Callable[[str], int], n: int) -> BvSolveResult:
-    """Recover the key with exactly n queries, one unit vector per bit."""
+    """Recover the key with exactly n queries, one unit vector per bit.
+
+    The oracle must answer each query with the integer 0 or 1 (not a bool),
+    else a ValidationError names ``oracle``.
+    """
     if not callable(oracle):
         raise ValidationError("oracle", f"expected a callable, got {oracle!r}")
     check_count("n", n)
     bits = []
     for i in range(n):
         probe = "0" * i + "1" + "0" * (n - 1 - i)
-        bits.append(str(oracle(probe)))
+        answer = oracle(probe)
+        if not (_is_int(answer) and 0 <= answer <= 1):
+            raise ValidationError("oracle", f"must answer the integer 0 or 1, got {answer!r}")
+        bits.append(str(answer))
     return BvSolveResult("".join(bits), queries=n)
 
 

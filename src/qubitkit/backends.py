@@ -70,7 +70,7 @@ class BackendRegistry:
             )
         name = info.name
         if name in self._backends:
-            raise ValueError(f"backend name {name!r} already registered")
+            raise ValidationError("name", f"backend {name!r} already registered")
         self._backends[name] = backend
 
     def get(self, name: str):

@@ -156,7 +156,7 @@ class AlgorithmRegistry:
                 "descriptor", f"expected an AlgorithmDescriptor, got {descriptor!r}"
             )
         if descriptor.name in self._algorithms:
-            raise ValueError(f"algorithm name {descriptor.name!r} already registered")
+            raise ValidationError("name", f"algorithm {descriptor.name!r} already registered")
         self._algorithms[descriptor.name] = descriptor
 
     def list_algorithms(self) -> list[tuple[str, str]]:

@@ -28,7 +28,11 @@ and a gate whose lowest target bit lies below 12 is preceded by a rotation
 of the slice's index bits (one transpose copy) that lifts it to bit 12, so
 its inner loops run over at least 2^12 amplitudes (unless it is a CNOT
 whose other target wraps round past bit 15). The slice ends with its bits
-back in order. Every other gate is one full pass of :func:`apply_gate`,
+back in order. A slice whose bytes are all zero, every amplitude +0.0, is
+skipped: H, X and CNOT map pairs of +0.0 to +0.0 and a rotation only moves
+them, so the steps would rewrite the same bytes. The test is on the bits,
+not the values: a slice of −0.0 equals zero, yet H turns half of it into
++0.0. Every other gate is one full pass of :func:`apply_gate`,
 which updates the state in place and cuts the view of any state above
 2^16 amplitudes (batch rows included) into pieces of at most 2^16
 amplitudes. Slices and pieces are shared out over one thread per CPU this
@@ -539,8 +543,13 @@ def _apply_low_run(amps: np.ndarray, gates: list[Gate]) -> None:
     every such gate, so the run's steps (:func:`_low_run_steps`) go through
     one slice at a time while it stays in cache. They alternate between the
     slice of ``amps`` and one scratch slice per worker, and an odd number of
-    steps ends with a copy back into ``amps``. The slices are shared across
-    the CPUs in contiguous blocks by :func:`_share`.
+    steps ends with a copy back into ``amps``. A slice whose bits are all
+    zero (every amplitude +0.0) is left as it is: the steps would write
+    +0.0 back over it. The test reads the bits, since ``slice.any()`` is
+    False for −0.0 too, and H would turn −0.0 − −0.0 into +0.0. It reads
+    the first amplitude before the whole slice, so a dense slice costs one
+    load. The slices are shared across the CPUs in contiguous blocks by
+    :func:`_share`.
     """
     size = 1 << _BLOCK_QUBITS
     steps = _low_run_steps(gates)
@@ -549,6 +558,9 @@ def _apply_low_run(amps: np.ndarray, gates: list[Gate]) -> None:
         scratch = np.empty(size, dtype=amps.dtype)
         for start in range(first * size, stop * size, size):
             buffers = amps[start : start + size], scratch
+            bits = buffers[0].view(np.uint64)
+            if not (bits[0] or bits.any()):  # all +0.0: the steps would write +0.0
+                continue
             for i, (step, arg) in enumerate(steps):
                 step(buffers[i % 2], buffers[1 - i % 2], arg)
             if len(steps) % 2:
@@ -565,10 +577,13 @@ def evolve(circuit: Circuit) -> Statevector:
     targets all lie below ``_BLOCK_QUBITS`` is applied one
     2^_BLOCK_QUBITS-amplitude slice at a time (:func:`_apply_low_run`),
     with the slices split across the CPUs this process may use; besides the
-    state, each worker holds one scratch slice. Every other gate is one
-    :func:`apply_gate` call with ``out`` the state's own amplitudes. Every
-    amplitude sees the same operations in the same order either way, so the
-    result does not depend on the block size or the number of workers.
+    state, each worker holds one scratch slice. A slice whose amplitudes
+    are all +0.0, bit for bit, skips the run, since it would come out with
+    the same bytes (a circuit's first low run often sees one nonzero slice).
+    Every other gate is one :func:`apply_gate` call with ``out`` the state's
+    own amplitudes. Every amplitude sees the same operations in the same
+    order either way, so the result does not depend on the block size or
+    the number of workers.
     """
     if not isinstance(circuit, Circuit):
         raise ValidationError("circuit", f"expected a Circuit, got {circuit!r}")
@@ -669,20 +684,23 @@ class Counts(Mapping):
     ``shots`` (else a ValidationError, which is a ValueError, naming the
     argument at fault).
 
-    Built from a dict, as ``Counts(counts, shots)``, or from the outcome
-    indices in ascending order and their tallies, as :meth:`from_arrays`
-    (what :func:`run` returns). A Counts from arrays keeps them as
-    ``arrays`` and builds the ``counts`` dict, which every Mapping access
-    reads, from the indices on first use (labels as in the module
-    docstring). ``len()`` reads whichever is there, so a Counts from
-    :func:`run` that no one reads by label never builds its labels.
-    ``arrays`` and ``num_qubits`` are None for a Counts built from a dict.
-    Two Counts are equal when their shots and their items are.
+    Built from a dict of non-empty ``str`` labels, as ``Counts(counts,
+    shots)``, or from the outcome indices in ascending order and their
+    tallies, as :meth:`from_arrays` (what :func:`run` returns). A Counts
+    from arrays keeps them as ``arrays`` and builds the ``counts`` dict,
+    which every Mapping access reads, from the indices on first use (labels
+    as in the module docstring). ``len()`` reads whichever is there, so a
+    Counts from :func:`run` that no one reads by label never builds its
+    labels. ``arrays`` and ``num_qubits`` are None for a Counts built from a
+    dict, whose labels need not be bitstrings: BB84 tallies its verdicts in
+    one. Two Counts are equal when their shots and their items are.
     """
 
     def __init__(self, counts: dict[str, int], shots: int):
-        if not isinstance(counts, dict):
-            raise ValidationError("counts", f"expected a dict, got {counts!r}")
+        if not (isinstance(counts, dict) and all(isinstance(k, str) and k for k in counts)):
+            raise ValidationError(
+                "counts", f"expected a dict with non-empty str labels, got {counts!r}"
+            )
         _check_tallies("counts", np.array(list(counts.values())), shots)
         self.counts = counts
         self.shots = shots

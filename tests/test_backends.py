@@ -30,9 +30,13 @@ def test_a_registered_backend_joins_the_local_one():
 
 
 def test_duplicate_registration_rejected():
-    registry = default_registry()
-    with pytest.raises(ValueError):
-        registry.register(LocalStatevectorBackend())
+    # Both registries used to raise a bare ValueError, not a qubitkit error.
+    with pytest.raises(ValidationError) as excinfo:
+        default_registry().register(LocalStatevectorBackend())
+    assert excinfo.value.param == "name"
+    with pytest.raises(ValidationError) as excinfo:
+        default_algorithms().register(bb84.descriptor())
+    assert excinfo.value.param == "name"
 
 
 def test_execute_is_deterministic_given_seed():

@@ -277,6 +277,8 @@ HELPER_LEAKS = {
     "derive_seed-None": (lambda: sim.derive_seed(None), "master"),
     "derive_seed-negative-part": (lambda: sim.derive_seed(0, -1), "parts"),
     "Counts-None": (lambda: sim.Counts(None, 1), "counts"),
+    "Counts-int-label": (lambda: sim.Counts({5: 1}, 1), "counts"),
+    "Counts-empty-label": (lambda: sim.Counts({"": 1}, 1), "counts"),
     "Counts-shots-array": (lambda: sim.Counts({"0": 1}, np.array([0, 1])), "shots"),
     "Counts.from_arrays-lists": (lambda: sim.Counts.from_arrays([0], [1], 1, 1), "tallies"),
     "Counts.from_arrays-indices-list": (
@@ -292,6 +294,16 @@ HELPER_LEAKS = {
     ),
     "classical_solve-oracle": (
         lambda: bernstein_vazirani.classical_solve(None, 3), "oracle"
+    ),
+    # The oracle's answers used to be joined into the key as they came.
+    "classical_solve-answer-str": (
+        lambda: bernstein_vazirani.classical_solve(lambda x: "a", 2), "oracle"
+    ),
+    "classical_solve-answer-7": (
+        lambda: bernstein_vazirani.classical_solve(lambda x: 7, 2), "oracle"
+    ),
+    "classical_solve-answer-bool": (
+        lambda: bernstein_vazirani.classical_solve(lambda x: True, 2), "oracle"
     ),
     "recovered_key-None": (lambda: bernstein_vazirani.recovered_key(None), "outcome"),
     "outcome_bits-None": (lambda: sim.outcome_bits(None, 3), "indices"),

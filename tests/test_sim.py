@@ -440,7 +440,9 @@ def test_blocked_evolve_with_more_workers_than_cpus_and_fast_switching(monkeypat
 
 
 def test_kernel_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
-    # The low run's H kernel: H(0) on two qubits with a 1-qubit block.
+    # The low run's H kernel: H(0) on two qubits with a 1-qubit block. The
+    # leading H(1), a full pass, puts amplitudes in the worker's slice, which
+    # would otherwise be all +0.0 and skip the run.
     caller, hadamard = threading.current_thread(), sim._SLICE_KERNELS["H"]
 
     def fails_off_the_calling_thread(src, dst, targets):
@@ -452,7 +454,7 @@ def test_kernel_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(sim, "_BLOCK_QUBITS", 1)
     monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match="kernel failed in a worker"):
-        evolve(Circuit(2).h(0))
+        evolve(Circuit(2).h(1).h(0))
 
 
 def test_kernel_error_in_a_piece_of_a_shared_gate_reaches_the_caller(monkeypatch):
@@ -478,20 +480,22 @@ def test_kernel_error_in_a_piece_of_a_shared_gate_reaches_the_caller(monkeypatch
 
 # Low runs under a 6-qubit block, which lifts a gate on slice bit 0 or 1 to
 # bit 2 first, and the steps each slice goes through (sim._low_run_steps).
+# Each circuit starts with H(6), a full pass, so both slices hold amplitudes
+# and neither skips the run.
 ROTATING_RUNS = {
     # Three steps: the result ends in the scratch slice and is copied back.
     "ends-in-scratch": (
-        Circuit(7).h(0),
+        Circuit(7).h(6).h(0),
         [("_rotate", 2), ("_hadamard_into", (2,)), ("_rotate", 4)],
     ),
     # Offset 2 after the last gate, restored by a rotation; four steps.
     "nonzero-final-offset": (
-        Circuit(7).h(0).h(3),
+        Circuit(7).h(6).h(0).h(3),
         [("_rotate", 2), ("_hadamard_into", (2,)), ("_hadamard_into", (5,)), ("_rotate", 4)],
     ),
     # The control, on bit 5, wraps round to bit 1, below the target on bit 2.
     "cnot-wraps": (
-        Circuit(7).h(5).cnot(5, 0),
+        Circuit(7).h(6).h(5).cnot(5, 0),
         [("_hadamard_into", (5,)), ("_rotate", 2), ("_cnot_into", (1, 2)), ("_rotate", 4)],
     ),
 }
@@ -517,6 +521,42 @@ def test_low_run_rotates_each_slice_and_restores_it(case, monkeypatch):
     assert np.array_equal(evolved, reference_chain(new_zero_state(7).amplitudes, circuit.gates))
 
 
+def test_low_run_skips_the_slices_that_hold_only_plus_zero(monkeypatch):
+    # 18 qubits are 4 slices. The first low run (H on qubits 0-15) sees
+    # X(17)|0...0>, one nonzero slice; the second sees four. Without the skip
+    # every slice would take both runs' 16 Hadamards: 128 calls.
+    hadamard, calls = sim._SLICE_KERNELS["H"], []
+
+    def spy(src, dst, targets):
+        calls.append(targets)
+        hadamard(src, dst, targets)
+
+    monkeypatch.setitem(sim._SLICE_KERNELS, "H", spy)
+    circuit = bv_circuit("10110011100011101")
+    evolved = evolve(circuit).amplitudes
+    assert len(calls) == 16 + 4 * 16
+    expected = reference_chain(new_zero_state(18).amplitudes, circuit.gates)
+    assert evolved.tobytes() == expected.tobytes()
+
+
+def test_low_run_skips_a_slice_only_when_its_bits_are_all_zero(monkeypatch):
+    # Four 2^6-amplitude slices: all -0.0, all +0.0, +0.0 but for its last
+    # amplitude, and random. H maps a pair of -0.0 to (-0.0, +0.0), so a check
+    # by value would leave -0.0 where the gates write +0.0; one that read
+    # only the first amplitude would skip the third slice. np.array_equal
+    # cannot tell the signed zeros apart, so the bytes are compared.
+    monkeypatch.setattr(sim, "_BLOCK_QUBITS", 6)
+    amps = np.zeros(256)
+    amps[:64] = -0.0
+    amps[127] = 1.0
+    amps[192:] = np.random.default_rng(3).normal(size=64)
+    gates = [Gate("H", (0,)), Gate("CNOT", (5, 1)), Gate("H", (3,))]
+    expected = reference_chain(amps, gates)
+    assert np.signbit(expected[:64]).any() and not np.signbit(expected[:64]).all()
+    sim._apply_low_run(amps, gates)
+    assert amps.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(
     circuits(max_qubits=8),
@@ -531,6 +571,10 @@ def test_low_run_rotates_each_slice_and_restores_it(case, monkeypatch):
 @example(ROTATING_RUNS["ends-in-scratch"][0], 6, 2, 1, float, 0)
 @example(ROTATING_RUNS["nonzero-final-offset"][0], 6, 2, 1, float, 0)
 @example(ROTATING_RUNS["cnot-wraps"][0], 6, 2, 1, float, 0)
+# Four slices: three of +0.0 in the first low run and two in the second,
+# where each worker's share holds one of them and one slice whose first
+# amplitude is +0.0 but whose second is not.
+@example(Circuit(8).x(0).h(7).h(1), 6, 2, 1, float, 0)
 def test_evolve_and_apply_gate_equal_the_reference_kernels(
     circuit, block_qubits, workers, rows, dtype, seed
 ):
