@@ -26,11 +26,14 @@ report the tally of verdicts.
 Every qubit travels as a real statevector: prepared, collapsed on
 measurement, re-prepared on resend. Nothing is shortcut with classical
 probability tables, and nothing runs on a backend. Only four preparations
-exist; their circuits are evolved once, at import, and every round indexes
-that table to prepare its qubits and to collapse them. A round's m qubits
-travel together as one batch, a ``Statevector(1, amplitudes)`` whose
-amplitudes have shape (m, 2), one row per qubit: interception and
-measurement rotate, sample and collapse all rows at once.
+exist; their circuits are evolved once, at import, and every round gathers
+rows of that table (``np.take`` along axis 0) to prepare its qubits and to
+collapse them. A round's m qubits travel together as one batch, a
+``Statevector(1, amplitudes)`` whose amplitudes have shape (m, 2), one row
+per qubit: interception and measurement rotate, sample and collapse all
+rows at once. Rows move with 1-D numpy operations (``np.take`` gathers,
+column-wise writes, object tables for the axes and actions), never with
+fancy indexing along axis 0, which copies one 16-byte row at a time.
 
 Each party draws from its own generator. The sender draws m bit uniforms,
 then m axis uniforms; the receiver draws m axis uniforms, then m
@@ -151,16 +154,18 @@ def encode_state(value: int, axis: Axis) -> Statevector:
 
 
 # The four preparation states, evolved once here at import, amplitude row
-# 2 * value + is_x for each (value, axis). Every round indexes them to
+# 2 * value + is_x for each (value, axis). Every round gathers them to
 # prepare its qubits, and they double as post-measurement states, so
-# collapse is an index into them too. The four possible interceptions are
-# rowed the same way, and shared, since EveAction is frozen.
+# collapse is a gather from them too. The four possible interceptions are
+# rowed the same way, and shared, since EveAction is frozen; entry 4 is
+# None, a row that was not hit. _AXES maps an is-X flag to its Axis.
 _COLLAPSED = np.stack(
     [encode_state(value, axis).amplitudes for value in (0, 1) for axis in Axis]
 )
-_EVE_ACTIONS = np.array(
-    [EveAction(axis, value) for value in (0, 1) for axis in Axis], dtype=object
+_ACTIONS = np.array(
+    [EveAction(axis, value) for value in (0, 1) for axis in Axis] + [None], dtype=object
 )
+_AXES = np.array([Axis.Z, Axis.X], dtype=object)
 
 
 def _batch(states: Statevector) -> np.ndarray:
@@ -190,9 +195,12 @@ def measure_in_axis(
     the row is measured in the X axis, else Z. A ValidationError names either
     one if it is not so. Returns (bits, collapsed states) as an int array
     and a batch of the same shape. X rows are rotated with H before
-    sampling, and every row collapses onto the prepared state of its
-    observed bit in its axis, which for X is exactly the collapse onto
-    |+>/|->. One uniform is drawn per row, in row order.
+    sampling: H rotates a copy of the whole batch, and ``np.where`` picks
+    the rotated X rows and the untouched Z rows. H acts on each row alone,
+    so a picked row sees the same float operations as if it were rotated by
+    itself. Every row collapses onto the prepared state of its observed bit
+    in its axis, which for X is exactly the collapse onto |+>/|->, gathered
+    with ``np.take``. One uniform is drawn per row, in row order.
     """
     amps = _batch(states)
     try:
@@ -201,11 +209,10 @@ def measure_in_axis(
         flags = np.array(None)
     if flags.dtype != bool or flags.shape != (len(amps),):
         raise ValidationError("x_rows", f"expected {len(amps)} bools, got {x_rows!r}")
-    probe = amps.copy()
-    rows = probe[flags]
-    probe[flags] = apply_gate(Statevector(1, rows), _H, out=rows).amplitudes
+    rotated = apply_gate(states, _H).amplitudes
+    probe = np.where(flags[:, None], rotated, amps)
     bits = sample_measurement(Statevector(1, probe), rng)
-    return bits, Statevector(1, _COLLAPSED[2 * bits + flags])
+    return bits, Statevector(1, np.take(_COLLAPSED, 2 * bits + flags, axis=0))
 
 
 def intercept(
@@ -219,8 +226,11 @@ def intercept(
     other rows pass untouched. Returns the forwarded batch and one action
     per row (None where not hit). Draw order: m interception decisions, then
     one axis per hit row, then the hit rows' collapses. ``states`` is a
-    batch as in :func:`measure_in_axis`, and an ``rng`` that is not a numpy
-    Generator raises a ValidationError naming it.
+    batch as in :func:`measure_in_axis`, float or complex, of any layout,
+    and an ``rng`` that is not a numpy Generator raises a ValidationError
+    naming it. The hit rows are gathered with ``np.take`` and the resent
+    rows written back one column at a time; the actions are read from one
+    object table whose last entry is None.
     """
     amps = _batch(states)
     DENSITY.check(density)
@@ -228,12 +238,15 @@ def intercept(
     rows = len(amps)
     hit = np.flatnonzero(rng.random(rows) < density)
     x_axis = rng.random(hit.size) >= 0.5
-    bits, resent = measure_in_axis(Statevector(1, amps[hit]), x_axis, rng)
+    bits, resent = measure_in_axis(
+        Statevector(1, np.take(amps, hit, axis=0)), x_axis, rng
+    )
     forwarded = amps.copy()
-    forwarded[hit] = resent.amplitudes
-    actions = np.full(rows, None, dtype=object)
-    actions[hit] = _EVE_ACTIONS[2 * bits + x_axis]
-    return Statevector(1, forwarded), actions.tolist()
+    for j in range(2):
+        forwarded[hit, j] = resent.amplitudes[:, j]
+    codes = np.full(rows, len(_ACTIONS) - 1)
+    codes[hit] = 2 * bits + x_axis
+    return Statevector(1, forwarded), _ACTIONS[codes].tolist()
 
 
 def _rows(names: tuple[str, str], first, second) -> tuple[np.ndarray, np.ndarray]:
@@ -336,20 +349,21 @@ def _single_exchange(
     bits = (sender_rng.random(transmitted) < 0.5).astype(np.int64)
     sender_x = sender_rng.random(transmitted) >= 0.5
     receiver_x = receiver_rng.random(transmitted) >= 0.5
-    states = Statevector(1, _COLLAPSED[2 * bits + sender_x])
+    states = Statevector(1, np.take(_COLLAPSED, 2 * bits + sender_x, axis=0))
     states, eve_actions = intercept(states, density, eve_rng)
     received, _ = measure_in_axis(states, receiver_x, receiver_rng)
 
     sifted = sift(sender_x, receiver_x)
+    kept = sender_x == receiver_x
     verdict, published, remaining = verify(
-        bits[sifted], received[sifted], compare_mode=compare_mode
+        bits[kept], received[kept], compare_mode=compare_mode
     )
     return Bb84Trace(
         transmitted_count=transmitted,
         sender_bits=tuple(bits.tolist()),
-        sender_axes=tuple(np.where(sender_x, Axis.X, Axis.Z).tolist()),
+        sender_axes=tuple(_AXES[sender_x.view(np.uint8)].tolist()),
         eve_actions=tuple(eve_actions),
-        receiver_axes=tuple(np.where(receiver_x, Axis.X, Axis.Z).tolist()),
+        receiver_axes=tuple(_AXES[receiver_x.view(np.uint8)].tolist()),
         receiver_bits=tuple(received.tolist()),
         sifted_positions=tuple(sifted),
         published_positions=tuple(sifted[:published]),

@@ -24,9 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
 from ..errors import ValidationError
-from ..framework import AlgorithmDescriptor, ParamSpec, Params, run_algorithm
+from ..framework import AlgorithmDescriptor, ParamSpec, Params
 from ..sim import QUBIT_CAP, Circuit, Counts, _is_int, check_count, evolve
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -127,19 +126,6 @@ def recovered_key(outcome: str) -> str:
     if not isinstance(outcome, str):
         raise ValidationError("outcome", f"expected an outcome label, got {outcome!r}")
     return outcome[1:]
-
-
-def bv_run(
-    key: str,
-    backends: BackendRegistry,
-    backend_name: str = LOCAL_BACKEND_NAME,
-    seed: int | None = None,
-) -> str:
-    """Single-query recovery, a one-shot run of :func:`descriptor`; returns
-    the key verbatim on every seed."""
-    run = run_algorithm(descriptor(), {"key": key}, backends, backend_name, seed=seed)
-    (outcome,) = run.counts
-    return recovered_key(outcome)
 
 
 def _interpret(params: Params, counts: Counts) -> str:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backends import BackendRegistry, LOCAL_BACKEND_NAME
-from ..framework import AlgorithmDescriptor, ParamSpec, Params, run_algorithm
+from ..framework import AlgorithmDescriptor, ParamSpec, Params
 from ..sim import QUBIT_CAP, Circuit, Counts, outcome_bits
 
 N = ParamSpec(
@@ -29,18 +28,6 @@ def qrand_circuit(n: int) -> Circuit:
     for q in range(n):
         circuit.h(q)
     return circuit
-
-
-def qrand_value(
-    n: int,
-    backends: BackendRegistry,
-    backend_name: str = LOCAL_BACKEND_NAME,
-    seed: int | None = None,
-) -> int:
-    """One uniform draw from [0, 2^n - 1]: a one-shot run of :func:`descriptor`."""
-    run = run_algorithm(descriptor(), {"n": n}, backends, backend_name, seed=seed)
-    (outcome,) = run.counts
-    return int(outcome, 2)
 
 
 def _interpret(params: Params, counts: Counts) -> str:

@@ -45,7 +45,9 @@ buffer in place, so a run holds one state-sized array.
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (a running sum,
 searched), so equal seeds give bit-identical counts on any platform. A
-batch draws one uniform per row, in row order. :func:`run` returns only
+batch draws one uniform per row, in row order, and a batch of more rows
+than outcomes sums each column into the next with one vectorised add,
+the adds ``np.cumsum`` makes, in the same order. :func:`run` returns only
 a histogram, so it draws its uniforms in chunks of 2^18, into one reused
 buffer, and sorts each chunk: PCG64 gives the same doubles in chunks as
 in one call, and the order of the shots does not reach the counts. It
@@ -649,12 +651,23 @@ def sample_measurement(
     running sum, all but the last, at or below its target: on a sorted row,
     what ``searchsorted(side="right")`` returns, with a uniform that rounds
     onto the total mass clamped to the last outcome.
+
+    A batch of more rows than outcomes (such as BB84's (m, 2) batches)
+    builds its running sums with one vectorised add per column, ``column j
+    += column j - 1``, since ``np.cumsum`` along rows of 2^n entries runs
+    an inner loop of only 2^n elements. These are the adds ``np.cumsum``
+    makes, in the same order, so the sums are bit-identical. Wider rows keep
+    ``np.cumsum``, whose cost does not grow with one Python step per column.
     """
     amps = _amplitudes(state)
     check_rng(rng)
-    rows = (np.abs(amps) ** 2).reshape(-1, amps.shape[-1])
-    cum = np.cumsum(rows, axis=-1, out=rows)
-    targets = rng.random(len(rows)) * cum[:, -1]
+    cum = (np.abs(amps) ** 2).reshape(-1, amps.shape[-1])
+    if cum.shape[1] < len(cum):
+        for j in range(1, cum.shape[1]):
+            cum[:, j] += cum[:, j - 1]
+    else:
+        np.cumsum(cum, axis=-1, out=cum)
+    targets = rng.random(len(cum)) * cum[:, -1]
     indices = np.count_nonzero(cum[:, :-1] <= targets[:, None], axis=-1)
     return int(indices[0]) if amps.ndim == 1 else indices
 

@@ -178,6 +178,45 @@ def test_intercept_accepts_numpy_and_integer_densities():
         assert actions == expected[1]
 
 
+LAYOUTS = {
+    "complex": lambda amps: amps.astype(complex),
+    "fortran": np.asfortranarray,
+    "strided": lambda amps: np.repeat(amps, 2, axis=1)[:, ::2],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_channel_gives_equal_results_for_any_batch_layout_and_dtype(layout):
+    # The prepared states and 32 random real qubits, as a C-ordered float
+    # batch and as the same values in another dtype or memory layout.
+    rng = np.random.default_rng(47)
+    prepared = np.stack([encode_state(v, a).amplitudes for v in (0, 1) for a in Axis])
+    mixed = rng.normal(size=(32, 2))
+    mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
+    amps = np.concatenate([prepared[rng.integers(4, size=32)], mixed])
+    other = LAYOUTS[layout](amps)
+    assert np.array_equal(other, amps)
+    assert other.flags.c_contiguous == (layout == "complex")
+    x_rows = rng.random(len(amps)) >= 0.5
+
+    def as_float(states):
+        got = states.amplitudes
+        assert not np.iscomplexobj(got) or not got.imag.any()
+        return np.ascontiguousarray(got.real).tobytes()
+
+    bits, collapsed = measure_in_axis(Statevector(1, amps), x_rows, make_rng(5))
+    other_bits, other_collapsed = measure_in_axis(Statevector(1, other), x_rows, make_rng(5))
+    assert other_bits.tolist() == bits.tolist()
+    assert as_float(other_collapsed) == as_float(collapsed)
+
+    forwarded, actions = intercept(Statevector(1, amps), 0.5, make_rng(6))
+    other_forwarded, other_actions = intercept(Statevector(1, other), 0.5, make_rng(6))
+    assert other_actions == actions
+    assert 0 < sum(a is not None for a in actions) < len(amps)
+    assert other_forwarded.amplitudes.dtype == other.dtype
+    assert as_float(other_forwarded) == as_float(forwarded)
+
+
 # ---------------------------------------------------------------------------
 # Reference: the channel one qubit at a time, on single-register states
 
@@ -434,6 +473,15 @@ def test_trace_structural_invariants():
                 for p in trace.published_positions
             )
             assert trace.shared_key is None
+
+
+def test_published_positions_are_the_sifted_positions_own_ints():
+    # One set of position ints serves both tuples; a second conversion
+    # would hold a copy of each published int for the trace's lifetime.
+    trace = run_exchange(4096, 1.0, seed=12, compare_mode="full")
+    published = trace.published_positions
+    assert len(published) == len(trace.sifted_positions) > 256
+    assert all(published[i] is trace.sifted_positions[i] for i in range(len(published)))
 
 
 def test_key_shortfall_exhausts_retries(monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 
 from qubitkit.algorithms.bernstein_vazirani import (
     bv_circuit,
-    bv_run,
     classical_oracle,
     classical_solve,
     descriptor,
@@ -134,10 +133,17 @@ def test_pre_measurement_state_is_the_key_basis_state():
         assert np.allclose(amps, expected, atol=1e-12)
 
 
+def recovered(key, backends, seed) -> str:
+    """The key a one-shot ``run_algorithm`` of Bernstein-Vazirani recovers."""
+    run = run_algorithm(descriptor(), {"key": key}, backends, LOCAL_BACKEND_NAME, seed=seed)
+    (outcome,) = run.counts
+    return recovered_key(outcome)
+
+
 def test_recovery_examples():
     backends = default_registry()
-    assert bv_run("011", backends, seed=0) == "011"
-    assert bv_run("0000000000", backends, seed=1) == "0000000000"
+    assert recovered("011", backends, seed=0) == "011"
+    assert recovered("0000000000", backends, seed=1) == "0000000000"
 
 
 def test_recovery_of_random_keys_any_seed():
@@ -146,7 +152,7 @@ def test_recovery_of_random_keys_any_seed():
     for trial in range(60):
         n = int(rng.integers(1, 11))
         key = "".join(str(b) for b in rng.integers(0, 2, size=n))
-        assert bv_run(key, backends, seed=trial) == key
+        assert recovered(key, backends, seed=trial) == key
 
 
 def test_run_is_the_descriptor_run_outcome():
@@ -156,13 +162,14 @@ def test_run_is_the_descriptor_run_outcome():
             descriptor(), {"key": "1101"}, backends, LOCAL_BACKEND_NAME, seed=seed
         )
         (outcome,) = run.counts
-        assert bv_run("1101", backends, seed=seed) == recovered_key(outcome)
+        assert run.text == f"recovered key: {recovered_key(outcome)}"
+        assert recovered("1101", backends, seed=seed) == recovered_key(outcome)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, True, 2.5])
 def test_run_rejects_bad_seed(seed):
     with pytest.raises(ValidationError, match="seed"):
-        bv_run("101", default_registry(), seed=seed)
+        recovered("101", default_registry(), seed=seed)
 
 
 def test_single_quantum_query_beats_n_classical_queries():

@@ -9,6 +9,7 @@ and re-record the digests deliberately.
 import hashlib
 
 import numpy as np
+import pytest
 
 from qubitkit.algorithms import qrand
 from qubitkit.algorithms.bb84 import run_exchange, run_protocol
@@ -117,4 +118,42 @@ def test_bb84_protocol_retry_trace():
     assert (trace.attempts, trace.verdict) == (3, "secure")
     assert sha256(trace) == (
         "a3760cfb1b120e05d7de13da13d504871370288cc2983cc0a7ec2f95629b7b67"
+    )
+
+
+# Edge sizes: m = 1, 2 and 3 over seeds 0-7 reach an empty sift for each m,
+# density 0 an empty set of hit rows, and m = 3 a batch with more rows than
+# outcomes. The m = 256 goldens above reach none of these.
+EDGE_EXCHANGE_DIGESTS = {
+    (1, 0.0, "half"): "615864d99fa09b3e35fbf3946a6ffd5e398bb175523cadd9d4e333134dc79082",
+    (1, 0.0, "full"): "bd2dafa71bb8f9835a0f920f8259b9d3194e18338f78e41953478dfd0766be5b",
+    (1, 1.0, "half"): "7cd15f161d03783a4dee62069fa5000747b8375b7eaf4ab7a5d7269685972445",
+    (1, 1.0, "full"): "5734256050252564d6878213161a3f67be4bfa02b18cf4f4461e612838f3536f",
+    (2, 0.0, "half"): "0c2fea898bd47b1740e9252d94f316a5f124e0dff51555f05e11c16c11325259",
+    (2, 0.0, "full"): "91c5da75231581762d6f4a5ebdd1aaaf70b64d6edaf99e09345bca9eab6b9f04",
+    (2, 1.0, "half"): "3b82e12743aa55fe2b5d194ef8ea78da7a6e9c9c8991fbb992759a4d5ee120c3",
+    (2, 1.0, "full"): "d781ce2928a4781d849c65c4713d28989b1fa96bbd84204c93f0575d25165ea3",
+    (3, 0.0, "half"): "1be2f128b0b7b7953c9c2355fbd7ad3f8389e77fd36b9da836d547d2a574d0cb",
+    (3, 0.0, "full"): "a6015b16b662d93dde4cc611074264bca25163837d4a128a84cdbe8c2138cf05",
+    (3, 1.0, "half"): "19addd337f70e8c9e5ec3b33235571896a64add8b291f1565666b798f74699bb",
+    (3, 1.0, "full"): "7887f49483c7e6f6d1d46dd37d00ed6b81246f61cb6d6c9c99a334f257d50b4d",
+}
+
+
+@pytest.mark.parametrize("compare_mode", ["half", "full"])
+@pytest.mark.parametrize("density", [0.0, 1.0])
+@pytest.mark.parametrize("transmitted", [1, 2, 3])
+def test_bb84_edge_size_exchange_traces(transmitted, density, compare_mode):
+    traces = [
+        run_exchange(transmitted, density, seed=seed, compare_mode=compare_mode)
+        for seed in range(8)
+    ]
+    assert sha256(traces) == EDGE_EXCHANGE_DIGESTS[transmitted, density, compare_mode]
+
+
+def test_bb84_protocol_traces_under_full_interception():
+    traces = [run_protocol((1, 0, 1, 1), 1.0, seed=seed) for seed in range(8)]
+    assert [trace.verdict for trace in traces].count("secure") == 1
+    assert sha256(traces) == (
+        "67df9910520b6558e3ee36f07b0404c04d04d3b78265039c740824edd4d1470a"
     )

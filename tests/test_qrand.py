@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qubitkit.algorithms import qrand
-from qubitkit.algorithms.qrand import qrand_circuit, qrand_value
+from qubitkit.algorithms.qrand import qrand_circuit
 from qubitkit.backends import LOCAL_BACKEND_NAME, default_registry
 from qubitkit.errors import UnknownBackendError, ValidationError
 from qubitkit.framework import run_algorithm
@@ -56,43 +56,52 @@ def test_uniformity_chi_square():
         assert p > 0.001, f"n={n}: p={p}"
 
 
+def drawn_value(n, backends, seed, backend_name=LOCAL_BACKEND_NAME) -> int:
+    """The integer a one-shot ``run_algorithm`` of qrand draws."""
+    run = run_algorithm(qrand.descriptor(), {"n": n}, backends, backend_name, seed=seed)
+    (outcome,) = run.counts
+    return int(outcome, 2)
+
+
 def test_values_stay_in_range():
     backends = default_registry()
-    values = [qrand_value(4, backends, seed=s) for s in range(64)]
+    values = [drawn_value(4, backends, seed=s) for s in range(64)]
     assert all(0 <= v <= 15 for v in values)
 
 
 def test_single_qubit_mean_over_fresh_seeds():
     backends = default_registry()
     trials = 10_000
-    total = sum(qrand_value(1, backends, seed=s) for s in range(trials))
+    total = sum(drawn_value(1, backends, seed=s) for s in range(trials))
     assert abs(total / trials - 0.5) < 0.02
 
 
 def test_fixed_seed_reproduces_value():
     backends = default_registry()
-    assert qrand_value(6, backends, seed=77) == qrand_value(6, backends, seed=77)
+    assert drawn_value(6, backends, seed=77) == drawn_value(6, backends, seed=77)
 
 
 def test_backend_errors_propagate():
     with pytest.raises(UnknownBackendError):
-        qrand_value(3, default_registry(), backend_name="missing", seed=1)
+        drawn_value(3, default_registry(), backend_name="missing", seed=1)
 
 
 def test_value_is_the_descriptor_run_outcome():
+    # A one-shot run's text reports the value its single outcome reads as.
     backends = default_registry()
     for seed in (0, 1, 77, 2**64 - 1):
         run = run_algorithm(
             qrand.descriptor(), {"n": 6}, backends, LOCAL_BACKEND_NAME, seed=seed
         )
         (outcome,) = run.counts
-        assert qrand_value(6, backends, seed=seed) == int(outcome, 2)
+        assert run.text == f"random value: {int(outcome, 2)} (range 0..63)"
+        assert drawn_value(6, backends, seed=seed) == int(outcome, 2)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, True, 2.5])
 def test_value_rejects_bad_seed(seed):
     with pytest.raises(ValidationError, match="seed"):
-        qrand_value(3, default_registry(), seed=seed)
+        drawn_value(3, default_registry(), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -742,14 +742,55 @@ def test_bell_state_yields_only_correlated_outcomes():
 
 def test_batch_sampling_equals_single_register_draws():
     rng = np.random.default_rng(29)
-    for n in (1, 2, 4):
+    # The last case is the width of a BB84 batch at its largest heatmap length.
+    for n, k in ((1, 80), (2, 80), (4, 80), (1, 4096)):
         for dtype in (float, complex):
-            rows = np.stack([random_state(rng, n, dtype).amplitudes for _ in range(80)])
+            rows = np.stack([random_state(rng, n, dtype).amplitudes for _ in range(k)])
             batch = sample_measurement(Statevector(n, rows), make_rng(61 + n))
             single_rng = make_rng(61 + n)
             singles = [sample_measurement(Statevector(n, r), single_rng) for r in rows]
             assert all(type(index) is int for index in singles)
             assert batch.tolist() == singles
+
+
+def cumsum_draws(rows, seed):
+    """Reference draws: per row, ``np.cumsum`` of ``|a|^2`` and one uniform,
+    in row order; the outcome counts the sums, all but the last, at or below
+    the target."""
+    uniforms = make_rng(seed).random(len(rows))
+    draws = []
+    for row, u in zip(rows, uniforms):
+        cum = np.cumsum(np.abs(row) ** 2)
+        draws.append(int(np.count_nonzero(cum[:-1] <= u * cum[-1])))
+    return draws
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_narrow_batch_running_sums_equal_per_row_cumsum_draws(n, dtype, monkeypatch):
+    # A batch of more rows than outcomes sums one column at a time and any
+    # other batch calls np.cumsum: 2^n - 1, 2^n and 2^n + 1 rows straddle
+    # the switch. Zeros are scattered over the rows, one row holds only its
+    # last outcome (starting the column loop at 0 moves its draw to outcome
+    # 0 for a uniform below 1/2) and one row is all zeros (its draw clamps
+    # to the last outcome).
+    rng = np.random.default_rng(83 + n)
+    width = 1 << n
+    cumsum = np.cumsum
+    for k in (width - 1, width, width + 1):
+        rows = np.stack([random_state(rng, n, dtype).amplitudes for _ in range(k)])
+        rows[rng.random(rows.shape) < 0.3] = 0
+        rows[0] = 0
+        rows[0, -1] = 1
+        if k > 1:
+            rows[-1] = 0
+        expected = cumsum_draws(rows, seed=k)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "cumsum", lambda *a, **kw: calls.append(a) or cumsum(*a, **kw))
+            draws = sample_measurement(Statevector(n, rows), make_rng(k))
+        assert draws.tolist() == expected
+        assert len(calls) == (0 if k > width else 1)
 
 
 # ---------------------------------------------------------------------------
