@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,8 +60,9 @@ from ..sim import (
     Gate,
     Statevector,
     apply_gate,
-    check_count,
+    check_int,
     check_rng,
+    check_row,
     derive_seed,
     evolve,
     make_rng,
@@ -126,19 +126,13 @@ class Bb84Trace:
         return self.decrypted is not None and self.decrypted == self.message_bits
 
 
-def _is_natural(value) -> bool:
-    """Whether ``value`` is an integer >= 0 (not a bool)."""
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 0
-
-
 def encode_qubit(value: int, axis: Axis) -> Circuit:
     """Value-axis preparation circuit: X if value is 1, then H if axis is X.
 
     A ``value`` other than the integer 0 or 1 (a bool included), or an
     ``axis`` that is not an :class:`Axis`, raises a ValidationError naming it.
     """
-    if not (_is_natural(value) and value <= 1):
-        raise ValidationError("value", f"must be the integer 0 or 1, got {value!r}")
+    check_int("value", value, 0, 1)
     if not isinstance(axis, Axis):
         raise ValidationError("axis", f"must be an Axis, got {axis!r}")
     circuit = Circuit(1)
@@ -203,12 +197,7 @@ def measure_in_axis(
     with ``np.take``. One uniform is drawn per row, in row order.
     """
     amps = _batch(states)
-    try:
-        flags = np.asarray(x_rows)
-    except ValueError:  # a ragged nesting
-        flags = np.array(None)
-    if flags.dtype != bool or flags.shape != (len(amps),):
-        raise ValidationError("x_rows", f"expected {len(amps)} bools, got {x_rows!r}")
+    flags = check_row("x_rows", x_rows, bool, len(amps))
     rotated = apply_gate(states, _H).amplitudes
     probe = np.where(flags[:, None], rotated, amps)
     bits = sample_measurement(Statevector(1, probe), rng)
@@ -249,32 +238,14 @@ def intercept(
     return Statevector(1, forwarded), _ACTIONS[codes].tolist()
 
 
-def _rows(names: tuple[str, str], first, second) -> tuple[np.ndarray, np.ndarray]:
-    """Two sequences as 1-D arrays of one length; anything else raises a
-    ValidationError naming the offending one of ``names``."""
-    rows = []
-    for name, values in zip(names, (first, second)):
-        try:
-            row = np.asarray(values)
-        except ValueError:  # a ragged nesting
-            row = None
-        if row is None or row.ndim != 1:
-            raise ValidationError(name, f"expected a sequence, got {values!r}")
-        rows.append(row)
-    if len(rows[0]) != len(rows[1]):
-        raise ValidationError(
-            names[1], f"has length {len(rows[1])}, {names[0]} has {len(rows[0])}"
-        )
-    return rows[0], rows[1]
-
-
 def sift(sender_axes: Sequence, receiver_axes: Sequence) -> list[int]:
     """Positions where both parties used the same axis (kept by both).
 
     The axes may be Axis members or any equal-comparable flags, such as
     the round's boolean is-X arrays.
     """
-    sender, receiver = _rows(("sender_axes", "receiver_axes"), sender_axes, receiver_axes)
+    sender = check_row("sender_axes", sender_axes)
+    receiver = check_row("receiver_axes", receiver_axes, length=len(sender))
     return np.flatnonzero(sender == receiver).tolist()
 
 
@@ -300,9 +271,8 @@ def verify(
     bits for "half", none for "full") returns (KEY_TOO_SHORT, 0, ()).
     """
     _check_compare_mode(compare_mode)
-    sender, receiver = _rows(
-        ("sender_sifted_bits", "receiver_sifted_bits"), sender_sifted_bits, receiver_sifted_bits
-    )
+    sender = check_row("sender_sifted_bits", sender_sifted_bits)
+    receiver = check_row("receiver_sifted_bits", receiver_sifted_bits, length=len(sender))
     length = len(sender)
     if length < (2 if compare_mode == "half" else 1):
         return KEY_TOO_SHORT, 0, ()
@@ -320,8 +290,7 @@ def abort_probability(n: int, density: float) -> float:
     An ``n`` that is not an integer >= 0, or a density outside [0, 1], raises
     a ValidationError naming it.
     """
-    if not _is_natural(n):
-        raise ValidationError("n", f"must be an integer >= 0, got {n!r}")
+    check_int("n", n, 0)
     DENSITY.check(density)
     return 1.0 - (1.0 - density / 8.0) ** n
 
@@ -392,7 +361,7 @@ def run_exchange(
     fails before any draw; they stay in the signature because the benchmark
     passes them positionally.
     """
-    check_count("transmitted", transmitted)
+    check_int("transmitted", transmitted, 1)
     _check_compare_mode(compare_mode)
     if backends is None:
         backends = default_registry()

@@ -12,9 +12,9 @@ n-1-i, the phase ancilla is qubit n. Under the package bit-ordering this
 makes the measured input register print byte-identical to the key as typed;
 the ancilla is the first printed character and is never part of the result.
 
-Every entry point that builds a circuit checks its key with :data:`KEY`,
-the descriptor's spec, which caps it at ``QUBIT_CAP - 1`` bits for the
-ancilla. The classical oracle builds no circuit and has no cap.
+:func:`bv_circuit` checks its key with :data:`KEY`, the descriptor's spec,
+which caps it at ``QUBIT_CAP - 1`` bits for the ancilla. The classical
+oracle builds no circuit and has no cap.
 """
 
 from __future__ import annotations
@@ -22,13 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params
-from ..sim import QUBIT_CAP, Circuit, Counts, _is_int, check_count, evolve
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
+from ..sim import QUBIT_CAP, Circuit, Counts, check_int
 
 KEY = ParamSpec(
     "key", "bitstring", description="hidden key the oracle encodes", max_len=QUBIT_CAP - 1
@@ -60,19 +56,23 @@ def classical_solve(oracle: Callable[[str], int], n: int) -> BvSolveResult:
     """
     if not callable(oracle):
         raise ValidationError("oracle", f"expected a callable, got {oracle!r}")
-    check_count("n", n)
+    check_int("n", n, 1)
     bits = []
     for i in range(n):
         probe = "0" * i + "1" + "0" * (n - 1 - i)
-        answer = oracle(probe)
-        if not (_is_int(answer) and 0 <= answer <= 1):
-            raise ValidationError("oracle", f"must answer the integer 0 or 1, got {answer!r}")
-        bits.append(str(answer))
+        bits.append(str(check_int("oracle", oracle(probe), 0, 1)))
     return BvSolveResult("".join(bits), queries=n)
 
 
-def _oracle_prefix(key: str) -> Circuit:
-    """X on the ancilla, H everywhere, then one CNOT per set key bit."""
+def bv_circuit(key: str) -> Circuit:
+    """Full recovery circuit: X on the ancilla, H everywhere, one CNOT per
+    set key bit (the oracle), then H on the inputs; running it measures
+    every qubit.
+
+    Contains exactly popcount(key) CNOTs. The ancilla gets no trailing H;
+    its measured bit is noise and interpretation drops it.
+    """
+    KEY.check(key)
     n = len(key)
     circuit = Circuit(n + 1)
     circuit.x(n)
@@ -81,44 +81,9 @@ def _oracle_prefix(key: str) -> Circuit:
     for i, bit in enumerate(key):
         if bit == "1":
             circuit.cnot(n - 1 - i, n)
-    return circuit
-
-
-def bv_circuit(key: str) -> Circuit:
-    """Full recovery circuit: oracle prefix, then H on the inputs; running
-    it measures every qubit.
-
-    Contains exactly popcount(key) CNOTs. The ancilla gets no trailing H;
-    its measured bit is noise and interpretation drops it.
-    """
-    KEY.check(key)
-    circuit = _oracle_prefix(key)
-    for q in range(len(key)):
+    for q in range(n):
         circuit.h(q)
     return circuit
-
-
-def _project_out_ancilla(amplitudes: np.ndarray, n: int) -> np.ndarray:
-    # Ancilla (qubit n) stays exactly |->; contracting against it leaves
-    # the input-register amplitudes.
-    minus = np.array([_SQRT_HALF, -_SQRT_HALF])
-    half = 1 << n
-    return amplitudes[:half] * minus[0] + amplitudes[half:] * minus[1]
-
-
-def state_after_oracle(key: str) -> np.ndarray:
-    """Input-register amplitudes right after the oracle block.
-
-    Index x (with key character i at bit n-1-i, i.e. index int(x_string, 2))
-    should carry (-1)^(key.x) / sqrt(2^n).
-    """
-    KEY.check(key)
-    return _project_out_ancilla(evolve(_oracle_prefix(key)).amplitudes, len(key))
-
-
-def input_register_state(key: str) -> np.ndarray:
-    """Input-register amplitudes right before measurement (basis state |key>)."""
-    return _project_out_ancilla(evolve(bv_circuit(key)).amplitudes, len(key))
 
 
 def recovered_key(outcome: str) -> str:

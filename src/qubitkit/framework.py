@@ -17,7 +17,7 @@ from numbers import Real
 
 from .backends import BackendRegistry
 from .errors import ValidationError
-from .sim import Circuit, Counts, check_count, resolve_seed
+from .sim import Circuit, Counts, check_int, resolve_seed
 
 PARAM_KINDS = ("natural_number", "bitstring", "probability", "text")
 
@@ -50,9 +50,7 @@ class ParamSpec:
         naming the parameter."""
         name = self.name
         if self.kind == "natural_number":
-            check_count(name, value)
-            if self.max_value is not None and value > self.max_value:
-                raise ValidationError(name, f"must be <= {self.max_value}, got {value}")
+            check_int(name, value, 1, self.max_value)
         elif self.kind == "probability":
             if not isinstance(value, Real) or isinstance(value, bool) or not 0 <= value <= 1:
                 raise ValidationError(name, f"must be a number within [0, 1], got {value!r}")
@@ -129,8 +127,17 @@ class AlgorithmRun:
     seed: int
 
 
+def _check_descriptor(descriptor) -> AlgorithmDescriptor:
+    if not isinstance(descriptor, AlgorithmDescriptor):
+        raise ValidationError(
+            "descriptor", f"expected an AlgorithmDescriptor, got {descriptor!r}"
+        )
+    return descriptor
+
+
 def parse_params(descriptor: AlgorithmDescriptor, raw: Sequence[str]) -> dict:
     """Parse one raw string per ParamSpec, in order."""
+    _check_descriptor(descriptor)
     if not isinstance(raw, Sequence) or len(raw) != len(descriptor.param_specs):
         raise _params_error(descriptor, raw)
     return {
@@ -151,11 +158,7 @@ class AlgorithmRegistry:
         self._algorithms: dict[str, AlgorithmDescriptor] = {}
 
     def register(self, descriptor: AlgorithmDescriptor) -> None:
-        if not isinstance(descriptor, AlgorithmDescriptor):
-            raise ValidationError(
-                "descriptor", f"expected an AlgorithmDescriptor, got {descriptor!r}"
-            )
-        if descriptor.name in self._algorithms:
+        if _check_descriptor(descriptor).name in self._algorithms:
             raise ValidationError("name", f"algorithm {descriptor.name!r} already registered")
         self._algorithms[descriptor.name] = descriptor
 
@@ -186,16 +189,17 @@ def run_algorithm(
     spec, each passing its ``check``), shots, the backend registry, the
     backend name (looked up in it) and the seed are validated, and a missing
     seed is drawn, before any descriptor's ``build`` or ``runner`` sees
-    them. The returned seed replays the run.
+    them. The returned seed replays the run. A ``descriptor`` that is not an
+    :class:`AlgorithmDescriptor` raises a ValidationError naming it.
     """
-    names = {spec.name for spec in descriptor.param_specs}
+    names = {spec.name for spec in _check_descriptor(descriptor).param_specs}
     if not isinstance(params, Mapping) or set(params) - names:
         raise _params_error(descriptor, params)
     for spec in descriptor.param_specs:
         if spec.name not in params:
             raise ValidationError(spec.name, "missing")
         spec.check(params[spec.name])
-    check_count("shots", shots)
+    check_int("shots", shots, 1)
     if not isinstance(backends, BackendRegistry):
         raise ValidationError("backends", f"expected a BackendRegistry, got {backends!r}")
     backends.get(backend_name)

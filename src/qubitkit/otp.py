@@ -6,26 +6,21 @@ bit first, so "A" (0x41) becomes (0,1,0,0,0,0,0,1).
 
 from __future__ import annotations
 
-from numbers import Integral
-
 from .errors import KeyTooShortError, ValidationError
+from .sim import check_int
 
 Bits = tuple[int, ...]
 
 
 def check_bits(param: str, bits) -> Bits:
     """``bits`` as a tuple of ints, if it is an iterable of the integers 0
-    and 1 (not bools); anything else raises a ValidationError naming
-    ``param``."""
+    and 1, each passing :func:`~qubitkit.sim.check_int` (so not bools);
+    anything else raises a ValidationError naming ``param``."""
     try:
         checked = tuple(bits)
     except TypeError:  # not iterable
-        checked = None
-    if checked is None or not all(
-        isinstance(b, Integral) and not isinstance(b, bool) and b in (0, 1) for b in checked
-    ):
-        raise ValidationError(param, f"expected a sequence of 0/1 bits, got {bits!r}")
-    return tuple(int(b) for b in checked)
+        raise ValidationError(param, f"expected a sequence of 0/1 bits, got {bits!r}") from None
+    return tuple(check_int(param, b, 0, 1) for b in checked)
 
 
 def text_to_bits(text: str) -> Bits:

@@ -95,17 +95,17 @@ _BLOCK_QUBITS = 16
 # run draws, sorts and tallies this many uniforms at a time (2 MB of float64).
 _CHUNK = 1 << 18
 
-_SEED_BOUND = 1 << 64  # seeds lie in [0, 2^64), the range derive_seed returns
+_SEED_MAX = (1 << 64) - 1  # seeds lie in [0, 2^64), the range derive_seed returns
 
 
 def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     """Seeded PCG64 generator; the single RNG used for all sampling.
 
-    ``seed`` is a ``SeedSequence`` (a spawned child) or a seed that passes
-    :func:`check_seed`.
+    ``seed`` is a ``SeedSequence`` (a spawned child) or an integer in
+    [0, 2^64), checked by :func:`check_int`.
     """
     if not isinstance(seed, np.random.SeedSequence):
-        check_seed(seed)
+        seed = check_int("seed", seed, 0, _SEED_MAX)
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -122,12 +122,11 @@ def derive_seed(master: int, *parts: int) -> int:
 
     Work items seeded this way (heatmap cells, repeated protocol runs) give
     identical results no matter how they are scheduled across workers. The
-    master and each part must pass :func:`check_seed`, else a
+    master and each part must be integers in [0, 2^64), else a
     ValidationError names ``master`` or ``parts``.
     """
-    check_seed(master, "master")
-    for part in parts:
-        check_seed(part, "parts")
+    master = check_int("master", master, 0, _SEED_MAX)
+    parts = [check_int("parts", part, 0, _SEED_MAX) for part in parts]
     sequence = np.random.SeedSequence([master, *parts])
     return int(sequence.generate_state(1, np.uint64)[0])
 
@@ -138,31 +137,51 @@ def _is_int(value) -> bool:
     return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
-def check_count(param: str, value) -> int:
-    """Return ``value`` if it is an integer >= 1 (not a bool).
+def check_int(param: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an ``int``, if it is an integer (not a bool) within
+    [lo, hi], or at least ``lo`` if ``hi`` is None.
 
-    Anything else raises a ValidationError naming ``param``.
+    This is the package's one integer rule: numpy integers pass and come
+    back as Python ints. Anything else raises a ValidationError naming
+    ``param``.
     """
-    if not _is_int(value) or value < 1:
-        raise ValidationError(param, f"must be an integer >= 1, got {value!r}")
-    return value
+    # A plain int, the common case, skips the calls to _is_int and int().
+    if (type(value) is int or _is_int(value)) and lo <= value and (hi is None or value <= hi):
+        return value if type(value) is int else int(value)
+    bound = f">= {lo}" if hi is None else f"within [{lo}, {hi}]"
+    raise ValidationError(param, f"must be an integer {bound}, got {value!r}")
 
 
-def check_seed(seed, param: str = "seed") -> int:
-    """Return ``seed`` if it is an integer in [0, 2^64) (not a bool), else
-    raise a ValidationError naming ``param``."""
-    if not _is_int(seed) or not 0 <= seed < _SEED_BOUND:
-        raise ValidationError(param, f"must be an integer in [0, 2^64), got {seed!r}")
-    return seed
+def check_row(param: str, value, dtype=None, length: int | None = None) -> np.ndarray:
+    """``value`` as a 1-D array, of ``dtype`` and ``length`` if given.
+
+    A ragged, scalar or otherwise shaped value, or a row of another dtype
+    or length, raises a ValidationError naming ``param``.
+    """
+    try:
+        row = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        row = None
+    if not (
+        row is not None
+        and row.ndim == 1
+        and (dtype is None or row.dtype == dtype)
+        and (length is None or len(row) == length)
+    ):
+        kind = "sequence" if dtype is None else f"{np.dtype(dtype)} sequence"
+        size = "" if length is None else f" of length {length}"
+        raise ValidationError(param, f"expected a 1-D {kind}{size}, got {value!r}")
+    return row
 
 
 def resolve_seed(seed) -> int:
-    """The seed a run uses: ``seed`` once checked, or a fresh one if it is None.
+    """The seed a run uses: ``seed`` checked as :func:`make_rng` checks it,
+    or a fresh one if it is None.
 
     This is the only place a seed is drawn from entropy. The caller returns
-    the seed it resolved, so any run can be replayed.
+    the seed it resolved, an ``int``, so any run can be replayed.
     """
-    return secrets.randbits(63) if seed is None else check_seed(seed)
+    return secrets.randbits(63) if seed is None else check_int("seed", seed, 0, _SEED_MAX)
 
 
 def outcome_bits(indices: np.ndarray, width: int) -> np.ndarray:
@@ -175,8 +194,7 @@ def outcome_bits(indices: np.ndarray, width: int) -> np.ndarray:
     """
     if not (isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu"):
         raise ValidationError("indices", f"expected a 1-D integer array, got {indices!r}")
-    if not (_is_int(width) and 1 <= width <= 32):
-        raise ValidationError("width", f"must be an integer within [1, 32], got {width!r}")
+    check_int("width", width, 1, 32)
     # The indices' big-endian bytes, only those that hold the bits asked for.
     octets = indices.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 4 - (width + 7) // 8 :]
     bits = np.unpackbits(octets, axis=1)
@@ -234,7 +252,7 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        check_count("num_qubits", self.num_qubits)
+        check_int("num_qubits", self.num_qubits, 1)
         if not isinstance(self.gates, list):
             raise ValidationError("gates", f"must be a list of Gate, got {self.gates!r}")
         for gate in self.gates:
@@ -279,16 +297,6 @@ class Statevector:
     num_qubits: int
     amplitudes: np.ndarray
 
-    def norm(self) -> float | np.ndarray:
-        """Sum of probabilities: a ``float``, or one per row for a batch."""
-        norms = np.sum(self.probabilities(), axis=-1)
-        return float(norms) if norms.ndim == 0 else norms
-
-    def probabilities(self) -> np.ndarray:
-        """``|a|^2`` of each amplitude, once they pass the check that
-        :func:`apply_gate` makes."""
-        return np.abs(_amplitudes(self)) ** 2
-
 
 def _amplitudes(state: Statevector) -> np.ndarray:
     """The state's amplitudes, checked where they enter the kernels and sampler.
@@ -301,7 +309,7 @@ def _amplitudes(state: Statevector) -> np.ndarray:
     """
     if not isinstance(state, Statevector):
         raise ValidationError("state", f"expected a Statevector, got {state!r}")
-    n, amps = check_count("num_qubits", state.num_qubits), state.amplitudes
+    n, amps = check_int("num_qubits", state.num_qubits, 1), state.amplitudes
     if not (
         isinstance(amps, np.ndarray)
         and amps.ndim in (1, 2)
@@ -321,7 +329,7 @@ def new_zero_state(n: int) -> Statevector:
     CapacityError, and an n that is not an integer a ValidationError."""
     if _is_int(n) and not 1 <= n <= QUBIT_CAP:
         raise CapacityError(f"qubit count {n} outside supported range 1..{QUBIT_CAP}")
-    check_count("num_qubits", n)
+    check_int("num_qubits", n, 1)
     amps = np.zeros(1 << n, dtype=np.float64)
     amps[0] = 1.0
     return Statevector(n, amps)
@@ -674,9 +682,9 @@ def sample_measurement(
 
 def _check_tallies(param: str, tallies: np.ndarray, shots: int) -> None:
     """Raise a ValidationError naming ``param`` unless ``tallies`` is a 1-D
-    array, not empty, of integers >= 1 that sum to ``shots`` (itself checked
-    by :func:`check_count`)."""
-    check_count("shots", shots)
+    array, not empty, of integers >= 1 that sum to ``shots`` (itself an
+    integer >= 1)."""
+    check_int("shots", shots, 1)
     if not (
         isinstance(tallies, np.ndarray)
         and tallies.ndim == 1
@@ -714,7 +722,10 @@ class Counts(Mapping):
             raise ValidationError(
                 "counts", f"expected a dict with non-empty str labels, got {counts!r}"
             )
-        _check_tallies("counts", np.array(list(counts.values())), shots)
+        tallies = list(counts.values())
+        if not all(map(_is_int, tallies)):  # np.array reads [1, True] as integers
+            raise ValidationError("counts", f"tallies must be integers, got {tallies!r}")
+        _check_tallies("counts", np.array(tallies), shots)
         self.counts = counts
         self.shots = shots
         self.arrays = None
@@ -730,10 +741,7 @@ class Counts(Mapping):
         one per tally, and ``tallies`` pass the same check as a dict's;
         anything else raises a ValidationError naming the argument.
         """
-        if not (_is_int(num_qubits) and 1 <= num_qubits <= QUBIT_CAP):
-            raise ValidationError(
-                "num_qubits", f"must be an integer within 1..{QUBIT_CAP}, got {num_qubits!r}"
-            )
+        check_int("num_qubits", num_qubits, 1, QUBIT_CAP)
         _check_tallies("tallies", tallies, shots)
         if not (
             isinstance(indices, np.ndarray)
@@ -834,8 +842,8 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     outcomes and merged into a sparse tally. Memory is O(chunk + distinct
     outcomes) whatever the number of shots.
     """
-    check_count("shots", shots)
-    check_seed(seed)
+    check_int("shots", shots, 1)
+    check_int("seed", seed, 0, _SEED_MAX)
     # The probabilities and their running sum overwrite the amplitudes. For
     # float64, np.square equals np.abs(a) ** 2 bit for bit.
     amps = evolve(circuit).amplitudes

@@ -8,13 +8,14 @@ from qubitkit.algorithms.bernstein_vazirani import (
     classical_oracle,
     classical_solve,
     descriptor,
-    input_register_state,
     recovered_key,
-    state_after_oracle,
 )
 from qubitkit.backends import LOCAL_BACKEND_NAME, default_registry
 from qubitkit.errors import ValidationError
 from qubitkit.framework import run_algorithm
+from qubitkit.sim import Circuit, evolve
+
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def all_keys(n):
@@ -107,6 +108,30 @@ def test_classical_solve_rejects_bad_count(n):
     # n=0 used to return an empty key after zero queries.
     with pytest.raises(ValidationError, match="'n'"):
         classical_solve(lambda x: 0, n)
+
+
+def _project_out_ancilla(amplitudes: np.ndarray, n: int) -> np.ndarray:
+    # Ancilla (qubit n) stays exactly |->; contracting against it leaves
+    # the input-register amplitudes.
+    minus = np.array([_SQRT_HALF, -_SQRT_HALF])
+    half = 1 << n
+    return amplitudes[:half] * minus[0] + amplitudes[half:] * minus[1]
+
+
+def state_after_oracle(key: str) -> np.ndarray:
+    """Input-register amplitudes right after the oracle block, which is
+    ``bv_circuit`` without its last H per input qubit.
+
+    Index x (with key character i at bit n-1-i, i.e. index int(x_string, 2))
+    should carry (-1)^(key.x) / sqrt(2^n).
+    """
+    prefix = Circuit(len(key) + 1, bv_circuit(key).gates[: -len(key)])
+    return _project_out_ancilla(evolve(prefix).amplitudes, len(key))
+
+
+def input_register_state(key: str) -> np.ndarray:
+    """Input-register amplitudes right before measurement (basis state |key>)."""
+    return _project_out_ancilla(evolve(bv_circuit(key)).amplitudes, len(key))
 
 
 def test_phase_oracle_matches_classical_sign_pattern():

@@ -1,20 +1,25 @@
+import dataclasses
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubitkit import otp, sim
+import qubitkit.algorithms
+import qubitkit.backends
+from qubitkit import framework, otp, sim
 from qubitkit.algorithms import bb84, bernstein_vazirani, default_algorithms, qrand
-from qubitkit.algorithms.bernstein_vazirani import (
-    bv_circuit,
-    classical_oracle,
-    input_register_state,
-    state_after_oracle,
-)
+from qubitkit.algorithms.bernstein_vazirani import bv_circuit, classical_oracle
 from qubitkit.algorithms.qrand import qrand_circuit
-from qubitkit.backends import LOCAL_BACKEND_NAME, BackendInfo, default_registry
+from qubitkit.backends import (
+    LOCAL_BACKEND_NAME,
+    BackendInfo,
+    LocalStatevectorBackend,
+    default_registry,
+)
 from qubitkit.errors import QubitkitError, UnknownBackendError, ValidationError
 from qubitkit.framework import (
     AlgorithmDescriptor,
@@ -280,6 +285,8 @@ HELPER_LEAKS = {
     "Counts-int-label": (lambda: sim.Counts({5: 1}, 1), "counts"),
     "Counts-empty-label": (lambda: sim.Counts({"": 1}, 1), "counts"),
     "Counts-shots-array": (lambda: sim.Counts({"0": 1}, np.array([0, 1])), "shots"),
+    # np.array([1, True]) is an integer array, so the bool used to count as 1.
+    "Counts-bool-tally": (lambda: sim.Counts({"0": 1, "1": True}, 2), "counts"),
     "Counts.from_arrays-lists": (lambda: sim.Counts.from_arrays([0], [1], 1, 1), "tallies"),
     "Counts.from_arrays-indices-list": (
         lambda: sim.Counts.from_arrays([0], np.array([1]), 1, 1), "indices"
@@ -289,6 +296,10 @@ HELPER_LEAKS = {
         lambda: default_registry().register(_ListNamedBackend()), "backend"
     ),
     "run_exchange-backends": (lambda: bb84.run_exchange(4, 0.5, 5, seed=0), "backends"),
+    "parse_params-descriptor": (lambda: parse_params(None, []), "descriptor"),
+    "run_algorithm-descriptor": (
+        lambda: run_algorithm(None, {}, default_registry(), LOCAL_BACKEND_NAME), "descriptor"
+    ),
     "AlgorithmRegistry.register-None": (
         lambda: AlgorithmRegistry().register(None), "descriptor"
     ),
@@ -311,7 +322,6 @@ HELPER_LEAKS = {
     "Counts.from_arrays-num_qubits": (
         lambda: sim.Counts.from_arrays(np.array([0]), np.array([1]), None, 1), "num_qubits"
     ),
-    "Statevector.norm-None": (lambda: sim.Statevector(1, None).norm(), "amplitudes"),
 }
 
 
@@ -346,60 +356,100 @@ _PARAMS = st.one_of(
 _RAW = st.one_of(_JUNK, st.lists(_JUNK, max_size=2))
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(_JUNK, _JUNK, _PARAMS, _RAW)
-def test_public_entry_points_return_or_raise_qubitkit_errors(a, b, params, raw):
+def _qubit_call(method, *qubits):
+    """``method(*qubits)`` for a Circuit qubit method: an integer qubit out
+    of range raises the documented IndexError, and nothing else may leak."""
+    try:
+        method(*qubits)
+    except IndexError:
+        pass
+
+
+def _junk_calls(a, b, params, raw) -> list:
+    """One call per public entry point and junk-fed parameter.
+
+    Each call passes ``a``, ``b``, ``params`` or ``raw`` to the parameters
+    it feeds and valid values to the rest, so the junk reaches the check
+    of the parameter it feeds. Apart from the calls made once per shipped
+    descriptor, no two calls feed the same parameter.
+    """
     backends = default_registry()
+    zero = sim.new_zero_state(1)
+    hadamard = Gate("H", (0,))
+    flags = np.zeros(len(_BATCH.amplitudes), bool)
     calls = [
         lambda: qrand_circuit(a),
         lambda: bv_circuit(a),
-        lambda: state_after_oracle(a),
-        lambda: input_register_state(a),
         lambda: classical_oracle(a, b),
-        lambda: bb84.intercept(_BATCH, a, sim.make_rng(0)),
-        lambda: bb84.intercept(a, 0.5, sim.make_rng(0)),
-        lambda: bb84.measure_in_axis(a, b, sim.make_rng(0)),
-        lambda: bb84.measure_in_axis(_BATCH, a, sim.make_rng(0)),
-        lambda: sim.make_rng(a),
-        lambda: sim.derive_seed(a, b),
-        lambda: sim.sample_measurement(sim.new_zero_state(1), a),
-        lambda: sim.Counts(a, b),
-        lambda: sim.Counts.from_arrays(a, b, 1, 1),
-        lambda: sim.outcome_bits(a, b),
-        lambda: sim.Statevector(1, a).norm(),
         lambda: bernstein_vazirani.classical_solve(a, 3),
+        lambda: bernstein_vazirani.classical_solve(lambda x: 0, a),
         lambda: bernstein_vazirani.recovered_key(a),
-        lambda: bb84.run_exchange(a, b, seed=0),
-        lambda: bb84.run_exchange(4, 0.5, backends, a, seed=0),
-        lambda: bb84.run_exchange(4, 0.5, a, seed=0),
-        lambda: bb84.run_protocol(a, b, seed=0),
-        lambda: backends.get(a),
-        lambda: backends.execute(a, Circuit(1), 1, 0),
-        lambda: Gate(a, b),
-        lambda: Circuit(a, gates=b),
-        lambda: Circuit(2, gates=[a]),
-        lambda: backends.execute(LOCAL_BACKEND_NAME, a, 1, 0),
-        lambda: sim.run(a, 1, 0),
-        lambda: sim.evolve(a),
-        lambda: sim.new_zero_state(a),
-        lambda: sim.apply_gate(sim.new_zero_state(1), a),
-        lambda: sim.apply_gate(a, Gate("H", (0,))),
-        lambda: sim.sample_measurement(a, sim.make_rng(0)),
-        lambda: otp.text_to_bits(a),
-        lambda: otp.bits_to_text(a),
-        lambda: otp.encrypt(a, b),
+        lambda: bb84.intercept(a, 0.5, sim.make_rng(0)),
+        lambda: bb84.intercept(_BATCH, a, sim.make_rng(0)),
+        lambda: bb84.intercept(_BATCH, 0.5, a),
+        lambda: bb84.measure_in_axis(a, flags, sim.make_rng(0)),
+        lambda: bb84.measure_in_axis(_BATCH, a, sim.make_rng(0)),
+        lambda: bb84.measure_in_axis(_BATCH, flags, a),
         lambda: bb84.sift(a, b),
         lambda: bb84.verify(a, b),
         lambda: bb84.verify([1, 0], [1, 0], compare_mode=a),
-        lambda: bb84.encode_qubit(a, b),
-        lambda: bb84.encode_state(a, b),
+        lambda: bb84.encode_qubit(a, bb84.Axis.X),
         lambda: bb84.encode_qubit(1, a),
-        lambda: bb84.abort_probability(a, b),
+        lambda: bb84.encode_state(a, b),
         lambda: bb84.abort_probability(a, 0.5),
+        lambda: bb84.abort_probability(4, a),
         lambda: bb84.render_trace(a),
-        lambda: default_algorithms().get(a),
+        lambda: bb84.run_exchange(a, b, seed=0),
+        lambda: bb84.run_exchange(4, 0.5, a, seed=0),
+        lambda: bb84.run_exchange(4, 0.5, backends, a, seed=0),
+        lambda: bb84.run_exchange(4, 0.5, seed=a),
+        lambda: bb84.run_exchange(4, 0.5, seed=0, compare_mode=a),
+        lambda: bb84.run_protocol(a, b, seed=0),
+        lambda: bb84.run_protocol([1], 0.5, seed=a),
+        lambda: sim.make_rng(a),
+        lambda: sim.check_rng(a),
+        lambda: sim.resolve_seed(a),
+        lambda: sim.derive_seed(a),
+        lambda: sim.derive_seed(0, a),
+        lambda: sim.check_int("n", a, 0),
+        lambda: sim.check_row("row", a),
+        lambda: sim.outcome_bits(a, 3),
+        lambda: sim.outcome_bits(np.array([1]), a),
+        lambda: sim.new_zero_state(a),
+        lambda: sim.apply_gate(a, hadamard),
+        lambda: sim.apply_gate(zero, a),
+        lambda: sim.apply_gate(zero, hadamard, a),
+        lambda: sim.evolve(a),
+        lambda: sim.sample_measurement(a, sim.make_rng(0)),
+        lambda: sim.sample_measurement(zero, a),
+        lambda: sim.run(a, 1, 0),
+        lambda: sim.run(Circuit(1), a, b),
+        lambda: Gate(a, (0,)),
+        lambda: Gate("H", a),
+        lambda: Circuit(a),
+        lambda: Circuit(2, gates=a),
+        lambda: Circuit(2).append(a),
+        lambda: _qubit_call(Circuit(2).h, a),
+        lambda: _qubit_call(Circuit(2).x, a),
+        lambda: _qubit_call(Circuit(2).cnot, a, b),
+        lambda: sim.Counts(a, b),
+        lambda: sim.Counts.from_arrays(a, b, 1, 1),
+        lambda: sim.Counts.from_arrays(np.array([0]), np.array([1]), a, b),
+        lambda: otp.check_bits("bits", a),
+        lambda: otp.text_to_bits(a),
+        lambda: otp.bits_to_text(a),
+        lambda: otp.encrypt(a, b),
         lambda: backends.register(a),
+        lambda: backends.get(a),
+        lambda: backends.execute(a, Circuit(1), 1, 0),
+        lambda: backends.execute(LOCAL_BACKEND_NAME, a, 1, 0),
+        lambda: backends.execute(LOCAL_BACKEND_NAME, Circuit(1), a, b),
+        lambda: LocalStatevectorBackend().run(a, 1, 0),
+        lambda: LocalStatevectorBackend().run(Circuit(1), a, b),
         lambda: AlgorithmRegistry().register(a),
+        lambda: default_algorithms().get(a),
+        lambda: parse_params(a, []),
+        lambda: run_algorithm(a, {}, backends, LOCAL_BACKEND_NAME),
     ]
     for name, good in DEFAULT_PARAMS.items():
         d = default_algorithms().get(name)
@@ -408,12 +458,101 @@ def test_public_entry_points_return_or_raise_qubitkit_errors(a, b, params, raw):
             lambda d=d: run_algorithm(d, params, backends, LOCAL_BACKEND_NAME),
             lambda d=d, good=good: run_algorithm(d, good, a, LOCAL_BACKEND_NAME),
             lambda d=d, good=good: run_algorithm(d, good, backends, a),
+            lambda d=d, good=good: run_algorithm(d, good, backends, LOCAL_BACKEND_NAME, a, b),
         ]
+    return calls
+
+
+def _feed(calls) -> None:
+    """Make every call; each must return or raise a QubitkitError."""
     for call in calls:
         try:
             call()
         except QubitkitError:
             pass
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_JUNK, _JUNK, _PARAMS, _RAW)
+def test_public_entry_points_return_or_raise_qubitkit_errors(a, b, params, raw):
+    _feed(_junk_calls(a, b, params, raw))
+
+
+# Public callables, and single parameters, that no junk call feeds. A
+# callable without parameters (default_registry, default_algorithms, each
+# descriptor(), list_algorithms, Counts.keys/items/values) has nothing to
+# feed, and a dataclass without __post_init__ is a plain record.
+_UNFED = {
+    "ParamSpec": "a tool for algorithm authors, whose mistakes are ValueErrors by design",
+    "LocalStatevectorBackend.evolve": "no caller in the library, only the benchmark's trace",
+    **dict.fromkeys(
+        [
+            "check_int(param)", "check_int(lo)", "check_int(hi)",
+            "check_row(param)", "check_row(dtype)", "check_row(length)",
+            "check_bits(param)",
+        ],
+        "set by the calling code, not by a user",
+    ),
+}
+
+
+def _public_parameters():
+    """(label, code, parameter) for each parameter of each public function,
+    public method and input-checking constructor of the qubitkit modules."""
+    modules = (sim, framework, qubitkit.backends, otp, qubitkit.algorithms, qrand,
+               bernstein_vazirani, bb84)
+    callables = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                callables[obj.__name__] = obj, 0
+            elif inspect.isclass(obj) and name not in _UNFED:
+                members = vars(obj)
+                if "__init__" in members and not (
+                    dataclasses.is_dataclass(obj) and "__post_init__" not in members
+                ):
+                    callables[name] = obj.__init__, 1
+                for attr, member in members.items():
+                    function = getattr(member, "__func__", member)  # a classmethod's
+                    if not attr.startswith("_") and inspect.isfunction(function):
+                        callables[f"{name}.{attr}"] = function, 1
+    for label, (function, skip) in callables.items():
+        for parameter in list(inspect.signature(function).parameters)[skip:]:
+            if label not in _UNFED and f"{label}({parameter})" not in _UNFED:
+                yield f"{label}({parameter})", function.__code__, parameter
+
+
+def _fed_parameters() -> set:
+    """(code, parameter) for each parameter that received a junk marker from
+    a call made directly in this file, recorded with ``sys.setprofile``."""
+    markers = [object() for _ in range(4)]
+    calls = _junk_calls(*markers)
+    here = _junk_calls.__code__.co_filename
+    fed = set()
+
+    def is_junk(value):
+        values = value if isinstance(value, tuple) else (value,)  # *args arrive as a tuple
+        return any(v is m for v in values for m in markers)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back and frame.f_back.f_code.co_filename == here:
+            arguments = frame.f_locals.items()
+            fed.update((frame.f_code, name) for name, value in arguments if is_junk(value))
+
+    sys.setprofile(profile)
+    try:
+        _feed(calls)
+    finally:
+        sys.setprofile(None)
+    return fed
+
+
+def test_junk_calls_feed_every_parameter_of_every_public_entry_point():
+    fed = _fed_parameters()
+    unfed = [label for label, code, name in _public_parameters() if (code, name) not in fed]
+    assert not unfed, f"no junk call feeds {unfed}"
 
 
 @pytest.mark.parametrize("raw", ["٠.٥", "１", "0.2_5", "1_0e-1"])
@@ -536,3 +675,14 @@ def test_run_algorithm_rejects_bad_seed_for_every_descriptor(name, seed):
         run_algorithm(
             descriptor, params, default_registry(), LOCAL_BACKEND_NAME, 1, seed=seed
         )
+
+
+def test_a_run_reports_its_seed_as_an_int():
+    # A numpy seed used to come back as the numpy scalar it was given.
+    run = run_algorithm(
+        qrand.descriptor(), {"n": 2}, default_registry(), LOCAL_BACKEND_NAME, seed=np.int64(7)
+    )
+    assert type(run.seed) is int and run.seed == 7
+    trace = bb84.run_exchange(4, 0.5, seed=np.uint64(3))
+    assert type(trace.seed) is int and trace.seed == 3
+    assert trace == bb84.run_exchange(4, 0.5, seed=3)

@@ -303,11 +303,9 @@ def test_norm_conserved_over_random_sequences():
             for gate in random_gates(rng, n, 30):
                 state = apply_gate(state, gate)
                 batch = apply_gate(batch, gate)
-            assert abs(state.norm() - 1.0) < 1e-12
-            assert np.allclose(batch.norm(), np.ones(4), rtol=0, atol=1e-12)
-    assert type(new_zero_state(2).norm()) is float
-    four_rows = Statevector(1, np.tile([1.0, 0.0], (4, 1)))
-    assert np.array_equal(four_rows.norm(), [1.0, 1.0, 1.0, 1.0])
+            assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-12
+            row_norms = np.sum(np.abs(batch.amplitudes) ** 2, axis=-1)
+            assert np.allclose(row_norms, np.ones(4), rtol=0, atol=1e-12)
 
 
 def test_gates_are_involutions():
@@ -839,6 +837,40 @@ def test_run_rejects_bad_seed(seed):
         run(Circuit(1), shots=1, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "value, lo, hi", [(True, 0, 1), (2, 0, 1), (-1, 0, None), (0, 1, None), (1.0, 0, None), ("1", 0, 1)]
+)
+def test_check_int_rejects_what_is_not_an_integer_in_range(value, lo, hi):
+    with pytest.raises(ValidationError) as excinfo:
+        sim.check_int("count", value, lo, hi)
+    assert excinfo.value.param == "count"
+
+
+def test_check_int_returns_python_ints():
+    for value in (3, np.int64(3), np.uint8(3)):
+        checked = sim.check_int("count", value, 0, 3)
+        assert type(checked) is int and checked == 3
+    assert sim.check_int("count", 2**70, 1) == 2**70
+
+
+@pytest.mark.parametrize(
+    "value, dtype, length",
+    [(5, None, None), ([[1], [1, 0]], None, None), ([[1, 0]], None, None),
+     ([1, 0], bool, None), ([True], bool, 2), ("10", None, None)],
+)
+def test_check_row_rejects_scalars_ragged_nests_and_wrong_rows(value, dtype, length):
+    with pytest.raises(ValidationError) as excinfo:
+        sim.check_row("row", value, dtype, length)
+    assert excinfo.value.param == "row"
+
+
+def test_check_row_returns_the_row_as_an_array():
+    flags = np.array([True, False])
+    assert sim.check_row("row", flags, bool, 2) is flags
+    assert sim.check_row("row", [1, 0]).tolist() == [1, 0]
+    assert sim.check_row("row", []).shape == (0,)
+
+
 def test_run_accepts_every_derived_seed():
     # derive_seed returns values up to 2^64 - 1; all of them are valid seeds.
     for seed in (0, 2**64 - 1, derive_seed(3, 1, 4), np.uint64(2**64 - 1)):
@@ -852,7 +884,7 @@ def test_sampling_matches_born_rule_on_random_circuits():
         gates = random_gates(rng, 3, 10)
         circuit = Circuit(3, gates=list(gates))
         counts = run(circuit, shots=shots, seed=1000 + trial)
-        probs = evolve(circuit).probabilities()
+        probs = np.abs(evolve(circuit).amplitudes) ** 2
         observed, expected = [], []
         for index, p in enumerate(probs):
             key = format(index, "03b")
@@ -957,7 +989,7 @@ def evolved_once(circuit):
 
 
 def reference_counts(circuit, shots, seed):
-    cum = np.cumsum(sim.evolve(circuit).probabilities())
+    cum = np.cumsum(np.abs(sim.evolve(circuit).amplitudes) ** 2)
     uniforms = make_rng(seed).random(shots)
     indices = np.searchsorted(cum[:-1], uniforms * cum[-1], side="right")
     values, tallies = np.unique(indices, return_counts=True)
