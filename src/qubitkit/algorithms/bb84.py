@@ -61,8 +61,8 @@ from ..sim import (
     Statevector,
     apply_gate,
     check_int,
-    check_rng,
     check_row,
+    check_type,
     derive_seed,
     evolve,
     make_rng,
@@ -133,8 +133,7 @@ def encode_qubit(value: int, axis: Axis) -> Circuit:
     ``axis`` that is not an :class:`Axis`, raises a ValidationError naming it.
     """
     check_int("value", value, 0, 1)
-    if not isinstance(axis, Axis):
-        raise ValidationError("axis", f"must be an Axis, got {axis!r}")
+    check_type("axis", axis, Axis)
     circuit = Circuit(1)
     if value == 1:
         circuit.x(0)
@@ -223,7 +222,7 @@ def intercept(
     """
     amps = _batch(states)
     DENSITY.check(density)
-    check_rng(rng)
+    check_type("rng", rng, np.random.Generator)
     rows = len(amps)
     hit = np.flatnonzero(rng.random(rows) < density)
     x_axis = rng.random(hit.size) >= 0.5
@@ -303,8 +302,9 @@ def _setup(density, seed):
     """
     DENSITY.check(density)
     effective_seed = resolve_seed(seed)
-    rngs = tuple(map(make_rng, np.random.SeedSequence(effective_seed).spawn(3)))
-    return effective_seed, rngs
+    # The children SeedSequence(effective_seed).spawn(3) returns, built directly.
+    children = (np.random.SeedSequence(effective_seed, spawn_key=(i,)) for i in range(3))
+    return effective_seed, tuple(map(make_rng, children))
 
 
 def _single_exchange(
@@ -365,9 +365,7 @@ def run_exchange(
     _check_compare_mode(compare_mode)
     if backends is None:
         backends = default_registry()
-    elif not isinstance(backends, BackendRegistry):
-        raise ValidationError("backends", f"expected a BackendRegistry, got {backends!r}")
-    backends.get(backend_name)
+    check_type("backends", backends, BackendRegistry).get(backend_name)
     seed, rngs = _setup(density, seed)
     return _single_exchange(transmitted, density, rngs, compare_mode, seed)
 
@@ -413,8 +411,7 @@ def render_trace(trace: Bb84Trace) -> str:
 
     Anything but a :class:`Bb84Trace` raises a ValidationError naming ``trace``.
     """
-    if not isinstance(trace, Bb84Trace):
-        raise ValidationError("trace", f"expected a Bb84Trace, got {trace!r}")
+    check_type("trace", trace, Bb84Trace)
     published = set(trace.published_positions)
     sifted = set(trace.sifted_positions)
     header = (

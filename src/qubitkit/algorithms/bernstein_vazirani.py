@@ -19,12 +19,13 @@ oracle builds no circuit and has no cap.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ValidationError
 from ..framework import AlgorithmDescriptor, ParamSpec, Params
-from ..sim import QUBIT_CAP, Circuit, Counts, check_int
+from ..sim import QUBIT_CAP, Circuit, Counts, check_int, check_type
 
 KEY = ParamSpec(
     "key", "bitstring", description="hidden key the oracle encodes", max_len=QUBIT_CAP - 1
@@ -88,17 +89,18 @@ def bv_circuit(key: str) -> Circuit:
 
 def recovered_key(outcome: str) -> str:
     """Drop the ancilla bit (printed first) from a measured outcome."""
-    if not isinstance(outcome, str):
-        raise ValidationError("outcome", f"expected an outcome label, got {outcome!r}")
-    return outcome[1:]
+    return check_type("outcome", outcome, str)[1:]
 
 
 def _interpret(params: Params, counts: Counts) -> str:
-    best = max(counts.items(), key=lambda item: (item[1], item[0]))[0]
-    key = recovered_key(best)
+    # The ancilla's bit is a fair coin, so shots are tallied by recovered key.
+    keys = collections.Counter()
+    for outcome, count in counts.items():
+        keys[recovered_key(outcome)] += count
+    key = max(keys.items(), key=lambda item: (item[1], item[0]))[0]
     suffix = "" if counts.shots == 1 else f" (all {counts.shots} shots agree)" if len(
-        counts
-    ) == 1 else f" (most frequent of {len(counts)} outcomes)"
+        keys
+    ) == 1 else f" (most frequent of {len(keys)} keys)"
     return f"recovered key: {key}{suffix}"
 
 

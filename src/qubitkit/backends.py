@@ -90,8 +90,7 @@ class BackendRegistry:
         seed: int,
     ) -> sim.Counts:
         """Run a circuit on the named backend with the caller's seed."""
-        if not isinstance(circuit, sim.Circuit):
-            raise ValidationError("circuit", f"expected a Circuit, got {circuit!r}")
+        sim.check_type("circuit", circuit, sim.Circuit)
         backend = self.get(backend_name)
         if circuit.num_qubits > backend.info.max_qubits:
             raise CapacityError(

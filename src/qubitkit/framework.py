@@ -17,7 +17,7 @@ from numbers import Real
 
 from .backends import BackendRegistry
 from .errors import ValidationError
-from .sim import Circuit, Counts, check_int, resolve_seed
+from .sim import Circuit, Counts, check_int, check_type, resolve_seed
 
 PARAM_KINDS = ("natural_number", "bitstring", "probability", "text")
 
@@ -72,8 +72,7 @@ class ParamSpec:
         """The checked value of one raw string: a text verbatim; any other
         kind stripped, a natural number as ASCII digits and a probability as
         ``float`` reads ASCII text without underscores."""
-        if not isinstance(raw, str):
-            raise ValidationError(self.name, f"expected a string, got {raw!r}")
+        check_type(self.name, raw, str)
         if self.kind == "text":
             return self.check(raw)
         text = raw.strip()
@@ -127,17 +126,9 @@ class AlgorithmRun:
     seed: int
 
 
-def _check_descriptor(descriptor) -> AlgorithmDescriptor:
-    if not isinstance(descriptor, AlgorithmDescriptor):
-        raise ValidationError(
-            "descriptor", f"expected an AlgorithmDescriptor, got {descriptor!r}"
-        )
-    return descriptor
-
-
 def parse_params(descriptor: AlgorithmDescriptor, raw: Sequence[str]) -> dict:
     """Parse one raw string per ParamSpec, in order."""
-    _check_descriptor(descriptor)
+    check_type("descriptor", descriptor, AlgorithmDescriptor)
     if not isinstance(raw, Sequence) or len(raw) != len(descriptor.param_specs):
         raise _params_error(descriptor, raw)
     return {
@@ -158,7 +149,7 @@ class AlgorithmRegistry:
         self._algorithms: dict[str, AlgorithmDescriptor] = {}
 
     def register(self, descriptor: AlgorithmDescriptor) -> None:
-        if _check_descriptor(descriptor).name in self._algorithms:
+        if check_type("descriptor", descriptor, AlgorithmDescriptor).name in self._algorithms:
             raise ValidationError("name", f"algorithm {descriptor.name!r} already registered")
         self._algorithms[descriptor.name] = descriptor
 
@@ -192,7 +183,7 @@ def run_algorithm(
     them. The returned seed replays the run. A ``descriptor`` that is not an
     :class:`AlgorithmDescriptor` raises a ValidationError naming it.
     """
-    names = {spec.name for spec in _check_descriptor(descriptor).param_specs}
+    names = {s.name for s in check_type("descriptor", descriptor, AlgorithmDescriptor).param_specs}
     if not isinstance(params, Mapping) or set(params) - names:
         raise _params_error(descriptor, params)
     for spec in descriptor.param_specs:
@@ -200,9 +191,7 @@ def run_algorithm(
             raise ValidationError(spec.name, "missing")
         spec.check(params[spec.name])
     check_int("shots", shots, 1)
-    if not isinstance(backends, BackendRegistry):
-        raise ValidationError("backends", f"expected a BackendRegistry, got {backends!r}")
-    backends.get(backend_name)
+    check_type("backends", backends, BackendRegistry).get(backend_name)
     effective_seed = resolve_seed(seed)
     if descriptor.runner is not None:
         text, counts = descriptor.runner(params, shots, effective_seed)

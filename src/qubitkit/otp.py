@@ -7,7 +7,7 @@ bit first, so "A" (0x41) becomes (0,1,0,0,0,0,0,1).
 from __future__ import annotations
 
 from .errors import KeyTooShortError, ValidationError
-from .sim import check_int
+from .sim import check_int, check_type
 
 Bits = tuple[int, ...]
 
@@ -25,11 +25,9 @@ def check_bits(param: str, bits) -> Bits:
 
 def text_to_bits(text: str) -> Bits:
     try:
-        data = text.encode("utf-8") if isinstance(text, str) else None
+        data = check_type("text", text, str).encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate
-        data = None
-    if data is None:
-        raise ValidationError("text", f"expected a str that UTF-8 encodes, got {text!r}")
+        raise ValidationError("text", f"expected a str that UTF-8 encodes, got {text!r}") from None
     return tuple((byte >> (7 - i)) & 1 for byte in data for i in range(8))
 
 

@@ -56,12 +56,14 @@ shots as the state has outcomes, the 2^n − 1 edges of the running sum
 are searched into each sorted chunk, and the differences of their
 positions, summed over the chunks in one dense array of 2^n, are the
 counts. Otherwise each shot is searched among the edges, and each
-chunk's outcomes are tallied as runs of equal indices into a sparse
-histogram. Both give the same counts. Memory is O(chunk + distinct
-outcomes), not O(shots). The :class:`Counts` it returns hold the
-distinct outcome indices and their tallies as arrays; the bitstring
-labels and their dict are built from them only when first read by
-label, and kept. A Counts built from a dict has no arrays.
+chunk's sorted outcomes are appended to the sparse histogram so far,
+whose outcomes are sorted too: one stable sort merges the two runs, and
+the tallies of equal outcomes are summed. Both give the same counts.
+Memory is O(chunk + distinct outcomes), not O(shots). The
+:class:`Counts` it returns hold the distinct outcome indices and their
+tallies as arrays; the bitstring labels and their dict are built from
+them only when first read by label, and kept. A Counts built from a dict
+has no arrays.
 """
 
 from __future__ import annotations
@@ -107,14 +109,6 @@ def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     if not isinstance(seed, np.random.SeedSequence):
         seed = check_int("seed", seed, 0, _SEED_MAX)
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def check_rng(rng) -> np.random.Generator:
-    """Return ``rng`` if it is a numpy ``Generator``, else raise a
-    ValidationError naming ``rng``."""
-    if not isinstance(rng, np.random.Generator):
-        raise ValidationError("rng", f"expected a numpy Generator, got {rng!r}")
-    return rng
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -172,6 +166,19 @@ def check_row(param: str, value, dtype=None, length: int | None = None) -> np.nd
         size = "" if length is None else f" of length {length}"
         raise ValidationError(param, f"expected a 1-D {kind}{size}, got {value!r}")
     return row
+
+
+def check_type(param: str, value, cls: type):
+    """``value`` if it is a ``cls``, else a ValidationError naming ``param``.
+
+    The package's three check rules are :func:`check_int` (integers),
+    :func:`check_row` (rows) and this one (instances). A check of more than
+    one class test (shape, dtype, labels, a real not a bool, arity) is
+    written where it applies.
+    """
+    if isinstance(value, cls):
+        return value
+    raise ValidationError(param, f"expected an instance of {cls.__name__}, got {value!r}")
 
 
 def resolve_seed(seed) -> int:
@@ -234,8 +241,16 @@ class Gate:
             raise ValidationError(
                 "targets", f"{self.kind} targets must be distinct, got {self.targets}"
             )
-        if any(t < 0 for t in self.targets):
-            raise IndexError(f"negative qubit index in {self.targets}")
+
+
+def _check_gate(param: str, gate: Gate, num_qubits: int) -> Gate:
+    """``gate``, if it is a :class:`Gate` (else a ValidationError naming
+    ``param``) whose targets all lie in [0, num_qubits) (else an IndexError,
+    the one place a target's range is checked)."""
+    for t in check_type(param, gate, Gate).targets:
+        if not 0 <= t < num_qubits:
+            raise IndexError(f"gate {gate.kind} targets qubit {t}, register has {num_qubits}")
+    return gate
 
 
 @dataclass
@@ -253,23 +268,11 @@ class Circuit:
 
     def __post_init__(self):
         check_int("num_qubits", self.num_qubits, 1)
-        if not isinstance(self.gates, list):
-            raise ValidationError("gates", f"must be a list of Gate, got {self.gates!r}")
-        for gate in self.gates:
-            self._check(gate)
-
-    def _check(self, gate: Gate) -> None:
-        if not isinstance(gate, Gate):
-            raise ValidationError("gates", f"expected a Gate, got {gate!r}")
-        for t in gate.targets:
-            if not 0 <= t < self.num_qubits:
-                raise IndexError(
-                    f"gate {gate.kind} targets qubit {t}, circuit has {self.num_qubits}"
-                )
+        for gate in check_type("gates", self.gates, list):
+            _check_gate("gates", gate, self.num_qubits)
 
     def append(self, gate: Gate) -> "Circuit":
-        self._check(gate)
-        self.gates.append(gate)
+        self.gates.append(_check_gate("gates", gate, self.num_qubits))
         return self
 
     def h(self, qubit: int) -> "Circuit":
@@ -307,8 +310,7 @@ def _amplitudes(state: Statevector) -> np.ndarray:
     ``amplitudes`` before numpy fails on it, casts it or reads it as a
     different state.
     """
-    if not isinstance(state, Statevector):
-        raise ValidationError("state", f"expected a Statevector, got {state!r}")
+    check_type("state", state, Statevector)
     n, amps = check_int("num_qubits", state.num_qubits, 1), state.amplitudes
     if not (
         isinstance(amps, np.ndarray)
@@ -413,13 +415,7 @@ def apply_gate(
     either way.
     """
     amps = _amplitudes(state)
-    if not isinstance(gate, Gate):
-        raise ValidationError("gate", f"expected a Gate, got {gate!r}")
-    for t in gate.targets:
-        if not 0 <= t < state.num_qubits:
-            raise IndexError(
-                f"gate {gate.kind} targets qubit {t}, state has {state.num_qubits}"
-            )
+    _check_gate("gate", gate, state.num_qubits)
     if out is None:
         out = np.array(amps, order="C")
     elif out is not amps or not out.flags.c_contiguous:
@@ -595,9 +591,7 @@ def evolve(circuit: Circuit) -> Statevector:
     order either way, so the result does not depend on the block size or
     the number of workers.
     """
-    if not isinstance(circuit, Circuit):
-        raise ValidationError("circuit", f"expected a Circuit, got {circuit!r}")
-    n = circuit.num_qubits
+    n = check_type("circuit", circuit, Circuit).num_qubits
     state = new_zero_state(n)
     blocked = n > _BLOCK_QUBITS
 
@@ -623,27 +617,17 @@ def _search(cum: np.ndarray, uniforms: float | np.ndarray):
     return np.searchsorted(cum[:-1], uniforms * cum[-1], side="right")
 
 
-def _tally(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of sorted ``indices`` and how often each occurs."""
-    bounds = np.flatnonzero(indices[1:] != indices[:-1]) + 1
-    bounds = np.concatenate(([0], bounds, [len(indices)]))
-    return indices[bounds[:-1]], bounds[1:] - bounds[:-1]
+def _tally(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values``, ascending, and the sum of ``weights`` over each.
 
-
-def _merge(values, counts, new_values, new_counts):
-    """Sum two tallies with sorted, distinct values into one such tally.
-
-    ``counts`` is updated in place for the values both tallies hold.
+    ``values`` is not empty. A stable sort (timsort, for 64-bit integers)
+    finds the sorted runs it is made of, so two sorted runs cost one merge
+    pass.
     """
-    at = np.searchsorted(values, new_values)
-    seen = at < len(values)
-    seen[seen] = values[at[seen]] == new_values[seen]
-    counts[at[seen]] += new_counts[seen]
-    fresh = ~seen
-    return (
-        np.insert(values, at[fresh], new_values[fresh]),
-        np.insert(counts, at[fresh], new_counts[fresh]),
-    )
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[starts], np.add.reduceat(weights[order], starts)
 
 
 def sample_measurement(
@@ -668,7 +652,7 @@ def sample_measurement(
     ``np.cumsum``, whose cost does not grow with one Python step per column.
     """
     amps = _amplitudes(state)
-    check_rng(rng)
+    check_type("rng", rng, np.random.Generator)
     cum = (np.abs(amps) ** 2).reshape(-1, amps.shape[-1])
     if cum.shape[1] < len(cum):
         for j in range(1, cum.shape[1]):
@@ -680,11 +664,11 @@ def sample_measurement(
     return int(indices[0]) if amps.ndim == 1 else indices
 
 
-def _check_tallies(param: str, tallies: np.ndarray, shots: int) -> None:
-    """Raise a ValidationError naming ``param`` unless ``tallies`` is a 1-D
-    array, not empty, of integers >= 1 that sum to ``shots`` (itself an
-    integer >= 1)."""
-    check_int("shots", shots, 1)
+def _check_tallies(param: str, tallies: np.ndarray, shots: int) -> int:
+    """``shots`` as an ``int``, if it is an integer >= 1 and ``tallies`` is a
+    1-D array, not empty, of integers >= 1 that sum to it; else raise a
+    ValidationError naming ``param`` (or ``shots``)."""
+    shots = check_int("shots", shots, 1)
     if not (
         isinstance(tallies, np.ndarray)
         and tallies.ndim == 1
@@ -698,6 +682,7 @@ def _check_tallies(param: str, tallies: np.ndarray, shots: int) -> None:
     total = int(tallies.sum())
     if total != shots:
         raise ValidationError(param, f"counts sum to {total}, expected shots={shots}")
+    return shots
 
 
 class Counts(Mapping):
@@ -725,9 +710,8 @@ class Counts(Mapping):
         tallies = list(counts.values())
         if not all(map(_is_int, tallies)):  # np.array reads [1, True] as integers
             raise ValidationError("counts", f"tallies must be integers, got {tallies!r}")
-        _check_tallies("counts", np.array(tallies), shots)
+        self.shots = _check_tallies("counts", np.array(tallies), shots)
         self.counts = counts
-        self.shots = shots
         self.arrays = None
         self.num_qubits = None
 
@@ -742,7 +726,7 @@ class Counts(Mapping):
         anything else raises a ValidationError naming the argument.
         """
         check_int("num_qubits", num_qubits, 1, QUBIT_CAP)
-        _check_tallies("tallies", tallies, shots)
+        shots = _check_tallies("tallies", tallies, shots)
         if not (
             isinstance(indices, np.ndarray)
             and indices.ndim == 1
@@ -838,9 +822,9 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     outcomes, the 2^n − 1 edges of the running sum are searched into each
     chunk (:func:`_search_edges`), and the positions add into one dense
     running total whose differences are the counts. Otherwise each shot is
-    searched (:func:`_search`), and each chunk is counted as runs of equal
-    outcomes and merged into a sparse tally. Memory is O(chunk + distinct
-    outcomes) whatever the number of shots.
+    searched (:func:`_search`), and :func:`_tally` merges each chunk's
+    sorted outcomes, one shot each, into the sparse tally so far. Memory
+    is O(chunk + distinct outcomes) whatever the number of shots.
     """
     check_int("shots", shots, 1)
     check_int("seed", seed, 0, _SEED_MAX)
@@ -857,8 +841,9 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
         values = np.flatnonzero(tally)
         counts = tally[values]
     else:
-        values = counts = None
+        values = counts = np.empty(0, dtype=np.int64)
         for uniforms in chunks:
-            tally = _tally(_search(cum, uniforms))
-            values, counts = tally if values is None else _merge(values, counts, *tally)
+            indices = _search(cum, uniforms)
+            weights = np.concatenate((counts, np.ones(len(indices), dtype=np.int64)))
+            values, counts = _tally(np.concatenate((values, indices)), weights)
     return Counts.from_arrays(values, counts, circuit.num_qubits, shots)

@@ -191,6 +191,13 @@ def test_run_is_the_descriptor_run_outcome():
         assert recovered("1101", backends, seed=seed) == recovered_key(outcome)
 
 
+def test_histogram_text_tallies_keys_not_the_ancilla_coin():
+    backends = default_registry()
+    run = run_algorithm(descriptor(), {"key": "000"}, backends, LOCAL_BACKEND_NAME, 3, 1)
+    assert len(run.counts) == 2  # the ancilla's fair coin splits the outcomes
+    assert run.text == "recovered key: 000 (all 3 shots agree)"
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, True, 2.5])
 def test_run_rejects_bad_seed(seed):
     with pytest.raises(ValidationError, match="seed"):

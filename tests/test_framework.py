@@ -407,7 +407,7 @@ def _junk_calls(a, b, params, raw) -> list:
         lambda: bb84.run_protocol(a, b, seed=0),
         lambda: bb84.run_protocol([1], 0.5, seed=a),
         lambda: sim.make_rng(a),
-        lambda: sim.check_rng(a),
+        lambda: sim.check_type("value", a, Gate),
         lambda: sim.resolve_seed(a),
         lambda: sim.derive_seed(a),
         lambda: sim.derive_seed(0, a),
@@ -489,6 +489,7 @@ _UNFED = {
         [
             "check_int(param)", "check_int(lo)", "check_int(hi)",
             "check_row(param)", "check_row(dtype)", "check_row(length)",
+            "check_type(param)", "check_type(cls)",
             "check_bits(param)",
         ],
         "set by the calling code, not by a user",

@@ -294,6 +294,13 @@ def test_circuit_rejects_out_of_range_gate():
         Circuit(2).cnot(0, 2)
 
 
+def test_negative_targets_raise_index_error():
+    with pytest.raises(IndexError):
+        Circuit(2).h(-1)
+    with pytest.raises(IndexError):
+        apply_gate(new_zero_state(2), Gate("CNOT", (0, -1)))
+
+
 def test_norm_conserved_over_random_sequences():
     rng = np.random.default_rng(11)
     for n in range(1, 5):
@@ -895,6 +902,11 @@ def test_sampling_matches_born_rule_on_random_circuits():
                 expected.append(p * shots)
         _, pvalue = stats.chisquare(observed, expected)
         assert pvalue > 0.001
+
+
+def test_counts_store_shots_as_a_python_int():
+    assert type(run(Circuit(1), np.int32(3), 0).shots) is int
+    assert type(Counts({"0": 2}, np.int64(2)).shots) is int
 
 
 def test_counts_must_sum_to_shots():
