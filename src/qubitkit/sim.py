@@ -20,32 +20,46 @@ every kernel and the sampler act on all rows at once.
 A kernel whose view ends in an axis of 2–4 elements (lowest target qubit 1
 or 2) makes one numpy call per index along it, so each call's inner loop
 runs over the rest of the view, not over 2–4 elements. Above 16 qubits,
-:func:`evolve` applies each run of consecutive gates whose targets all lie
-below qubit 16 one contiguous 2^16-amplitude slice at a time, so a slice
-stays in cache for the whole run. Within a slice, the gates write out of
-place, back and forth between the slice and one scratch slice per worker,
-and a gate whose lowest target bit lies below 12 is preceded by a rotation
-of the slice's index bits (one transpose copy) that lifts it to bit 12, so
-its inner loops run over at least 2^12 amplitudes (unless it is a CNOT
-whose other target wraps round past bit 15). The slice ends with its bits
-back in order. A slice whose bytes are all zero, every amplitude +0.0, is
-skipped: H, X and CNOT map pairs of +0.0 to +0.0 and a rotation only moves
-them, so the steps would rewrite the same bytes. The test is on the bits,
-not the values: a slice of −0.0 equals zero, yet H turns half of it into
-+0.0. Every other gate is one full pass of :func:`apply_gate`,
-which updates the state in place and cuts the view of any state above
-2^16 amplitudes (batch rows included) into pieces of at most 2^16
-amplitudes. Slices and pieces are shared out over one thread per CPU this
-process may use. Every amplitude sees the same float operations in the
-same order on every path, so the amplitudes do not depend on the block
-size, the cut, the rotations or the number of workers. :func:`evolve`
-updates the zero state it allocates, and :func:`run` squares and sums that
-buffer in place, so a run holds one state-sized array.
+the state is cut into contiguous slices of 2^16 amplitudes, and
+:func:`evolve` keeps a live mask, one bool per slice, of the slices a gate
+may have reached: at first slice 0 alone, since |0...0> is +0.0 everywhere
+else. Each run of consecutive gates whose targets all lie below qubit 16
+is applied one live slice at a time, so a slice stays in cache for the
+whole run. Within a slice, the gates write out of place, back and forth
+between the slice and one scratch slice per worker, and a gate whose
+lowest target bit lies below 12 is preceded by a rotation of the slice's
+index bits (one transpose copy) that lifts it to bit 12, so its inner
+loops run over at least 2^12 amplitudes (unless it is a CNOT whose other
+target wraps round past bit 15). The slice ends with its bits back in
+order. A live slice whose bytes are all zero, every amplitude +0.0, is
+skipped too: H, X and CNOT map pairs of +0.0 to +0.0 and a rotation only
+moves them, so the steps would rewrite the same bytes. The test is on the
+bits, not the values: a slice of −0.0 equals zero, yet H turns half of it
+into +0.0. Every other gate runs over slice pairs: a gate on qubit t >= 16
+pairs slice s with slice s ^ 2^(t − 16), runs each pair that holds a live
+slice, and leaves both its slices live. A CNOT with a control at or above
+qubit 16 runs only the pairs (or, for a lower target, the slices) whose
+control bit is set. A dead slice holds only +0.0, so skipping it leaves
+the bytes a full pass would write. :func:`apply_gate` cuts any state above
+2^16 amplitudes the same way, each slice holding whole batch rows, with
+every slice live. Slices and pairs are shared out over the calling thread
+and a pool of worker threads, one per further CPU this process may use,
+started on first need and then kept. Every amplitude sees the same float
+operations in the same order on every path, so the amplitudes do not
+depend on the block size, the live mask, the rotations or the number of
+workers. :func:`evolve` updates the zero state it allocates, and
+:func:`run` squares and sums that buffer in place, so a run holds one
+state-sized array.
 
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (a running sum,
-searched), so equal seeds give bit-identical counts on any platform. A
-batch draws one uniform per row, in row order, and a batch of more rows
+searched), so equal seeds give bit-identical counts on any platform.
+:func:`run` builds its running sum one 2^16-amplitude block at a time,
+carrying the total so far into each block's first entry: the adds
+``np.cumsum`` makes, in the same order. A block of +0.0 is filled with
+that total instead, so a state with few nonzero blocks, such as the two
+amplitudes Bernstein-Vazirani ends with, skips the squares and adds of
+the rest. A batch draws one uniform per row, in row order, and a batch of more rows
 than outcomes sums each column into the next with one vectorised add,
 the adds ``np.cumsum`` makes, in the same order. :func:`run` returns only
 a histogram, so it draws its uniforms in chunks of 2^18, into one reused
@@ -88,10 +102,10 @@ GATE_KINDS = ("H", "X", "CNOT")
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# evolve applies runs of gates below this qubit one 2^16-amplitude slice at a
-# time, and apply_gate cuts larger states into pieces of at most that size: a
-# float64 slice (512 KB) and the worker's scratch slice in evolve, or a piece's
-# in-place kernel temporary (at most 256 KB), fit in a per-core L2 cache.
+# evolve and apply_gate cut states above 2^16 amplitudes into slices of that
+# size, and run sums them in blocks of it: a float64 slice (512 KB) and the
+# worker's scratch slice in a low run, or a slice pair's in-place kernel
+# temporary (at most one slice), fit in a per-core L2 cache.
 _BLOCK_QUBITS = 16
 
 # run draws, sorts and tallies this many uniforms at a time (2 MB of float64).
@@ -267,7 +281,7 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        check_int("num_qubits", self.num_qubits, 1)
+        self.num_qubits = check_int("num_qubits", self.num_qubits, 1)
         for gate in check_type("gates", self.gates, list):
             _check_gate("gates", gate, self.num_qubits)
 
@@ -331,7 +345,7 @@ def new_zero_state(n: int) -> Statevector:
     CapacityError, and an n that is not an integer a ValidationError."""
     if _is_int(n) and not 1 <= n <= QUBIT_CAP:
         raise CapacityError(f"qubit count {n} outside supported range 1..{QUBIT_CAP}")
-    check_int("num_qubits", n, 1)
+    n = check_int("num_qubits", n, 1)
     amps = np.zeros(1 << n, dtype=np.float64)
     amps[0] = 1.0
     return Statevector(n, amps)
@@ -408,11 +422,13 @@ def apply_gate(
     does); anything else raises a ValidationError naming ``out``. A batch
     is transformed row by row. The kernel then updates ``out`` in place
     through a pair view (see :func:`_pair_view`). A state of more than
-    2^_BLOCK_QUBITS amplitudes is one full pass over memory, so the view is
-    cut along its longest axis that the gate does not index, into pieces of
-    at most 2^_BLOCK_QUBITS amplitudes, and the pieces are shared across the
-    CPUs this process may use. Each amplitude sees the same operations
-    either way.
+    2^_BLOCK_QUBITS amplitudes is cut into slices of that many, each
+    holding whole rows (the last one shorter if a batch's rows are
+    smaller), and every slice is live (:func:`_apply_sliced`): a gate whose
+    targets lie below _BLOCK_QUBITS runs slice by slice, any other slice
+    pair by slice pair, and the slices or pairs are shared across the CPUs
+    this process may use. Each amplitude sees the same operations either
+    way.
     """
     amps = _amplitudes(state)
     _check_gate("gate", gate, state.num_qubits)
@@ -422,22 +438,63 @@ def apply_gate(
         raise ValidationError(
             "out", "must be None or the state's own C-contiguous amplitudes"
         )
-    view = _pair_view(out, gate.targets)
-    kernel = _PAIR_KERNELS[gate.kind]
     if out.size <= 1 << _BLOCK_QUBITS:
-        kernel(view)
+        _PAIR_KERNELS[gate.kind](_pair_view(out, gate.targets))
     else:
-        # The gate indexes the odd axes; cut the longest even one.
-        axis = max(range(0, view.ndim, 2), key=lambda axis: view.shape[axis])
-        step = max(1, (view.shape[axis] << _BLOCK_QUBITS) // view.size)
-        lead = (slice(None),) * axis
-
-        def apply_share(first: int, stop: int) -> None:
-            for start in range(first * step, stop * step, step):
-                kernel(view[lead + (slice(start, start + step),)])
-
-        _share(apply_share, -(-view.shape[axis] // step))
+        slices = -(-out.size >> _BLOCK_QUBITS)
+        _apply_sliced(out.reshape(-1), gate, np.ones(slices, dtype=bool))
     return Statevector(state.num_qubits, out)
+
+
+def _apply_sliced(amps: np.ndarray, gate: Gate, live: np.ndarray) -> None:
+    """Apply ``gate`` in place to the 1-D ``amps``, over the slices ``live`` marks.
+
+    Slice s is ``amps[s · 2^B : (s + 1) · 2^B]``, for B = _BLOCK_QUBITS. A
+    target t >= B pairs slice s with s ^ 2^(t − B): each pair is one kernel
+    call over a ``(1, 2, 2^B)`` view, runs if either slice is live, and
+    leaves both live. A CNOT with a low control puts the control's bit inside
+    the slice; one with a high control runs only the pairs whose control bit
+    is set, as an X. A gate whose targets all lie below B acts inside each
+    live slice, and a CNOT with a high control and a low target is an X
+    inside each live slice whose control bit is set; neither changes
+    ``live``. The slices or pairs are shared across the CPUs by
+    :func:`_share`. The slices ``live`` leaves out (dead slices) must hold
+    only +0.0, which every gate maps to +0.0, so skipping them leaves the
+    bytes a full pass would write.
+    """
+    bits, size = _BLOCK_QUBITS, 1 << _BLOCK_QUBITS
+    index = np.arange(len(live))
+    run = live.copy()
+    kernel, targets = _PAIR_KERNELS[gate.kind], gate.targets
+    if gate.kind == "CNOT" and targets[0] >= bits:
+        run &= (index >> targets[0] - bits & 1).astype(bool)
+        kernel, targets = _PAIR_KERNELS["X"], targets[1:]
+    if targets[-1] < bits:
+
+        def unit(s: int) -> np.ndarray:
+            return _pair_view(amps[s * size : (s + 1) * size], targets)
+
+    else:
+        b = 1 << targets[-1] - bits
+        pairs = amps.reshape(-1, 2, b, size)
+        run |= run[index ^ b]
+        live |= run
+        run &= index & b == 0  # each pair once, by its lower slice
+
+        def unit(s: int) -> np.ndarray:
+            view = pairs[s // (2 * b), :, s % b][None]  # (1, target, slice)
+            if len(targets) == 2:  # (1, control, middle, target, low)
+                c = targets[0]
+                view = view.reshape(1, 2, size >> c + 1, 2, 1 << c).swapaxes(1, 3)
+            return view
+
+    units = np.flatnonzero(run).tolist()
+
+    def apply_share(first: int, stop: int) -> None:
+        for s in units[first:stop]:
+            kernel(unit(s))
+
+    _share(apply_share, len(units))
 
 
 def _cpu_count() -> int:
@@ -447,35 +504,75 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+# _share's worker threads, started on first need and kept for the life of the
+# process. Each takes jobs (task, first, stop, errors, done) from its own list,
+# one per release of its semaphore.
+_workers: list[tuple[list, threading.Semaphore]] = []
+_workers_lock = threading.Lock()
+_in_worker = threading.local()
+
+
+def _work(jobs: list, ready: threading.Semaphore) -> None:
+    _in_worker.active = True
+    while True:
+        ready.acquire()
+        task, first, stop, errors, done = jobs.pop(0)
+        try:
+            task(first, stop)
+        except BaseException as exc:  # raised again by the _share that sent it
+            errors.append(exc)
+        finally:
+            done.release()
+
+
+def _started_workers(count: int) -> list[tuple[list, threading.Semaphore]]:
+    """``count`` worker threads' (jobs, semaphore), starting any not yet running."""
+    with _workers_lock:
+        while len(_workers) < count:
+            worker = [], threading.Semaphore(0)
+            name = f"qubitkit-share-{len(_workers)}"
+            threading.Thread(target=_work, args=worker, name=name, daemon=True).start()
+            _workers.append(worker)
+        return _workers[:count]
+
+
+def _forget_workers() -> None:
+    # A forked child holds none of its parent's threads; it starts its own.
+    global _workers_lock
+    _workers.clear()
+    _workers_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
 def _share(task, count: int) -> None:
     """Run ``task(first, stop)`` over ``range(count)`` split across the CPUs.
 
     The range is cut into one contiguous share per CPU this process may use
-    (at most ``count``): the calling thread takes the first share, one
-    started thread takes each other share. Every thread is joined before
-    this returns, and the first error a thread raised is raised here.
+    (at most ``count``): the calling thread takes the first share, and one
+    worker thread takes each other share. The workers are started on the
+    first call that needs them and then wait for the next. Every share has
+    finished before this returns, and the first error a share raised is
+    raised here. A call from a worker thread runs the whole range itself,
+    so no worker waits on another.
     """
-    errors = []
-
-    def worker(first: int, stop: int) -> None:
-        try:
-            task(first, stop)
-        except BaseException as exc:
-            errors.append(exc)
-
     workers = min(_cpu_count(), count)
+    if workers <= 1 or getattr(_in_worker, "active", False):
+        if count:
+            task(0, count)
+        return
     bounds = [count * w // workers for w in range(workers + 1)]
-    threads = [
-        threading.Thread(target=worker, args=bounds[w : w + 2])
-        for w in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
+    errors, done = [], threading.Semaphore(0)
+    for w, (jobs, ready) in enumerate(_started_workers(workers - 1), 1):
+        jobs.append((task, bounds[w], bounds[w + 1], errors, done))
+        ready.release()
     try:
         task(bounds[0], bounds[1])
     finally:
-        for thread in threads:
-            thread.join()
+        for _ in range(workers - 1):
+            done.acquire()
     if errors:
         raise errors[0]
 
@@ -542,28 +639,31 @@ def _low_run_steps(gates: list[Gate]) -> list[tuple]:
     return steps
 
 
-def _apply_low_run(amps: np.ndarray, gates: list[Gate]) -> None:
+def _apply_low_run(amps: np.ndarray, gates: list[Gate], live: np.ndarray | None = None) -> None:
     """Apply gates whose targets all lie below ``_BLOCK_QUBITS``, slice by slice.
 
     Each contiguous slice of 2^_BLOCK_QUBITS amplitudes holds whole pairs of
     every such gate, so the run's steps (:func:`_low_run_steps`) go through
     one slice at a time while it stays in cache. They alternate between the
     slice of ``amps`` and one scratch slice per worker, and an odd number of
-    steps ends with a copy back into ``amps``. A slice whose bits are all
-    zero (every amplitude +0.0) is left as it is: the steps would write
-    +0.0 back over it. The test reads the bits, since ``slice.any()`` is
-    False for −0.0 too, and H would turn −0.0 − −0.0 into +0.0. It reads
-    the first amplitude before the whole slice, so a dense slice costs one
-    load. The slices are shared across the CPUs in contiguous blocks by
-    :func:`_share`.
+    steps ends with a copy back into ``amps``. Only the slices ``live``
+    marks (default: all) are visited; the others are not even read, since
+    they hold only +0.0. A visited slice whose bits are all zero (every
+    amplitude +0.0) is left as it is too: the steps would write +0.0 back
+    over it. The test reads the bits, since ``slice.any()`` is False for
+    −0.0 too, and H would turn −0.0 − −0.0 into +0.0. It reads the first
+    amplitude before the whole slice, so a dense slice costs one load. The
+    live slices are shared across the CPUs in contiguous blocks by
+    :func:`_share`. The run acts inside slices, so ``live`` does not change.
     """
     size = 1 << _BLOCK_QUBITS
     steps = _low_run_steps(gates)
+    units = range(len(amps) // size) if live is None else np.flatnonzero(live).tolist()
 
     def apply_share(first: int, stop: int) -> None:
         scratch = np.empty(size, dtype=amps.dtype)
-        for start in range(first * size, stop * size, size):
-            buffers = amps[start : start + size], scratch
+        for s in units[first:stop]:
+            buffers = amps[s * size : (s + 1) * size], scratch
             bits = buffers[0].view(np.uint64)
             if not (bits[0] or bits.any()):  # all +0.0: the steps would write +0.0
                 continue
@@ -572,35 +672,48 @@ def _apply_low_run(amps: np.ndarray, gates: list[Gate]) -> None:
             if len(steps) % 2:
                 buffers[0][...] = scratch
 
-    _share(apply_share, len(amps) // size)
+    _share(apply_share, len(units))
 
 
 def evolve(circuit: Circuit) -> Statevector:
     """Apply the circuit's gates in order to the zero state, in place.
 
     The zero state's buffer is the only state-sized array. On more than
-    ``_BLOCK_QUBITS`` qubits, each maximal run of consecutive gates whose
-    targets all lie below ``_BLOCK_QUBITS`` is applied one
-    2^_BLOCK_QUBITS-amplitude slice at a time (:func:`_apply_low_run`),
-    with the slices split across the CPUs this process may use; besides the
-    state, each worker holds one scratch slice. A slice whose amplitudes
-    are all +0.0, bit for bit, skips the run, since it would come out with
-    the same bytes (a circuit's first low run often sees one nonzero slice).
-    Every other gate is one :func:`apply_gate` call with ``out`` the state's
-    own amplitudes. Every amplitude sees the same operations in the same
-    order either way, so the result does not depend on the block size or
-    the number of workers.
+    ``_BLOCK_QUBITS`` qubits, the state is 2^(n − _BLOCK_QUBITS) slices of
+    2^_BLOCK_QUBITS amplitudes, and evolve keeps one bool per slice, the
+    live mask, that marks the slices a gate may have reached. It starts as
+    slice 0 alone. Each maximal run of consecutive gates whose targets all
+    lie below ``_BLOCK_QUBITS`` is applied one live slice at a time
+    (:func:`_apply_low_run`), with the slices split across the CPUs this
+    process may use; besides the state, each worker holds one scratch
+    slice. A live slice whose amplitudes are all +0.0, bit for bit, skips
+    the run too, since it would come out with the same bytes. Every other
+    gate runs slice by slice, or slice pair by slice pair if a target lies
+    at or above ``_BLOCK_QUBITS``, over the live slices only
+    (:func:`_apply_sliced`), and a pair it runs leaves both its slices live.
+    On ``_BLOCK_QUBITS`` qubits or fewer, each gate is one
+    :func:`apply_gate` call with ``out`` the state's own amplitudes. Every
+    amplitude sees the same operations in the same order either way, so
+    the result does not depend on the block size, the live mask or the
+    number of workers.
     """
     n = check_type("circuit", circuit, Circuit).num_qubits
     state = new_zero_state(n)
     blocked = n > _BLOCK_QUBITS
+    live = None
+    if blocked:
+        live = np.zeros(1 << n - _BLOCK_QUBITS, dtype=bool)
+        live[0] = True
 
     def low(gate: Gate) -> bool:
         return blocked and max(gate.targets) < _BLOCK_QUBITS
 
     for is_low, gates in groupby(circuit.gates, low):
         if is_low:
-            _apply_low_run(state.amplitudes, list(gates))
+            _apply_low_run(state.amplitudes, list(gates), live)
+        elif blocked:
+            for gate in gates:
+                _apply_sliced(state.amplitudes, gate, live)
         else:
             for gate in gates:
                 apply_gate(state, gate, out=state.amplitudes)
@@ -725,7 +838,7 @@ class Counts(Mapping):
         one per tally, and ``tallies`` pass the same check as a dict's;
         anything else raises a ValidationError naming the argument.
         """
-        check_int("num_qubits", num_qubits, 1, QUBIT_CAP)
+        num_qubits = check_int("num_qubits", num_qubits, 1, QUBIT_CAP)
         shots = _check_tallies("tallies", tallies, shots)
         if not (
             isinstance(indices, np.ndarray)
@@ -808,14 +921,41 @@ def _search_edges(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.searchsorted(uniforms, cum[:-1], side="left")
 
 
+def _running_sum(amps: np.ndarray) -> np.ndarray:
+    """``np.cumsum(np.square(amps))``, bit for bit, written over ``amps``.
+
+    The sum runs one 2^_BLOCK_QUBITS-amplitude block at a time, carrying the
+    total so far into the block's first entry, so every entry is the sum of
+    the one before it and its own square: the adds ``np.cumsum`` makes, in
+    the same order. A block whose bits are all zero (every amplitude +0.0)
+    is filled with the carry instead, since adding +0.0 to the carry, which
+    is never below +0.0, gives the carry back. For float64, ``np.square``
+    equals ``np.abs(a) ** 2`` bit for bit.
+    """
+    carry = 0.0
+    for start in range(0, len(amps), 1 << _BLOCK_QUBITS):
+        block = amps[start : start + (1 << _BLOCK_QUBITS)]
+        bits = block.view(np.uint64)
+        if bits[0] or bits.any():
+            np.square(block, out=block)
+            block[0] += carry
+            np.cumsum(block, out=block)
+        else:
+            block.fill(carry)
+        carry = block[-1]
+    return amps
+
+
 def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     """Evolve from |0...0>, then sample ``shots`` measure-all outcomes.
 
-    The evolved amplitudes are squared, then summed, in place, so the state
-    is the only array of its size. Equal (circuit, shots, seed) gives
-    bit-identical Counts. They hold the outcome indices, ascending, and
-    their tallies (:meth:`Counts.from_arrays`); the bitstring labels, sorted
-    by outcome, are built on first Mapping access. The uniforms of
+    The evolved amplitudes are squared and summed in place, one block at a
+    time, and a block of +0.0 is filled with the total so far
+    (:func:`_running_sum`), so the state is the only array of its size.
+    Equal (circuit, shots, seed) gives bit-identical Counts. They hold the
+    outcome indices, ascending, and their tallies
+    (:meth:`Counts.from_arrays`); the bitstring labels, sorted by outcome,
+    are built on first Mapping access. The uniforms of
     ``make_rng(seed).random(shots)`` are drawn ``_CHUNK`` at a time into one
     buffer and each chunk is sorted. The search then runs from the cheaper
     side. When a chunk holds at least as many shots as the state has
@@ -828,10 +968,7 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     """
     check_int("shots", shots, 1)
     check_int("seed", seed, 0, _SEED_MAX)
-    # The probabilities and their running sum overwrite the amplitudes. For
-    # float64, np.square equals np.abs(a) ** 2 bit for bit.
-    amps = evolve(circuit).amplitudes
-    cum = np.cumsum(np.square(amps, out=amps), out=amps)
+    cum = _running_sum(evolve(circuit).amplitudes)
     chunks = _sorted_chunks(make_rng(seed), shots)
     if len(cum) <= min(shots, _CHUNK):
         below = np.zeros(len(cum) - 1, dtype=np.int64)

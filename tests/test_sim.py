@@ -1,4 +1,7 @@
 import math
+import os
+import select
+import signal
 import sys
 import threading
 import tracemalloc
@@ -289,6 +292,20 @@ def test_circuit_accepts_numpy_qubit_count():
     assert evolve(Circuit(np.int64(2)).x(1)).amplitudes.tolist() == [0, 0, 1, 0]
 
 
+def test_num_qubits_is_stored_as_a_python_int():
+    two = np.int64(2)
+    counts = Counts.from_arrays(np.array([1]), np.array([1]), np.int64(1), 1)
+    stored = [
+        Circuit(two).num_qubits,
+        evolve(Circuit(two)).num_qubits,
+        run(Circuit(two), 1, 0).num_qubits,
+        new_zero_state(two).num_qubits,
+        counts.num_qubits,
+    ]
+    assert [type(n) for n in stored] == [int] * 5
+    assert dict(counts) == {"1": 1}
+
+
 def test_circuit_rejects_out_of_range_gate():
     with pytest.raises(IndexError):
         Circuit(2).cnot(0, 2)
@@ -464,9 +481,9 @@ def test_kernel_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
 
 def test_kernel_error_in_a_piece_of_a_shared_gate_reaches_the_caller(monkeypatch):
     # Three qubits exceed a 2^1-amplitude block, so apply_gate cuts the H into
-    # pieces and hands the second piece to a started thread.
-    caller, hadamard = threading.current_thread(), sim._PAIR_KERNELS["H"]
-    started = []
+    # slices and hands the second half of them to a worker thread.
+    caller, hadamard, share = threading.current_thread(), sim._PAIR_KERNELS["H"], sim._share
+    started, finished = [], []
 
     def fails_off_the_calling_thread(view):
         if threading.current_thread() is not caller:
@@ -474,13 +491,75 @@ def test_kernel_error_in_a_piece_of_a_shared_gate_reaches_the_caller(monkeypatch
             raise RuntimeError("kernel failed in a worker")
         hadamard(view)
 
+    def watched_share(task, count):
+        def watched(first, stop):
+            try:
+                task(first, stop)
+            finally:
+                finished.append(threading.current_thread())
+
+        share(watched, count)
+
     monkeypatch.setitem(sim._PAIR_KERNELS, "H", fails_off_the_calling_thread)
+    monkeypatch.setattr(sim, "_share", watched_share)
     monkeypatch.setattr(sim, "_BLOCK_QUBITS", 1)
     monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match="kernel failed in a worker"):
         apply_gate(new_zero_state(3), Gate("H", (0,)))
     assert len(started) == 1
-    assert not any(thread.is_alive() for thread in started)
+    assert started[0] in finished  # the failing share ended before _share raised
+    # The worker threads are kept, not started anew on each call.
+    threads = threading.active_count()
+    for _ in range(19):
+        with pytest.raises(RuntimeError, match="kernel failed in a worker"):
+            apply_gate(new_zero_state(3), Gate("H", (0,)))
+    assert threading.active_count() == threads
+
+
+def test_share_called_from_a_worker_thread_runs_its_range_there(monkeypatch):
+    # Were the nested call handed to the workers, the worker running it would
+    # wait for a share that only it can run.
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    ranges = []
+
+    def outer(first, stop):
+        sim._share(lambda a, b: ranges.append((threading.current_thread(), a, b)), 4)
+
+    caller = threading.Thread(target=sim._share, args=(outer, 2), daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    # The calling thread shares its nested call; the worker runs all of its own.
+    by_caller = sorted((a, b) for thread, a, b in ranges if thread is caller)
+    by_workers = sorted((a, b) for thread, a, b in ranges if thread is not caller)
+    assert (by_caller, by_workers) == ([(0, 2)], [(0, 4), (2, 4)])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_shares_work_over_workers_of_its_own(monkeypatch):
+    # The child inherits the parent's list of workers but none of the
+    # threads; a share handed to one of them would never finish.
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    sim._share(lambda first, stop: None, 2)  # the parent's worker is running
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            ranges = []
+            sim._share(lambda first, stop: ranges.append((first, stop)), 2)
+            os.write(write, b"ok" if sorted(ranges) == [(0, 1), (1, 2)] else b"no")
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        ready, _, _ = select.select([read], [], [], 30)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        answer = os.read(read, 2) if ready else b""
+    finally:
+        os.waitpid(pid, 0)
+        os.close(read)
+    assert answer == b"ok"
 
 
 # Low runs under a 6-qubit block, which lifts a gate on slice bit 0 or 1 to
@@ -605,6 +684,82 @@ def test_twenty_qubit_circuit_equals_the_reference_kernels():
     expected = reference_chain(new_zero_state(20).amplitudes, circuit.gates)
     assert np.array_equal(evolve(circuit).amplitudes, expected)
     assert np.array_equal(per_gate_chain(circuit), expected)
+
+
+# ---------------------------------------------------------------------------
+# The live mask: evolve runs a gate on a qubit at or above the block size only
+# over the slice pairs a gate has reached. An X on the top qubit first leaves
+# two live slices far apart, so the gates after it meet a partly live state.
+
+# Six qubits under a 2-qubit block are 16 slices; slice bit j is qubit j + 2.
+PARTLY_LIVE = (
+    Circuit(6)
+    .x(5)  # pairs slice 0 with 8: one X call; live {0, 8}
+    .h(2)  # pairs (0, 1) and (8, 9): two H calls
+    .cnot(3, 4)  # no live slice has the control's bit set: no call
+    .cnot(0, 3)  # a low control, a high target: four pairs; live {0-3, 8-11}
+    .cnot(3, 0)  # a high control, a low target: an X in slices 2, 3, 10, 11
+    .h(4)  # eight pairs, each with one live slice
+)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(1, min(6, n - 1)), st.lists(gates_on(n), max_size=20)
+        )
+    ),
+    st.integers(1, 3),
+)
+@example((6, 2, PARTLY_LIVE.gates[1:]), 1)
+@example((6, 2, PARTLY_LIVE.gates[1:]), 3)
+def test_evolve_over_live_slices_equals_the_reference_kernels(case, workers):
+    n, block_qubits, gates = case
+    circuit = Circuit(n, gates=[Gate("X", (n - 1,)), *gates])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_BLOCK_QUBITS", block_qubits)
+        patch.setattr(sim, "_cpu_count", lambda: workers)
+        evolved = evolve(circuit).amplitudes
+    expected = reference_chain(new_zero_state(n).amplitudes, circuit.gates)
+    assert evolved.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, rows", [(1, 5), (2, 3), (2, 7), (3, 3)])
+def test_apply_gate_cuts_a_batch_into_slices_of_whole_rows(n, rows, monkeypatch):
+    # 2^3-amplitude slices: rows of 2 or 4 amplitudes leave a shorter last
+    # slice (10 = 8 + 2, 12 = 8 + 4, 28 = 3 * 8 + 4); rows of 8 are a slice each.
+    monkeypatch.setattr(sim, "_BLOCK_QUBITS", 3)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    batch = np.random.default_rng(n * rows).normal(size=(rows, 2**n))
+    gates = [Gate("H", (q,)) for q in range(n)] + [Gate("X", (n - 1,))]
+    gates += [Gate("CNOT", (c, t)) for c in range(n) for t in range(n) if c != t]
+    for gate in gates:
+        expected = reference_chain(batch, [gate])
+        assert apply_gate(Statevector(n, batch), gate).amplitudes.tobytes() == expected.tobytes()
+
+
+def test_evolve_runs_high_gates_over_the_live_slice_pairs_only(monkeypatch):
+    calls = Counter()
+
+    def spy(kind):
+        kernel = sim._PAIR_KERNELS[kind]
+
+        def counted(view):
+            calls[kind] += 1
+            kernel(view)
+
+        return counted
+
+    for kind in sim.GATE_KINDS:
+        monkeypatch.setitem(sim._PAIR_KERNELS, kind, spy(kind))
+    monkeypatch.setattr(sim, "_BLOCK_QUBITS", 2)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    evolved = evolve(PARTLY_LIVE).amplitudes
+    # A full pass of each gate would make 8 + 8 + 4 + 8 + 8 + 8 calls.
+    assert calls == Counter({"X": 1 + 4, "H": 2 + 8, "CNOT": 4})
+    expected = reference_chain(new_zero_state(6).amplitudes, PARTLY_LIVE.gates)
+    assert evolved.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1057,6 +1212,25 @@ def test_edge_search_counts_what_the_shot_search_finds():
     below = sim._search_edges(cum, uniforms.copy())
     assert np.diff(below, prepend=0, append=len(uniforms)).tolist() == per_shot.tolist()
     assert per_shot.tolist() == [1, 0, 2, 4, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("shift", [0, 16])
+def test_running_sum_equals_one_unblocked_cumsum(shift, monkeypatch):
+    # Eight 2^3-amplitude blocks: one of random amplitudes, two of +0.0, one of
+    # -0.0 (whose squares are +0.0, though its bits are not zero), one of +0.0,
+    # one random, two of +0.0. Shifted by 16, the first two blocks are +0.0.
+    monkeypatch.setattr(sim, "_BLOCK_QUBITS", 3)
+    rng = np.random.default_rng(11)
+    amps = np.zeros(64)
+    amps[:8] = rng.normal(size=8)
+    amps[24:32] = -0.0
+    amps[40:48] = rng.normal(size=8)
+    amps = np.roll(amps / np.linalg.norm(amps), shift)
+    expected = np.cumsum(np.square(amps))
+    assert sim._running_sum(amps.copy()).tobytes() == expected.tobytes()
+    monkeypatch.setattr(sim, "evolve", lambda _: Statevector(6, amps.copy()))
+    for shots in (5, 1_000):
+        assert run(Circuit(6), shots, 3).counts == reference_counts(Circuit(6), shots, 3)
 
 
 def test_run_across_a_real_chunk_edge_equals_one_unsorted_draw(monkeypatch):
