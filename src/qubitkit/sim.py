@@ -43,13 +43,12 @@ control bit is set. A dead slice holds only +0.0, so skipping it leaves
 the bytes a full pass would write. :func:`apply_gate` cuts any state above
 2^16 amplitudes the same way, each slice holding whole batch rows, with
 every slice live. Slices and pairs are shared out over the calling thread
-and a pool of worker threads, one per further CPU this process may use,
-started on first need and then kept. Every amplitude sees the same float
-operations in the same order on every path, so the amplitudes do not
-depend on the block size, the live mask, the rotations or the number of
-workers. :func:`evolve` updates the zero state it allocates, and
-:func:`run` squares and sums that buffer in place, so a run holds one
-state-sized array.
+and one started thread per further CPU this process may use. Every
+amplitude sees the same float operations in the same order on every path,
+so the amplitudes do not depend on the block size, the live mask, the
+rotations or the number of workers. :func:`evolve` updates the zero state
+it allocates, and :func:`run` squares and sums that buffer in place, so a
+run holds one state-sized array.
 
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (a running sum,
@@ -504,75 +503,38 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# _share's worker threads, started on first need and kept for the life of the
-# process. Each takes jobs (task, first, stop, errors, done) from its own list,
-# one per release of its semaphore.
-_workers: list[tuple[list, threading.Semaphore]] = []
-_workers_lock = threading.Lock()
-_in_worker = threading.local()
-
-
-def _work(jobs: list, ready: threading.Semaphore) -> None:
-    _in_worker.active = True
-    while True:
-        ready.acquire()
-        task, first, stop, errors, done = jobs.pop(0)
-        try:
-            task(first, stop)
-        except BaseException as exc:  # raised again by the _share that sent it
-            errors.append(exc)
-        finally:
-            done.release()
-
-
-def _started_workers(count: int) -> list[tuple[list, threading.Semaphore]]:
-    """``count`` worker threads' (jobs, semaphore), starting any not yet running."""
-    with _workers_lock:
-        while len(_workers) < count:
-            worker = [], threading.Semaphore(0)
-            name = f"qubitkit-share-{len(_workers)}"
-            threading.Thread(target=_work, args=worker, name=name, daemon=True).start()
-            _workers.append(worker)
-        return _workers[:count]
-
-
-def _forget_workers() -> None:
-    # A forked child holds none of its parent's threads; it starts its own.
-    global _workers_lock
-    _workers.clear()
-    _workers_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
 def _share(task, count: int) -> None:
     """Run ``task(first, stop)`` over ``range(count)`` split across the CPUs.
 
     The range is cut into one contiguous share per CPU this process may use
-    (at most ``count``): the calling thread takes the first share, and one
-    worker thread takes each other share. The workers are started on the
-    first call that needs them and then wait for the next. Every share has
-    finished before this returns, and the first error a share raised is
-    raised here. A call from a worker thread runs the whole range itself,
-    so no worker waits on another.
+    (at most ``count``; none if ``count`` is 0): the calling thread takes
+    the first share, one started thread takes each other share. Every
+    thread is joined before this returns, and the first error a thread
+    raised is raised here.
     """
+    errors = []
+
+    def worker(first: int, stop: int) -> None:
+        try:
+            task(first, stop)
+        except BaseException as exc:
+            errors.append(exc)
+
     workers = min(_cpu_count(), count)
-    if workers <= 1 or getattr(_in_worker, "active", False):
-        if count:
-            task(0, count)
+    if not workers:
         return
     bounds = [count * w // workers for w in range(workers + 1)]
-    errors, done = [], threading.Semaphore(0)
-    for w, (jobs, ready) in enumerate(_started_workers(workers - 1), 1):
-        jobs.append((task, bounds[w], bounds[w + 1], errors, done))
-        ready.release()
+    threads = [
+        threading.Thread(target=worker, args=bounds[w : w + 2])
+        for w in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
     try:
         task(bounds[0], bounds[1])
     finally:
-        for _ in range(workers - 1):
-            done.acquire()
+        for thread in threads:
+            thread.join()
     if errors:
         raise errors[0]
 
@@ -639,7 +601,7 @@ def _low_run_steps(gates: list[Gate]) -> list[tuple]:
     return steps
 
 
-def _apply_low_run(amps: np.ndarray, gates: list[Gate], live: np.ndarray | None = None) -> None:
+def _apply_low_run(amps: np.ndarray, gates: list[Gate], live: np.ndarray) -> None:
     """Apply gates whose targets all lie below ``_BLOCK_QUBITS``, slice by slice.
 
     Each contiguous slice of 2^_BLOCK_QUBITS amplitudes holds whole pairs of
@@ -647,18 +609,18 @@ def _apply_low_run(amps: np.ndarray, gates: list[Gate], live: np.ndarray | None 
     one slice at a time while it stays in cache. They alternate between the
     slice of ``amps`` and one scratch slice per worker, and an odd number of
     steps ends with a copy back into ``amps``. Only the slices ``live``
-    marks (default: all) are visited; the others are not even read, since
-    they hold only +0.0. A visited slice whose bits are all zero (every
-    amplitude +0.0) is left as it is too: the steps would write +0.0 back
-    over it. The test reads the bits, since ``slice.any()`` is False for
-    −0.0 too, and H would turn −0.0 − −0.0 into +0.0. It reads the first
-    amplitude before the whole slice, so a dense slice costs one load. The
-    live slices are shared across the CPUs in contiguous blocks by
+    marks are visited; the others are not even read, since they hold only
+    +0.0. A visited slice whose bits are all zero (every amplitude +0.0)
+    is left as it is too: the steps would write +0.0 back over it. The
+    test reads the bits, since ``slice.any()`` is False for −0.0 too, and
+    H would turn −0.0 − −0.0 into +0.0. It reads the first amplitude
+    before the whole slice, so a dense slice costs one load. The live
+    slices are shared across the CPUs in contiguous blocks by
     :func:`_share`. The run acts inside slices, so ``live`` does not change.
     """
     size = 1 << _BLOCK_QUBITS
     steps = _low_run_steps(gates)
-    units = range(len(amps) // size) if live is None else np.flatnonzero(live).tolist()
+    units = np.flatnonzero(live).tolist()
 
     def apply_share(first: int, stop: int) -> None:
         scratch = np.empty(size, dtype=amps.dtype)

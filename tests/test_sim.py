@@ -1,10 +1,8 @@
 import math
-import os
-import select
-import signal
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -481,9 +479,9 @@ def test_kernel_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
 
 def test_kernel_error_in_a_piece_of_a_shared_gate_reaches_the_caller(monkeypatch):
     # Three qubits exceed a 2^1-amplitude block, so apply_gate cuts the H into
-    # slices and hands the second half of them to a worker thread.
-    caller, hadamard, share = threading.current_thread(), sim._PAIR_KERNELS["H"], sim._share
-    started, finished = [], []
+    # pieces and hands the second piece to a started thread.
+    caller, hadamard = threading.current_thread(), sim._PAIR_KERNELS["H"]
+    started = []
 
     def fails_off_the_calling_thread(view):
         if threading.current_thread() is not caller:
@@ -491,75 +489,23 @@ def test_kernel_error_in_a_piece_of_a_shared_gate_reaches_the_caller(monkeypatch
             raise RuntimeError("kernel failed in a worker")
         hadamard(view)
 
-    def watched_share(task, count):
-        def watched(first, stop):
-            try:
-                task(first, stop)
-            finally:
-                finished.append(threading.current_thread())
-
-        share(watched, count)
-
     monkeypatch.setitem(sim._PAIR_KERNELS, "H", fails_off_the_calling_thread)
-    monkeypatch.setattr(sim, "_share", watched_share)
     monkeypatch.setattr(sim, "_BLOCK_QUBITS", 1)
     monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match="kernel failed in a worker"):
         apply_gate(new_zero_state(3), Gate("H", (0,)))
     assert len(started) == 1
-    assert started[0] in finished  # the failing share ended before _share raised
-    # The worker threads are kept, not started anew on each call.
-    threads = threading.active_count()
-    for _ in range(19):
-        with pytest.raises(RuntimeError, match="kernel failed in a worker"):
-            apply_gate(new_zero_state(3), Gate("H", (0,)))
-    assert threading.active_count() == threads
+    assert not any(thread.is_alive() for thread in started)
 
 
-def test_share_called_from_a_worker_thread_runs_its_range_there(monkeypatch):
-    # Were the nested call handed to the workers, the worker running it would
-    # wait for a share that only it can run.
+def test_no_thread_keeps_an_evolved_state_once_it_is_dropped(monkeypatch):
+    # Six qubits under a 2-qubit block: the high gates, the low run and the
+    # CNOT with a high control are each shared over two threads.
+    monkeypatch.setattr(sim, "_BLOCK_QUBITS", 2)
     monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
-    ranges = []
-
-    def outer(first, stop):
-        sim._share(lambda a, b: ranges.append((threading.current_thread(), a, b)), 4)
-
-    caller = threading.Thread(target=sim._share, args=(outer, 2), daemon=True)
-    caller.start()
-    caller.join(timeout=30)
-    assert not caller.is_alive()
-    # The calling thread shares its nested call; the worker runs all of its own.
-    by_caller = sorted((a, b) for thread, a, b in ranges if thread is caller)
-    by_workers = sorted((a, b) for thread, a, b in ranges if thread is not caller)
-    assert (by_caller, by_workers) == ([(0, 2)], [(0, 4), (2, 4)])
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_shares_work_over_workers_of_its_own(monkeypatch):
-    # The child inherits the parent's list of workers but none of the
-    # threads; a share handed to one of them would never finish.
-    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
-    sim._share(lambda first, stop: None, 2)  # the parent's worker is running
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            ranges = []
-            sim._share(lambda first, stop: ranges.append((first, stop)), 2)
-            os.write(write, b"ok" if sorted(ranges) == [(0, 1), (1, 2)] else b"no")
-        finally:
-            os._exit(0)
-    os.close(write)
-    try:
-        ready, _, _ = select.select([read], [], [], 30)
-        if not ready:
-            os.kill(pid, signal.SIGKILL)
-        answer = os.read(read, 2) if ready else b""
-    finally:
-        os.waitpid(pid, 0)
-        os.close(read)
-    assert answer == b"ok"
+    circuit = Circuit(6).h(5).h(4).h(3).h(0).cnot(1, 0).cnot(4, 1)
+    kept = weakref.ref(evolve(circuit).amplitudes)
+    assert kept() is None
 
 
 # Low runs under a 6-qubit block, which lifts a gate on slice bit 0 or 1 to
@@ -637,7 +583,7 @@ def test_low_run_skips_a_slice_only_when_its_bits_are_all_zero(monkeypatch):
     gates = [Gate("H", (0,)), Gate("CNOT", (5, 1)), Gate("H", (3,))]
     expected = reference_chain(amps, gates)
     assert np.signbit(expected[:64]).any() and not np.signbit(expected[:64]).all()
-    sim._apply_low_run(amps, gates)
+    sim._apply_low_run(amps, gates, np.ones(len(amps) >> sim._BLOCK_QUBITS, bool))
     assert amps.tobytes() == expected.tobytes()
 
 
