@@ -21,34 +21,31 @@ A kernel whose view ends in an axis of 2–4 elements (lowest target qubit 1
 or 2) makes one numpy call per index along it, so each call's inner loop
 runs over the rest of the view, not over 2–4 elements. Above 16 qubits,
 the state is cut into contiguous slices of 2^16 amplitudes, and
-:func:`evolve` keeps a live mask, one bool per slice, of the slices a gate
-may have reached: at first slice 0 alone, since |0...0> is +0.0 everywhere
-else. Each run of consecutive gates whose targets all lie below qubit 16
-is applied one live slice at a time, so a slice stays in cache for the
-whole run. Within a slice, the gates write out of place, back and forth
-between the slice and one scratch slice per worker, and a gate whose
-lowest target bit lies below 12 is preceded by a rotation of the slice's
-index bits (one transpose copy) that lifts it to bit 12, so its inner
-loops run over at least 2^12 amplitudes (unless it is a CNOT whose other
-target wraps round past bit 15). The slice ends with its bits back in
-order. A live slice whose bytes are all zero, every amplitude +0.0, is
-skipped too: H, X and CNOT map pairs of +0.0 to +0.0 and a rotation only
-moves them, so the steps would rewrite the same bytes. The test is on the
-bits, not the values: a slice of −0.0 equals zero, yet H turns half of it
-into +0.0. Every other gate runs over slice pairs: a gate on qubit t >= 16
-pairs slice s with slice s ^ 2^(t − 16), runs each pair that holds a live
-slice, and leaves both its slices live. A CNOT with a control at or above
-qubit 16 runs only the pairs (or, for a lower target, the slices) whose
-control bit is set. A dead slice holds only +0.0, so skipping it leaves
-the bytes a full pass would write. :func:`apply_gate` cuts any state above
-2^16 amplitudes the same way, each slice holding whole batch rows, with
-every slice live. Slices and pairs are shared out over the calling thread
-and one started thread per further CPU this process may use. Every
-amplitude sees the same float operations in the same order on every path,
-so the amplitudes do not depend on the block size, the live mask, the
-rotations or the number of workers. :func:`evolve` updates the zero state
-it allocates, and :func:`run` squares and sums that buffer in place, so a
-run holds one state-sized array.
+:func:`evolve` keeps a live mask, one bool per slice, of the slices that
+may hold an amplitude other than +0.0: at first slice 0 alone, since
+|0...0> is +0.0 everywhere else. Each run of consecutive gates whose
+targets all lie below qubit 16 is applied one live slice at a time, so a
+slice stays in cache for the whole run. Within a slice, the gates write
+out of place, back and forth between the slice and one scratch slice per
+worker, and a gate whose lowest target bit lies below 12 is preceded by a
+rotation of the slice's index bits (one transpose copy) that lifts it to
+bit 12, so its inner loops run over at least 2^12 amplitudes (unless it
+is a CNOT whose other target wraps round past bit 15). The slice ends
+with its bits back in order. Every other gate runs over slice pairs: a
+gate on qubit t >= 16 pairs slice s with slice s ^ 2^(t − 16) and runs
+each pair that holds a live slice (:func:`_apply_sliced` gives how each
+gate moves the mask). A CNOT with a control at or above qubit 16 runs
+only the pairs (or, for a lower target, the slices) whose control bit is
+set. A dead slice holds only +0.0, so skipping it leaves the bytes a full
+pass would write. :func:`apply_gate` cuts any state above 2^16 amplitudes
+the same way, each slice holding whole batch rows, with every slice live.
+Slices and pairs are shared out over the calling thread and one started
+thread per further CPU this process may use. Every amplitude sees the
+same float operations in the same order on every path, so the amplitudes
+do not depend on the block size, the live mask, the rotations or the
+number of workers. :func:`evolve` updates the zero state it allocates,
+and :func:`run` squares and sums that buffer in place, so a run holds one
+state-sized array.
 
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (a running sum,
@@ -314,8 +311,9 @@ class Statevector:
     amplitudes: np.ndarray
 
 
-def _amplitudes(state: Statevector) -> np.ndarray:
-    """The state's amplitudes, checked where they enter the kernels and sampler.
+def _amplitudes(state: Statevector) -> tuple[int, np.ndarray]:
+    """The state's qubit count, as an ``int``, and its amplitudes, checked
+    where they enter the kernels and sampler.
 
     ``state`` must be a :class:`Statevector`, else a ValidationError names
     ``state``. Its amplitudes must be a float or complex array of shape
@@ -336,7 +334,7 @@ def _amplitudes(state: Statevector) -> np.ndarray:
             f"expected a float or complex array of shape (2^{n},) or (k, 2^{n}), "
             f"got {getattr(amps, 'dtype', type(amps).__name__)} of shape {np.shape(amps)}",
         )
-    return amps
+    return n, amps
 
 
 def new_zero_state(n: int) -> Statevector:
@@ -429,8 +427,8 @@ def apply_gate(
     this process may use. Each amplitude sees the same operations either
     way.
     """
-    amps = _amplitudes(state)
-    _check_gate("gate", gate, state.num_qubits)
+    n, amps = _amplitudes(state)
+    _check_gate("gate", gate, n)
     if out is None:
         out = np.array(amps, order="C")
     elif out is not amps or not out.flags.c_contiguous:
@@ -442,7 +440,7 @@ def apply_gate(
     else:
         slices = -(-out.size >> _BLOCK_QUBITS)
         _apply_sliced(out.reshape(-1), gate, np.ones(slices, dtype=bool))
-    return Statevector(state.num_qubits, out)
+    return Statevector(n, out)
 
 
 def _apply_sliced(amps: np.ndarray, gate: Gate, live: np.ndarray) -> None:
@@ -450,24 +448,25 @@ def _apply_sliced(amps: np.ndarray, gate: Gate, live: np.ndarray) -> None:
 
     Slice s is ``amps[s · 2^B : (s + 1) · 2^B]``, for B = _BLOCK_QUBITS. A
     target t >= B pairs slice s with s ^ 2^(t − B): each pair is one kernel
-    call over a ``(1, 2, 2^B)`` view, runs if either slice is live, and
-    leaves both live. A CNOT with a low control puts the control's bit inside
-    the slice; one with a high control runs only the pairs whose control bit
-    is set, as an X. A gate whose targets all lie below B acts inside each
-    live slice, and a CNOT with a high control and a low target is an X
-    inside each live slice whose control bit is set; neither changes
-    ``live``. The slices or pairs are shared across the CPUs by
-    :func:`_share`. The slices ``live`` leaves out (dead slices) must hold
-    only +0.0, which every gate maps to +0.0, so skipping them leaves the
-    bytes a full pass would write.
+    call over a ``(1, 2, 2^B)`` view, and runs if either slice is live. A
+    CNOT with a low control puts the control's bit inside the slice; one
+    with a high control runs only the pairs whose control bit is set, as an
+    X. An X swaps the pair's slices, so it swaps their liveness too; H, and
+    a CNOT with a low control, leave both slices live. A gate whose targets
+    all lie below B acts inside each live slice, and a CNOT with a high
+    control and a low target is an X inside each live slice whose control
+    bit is set; neither changes ``live``. The slices ``live`` leaves out
+    (dead slices) must hold only +0.0, which every gate maps to +0.0, so
+    skipping them leaves the bytes a full pass would write.
     """
     bits, size = _BLOCK_QUBITS, 1 << _BLOCK_QUBITS
     index = np.arange(len(live))
     run = live.copy()
-    kernel, targets = _PAIR_KERNELS[gate.kind], gate.targets
-    if gate.kind == "CNOT" and targets[0] >= bits:
+    kind, targets = gate.kind, gate.targets
+    if kind == "CNOT" and targets[0] >= bits:
         run &= (index >> targets[0] - bits & 1).astype(bool)
-        kernel, targets = _PAIR_KERNELS["X"], targets[1:]
+        kind, targets = "X", targets[1:]
+    kernel = _PAIR_KERNELS[kind]
     if targets[-1] < bits:
 
         def unit(s: int) -> np.ndarray:
@@ -477,7 +476,7 @@ def _apply_sliced(amps: np.ndarray, gate: Gate, live: np.ndarray) -> None:
         b = 1 << targets[-1] - bits
         pairs = amps.reshape(-1, 2, b, size)
         run |= run[index ^ b]
-        live |= run
+        live[run] = live[index ^ b][run] if kind == "X" else True
         run &= index & b == 0  # each pair once, by its lower slice
 
         def unit(s: int) -> np.ndarray:
@@ -487,13 +486,11 @@ def _apply_sliced(amps: np.ndarray, gate: Gate, live: np.ndarray) -> None:
                 view = view.reshape(1, 2, size >> c + 1, 2, 1 << c).swapaxes(1, 3)
             return view
 
-    units = np.flatnonzero(run).tolist()
-
-    def apply_share(first: int, stop: int) -> None:
-        for s in units[first:stop]:
+    def apply_share(slices: list[int]) -> None:
+        for s in slices:
             kernel(unit(s))
 
-    _share(apply_share, len(units))
+    _share(apply_share, run)
 
 
 def _cpu_count() -> int:
@@ -503,35 +500,34 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _share(task, count: int) -> None:
-    """Run ``task(first, stop)`` over ``range(count)`` split across the CPUs.
+def _share(task, mask: np.ndarray) -> None:
+    """Run ``task(slices)`` over the slice numbers ``mask`` marks, split
+    across the CPUs.
 
-    The range is cut into one contiguous share per CPU this process may use
-    (at most ``count``; none if ``count`` is 0): the calling thread takes
-    the first share, one started thread takes each other share. Every
-    thread is joined before this returns, and the first error a thread
-    raised is raised here.
+    The numbers, ascending, are cut into one contiguous share per CPU this
+    process may use (at most one per number; none if ``mask`` marks none):
+    the calling thread takes the first share, one started thread takes each
+    other share. Every thread is joined before this returns, and the first
+    error a thread raised is raised here.
     """
+    units = np.flatnonzero(mask)
+    workers = min(_cpu_count(), len(units))
+    if not workers:
+        return
+    shares = [share.tolist() for share in np.array_split(units, workers)]
     errors = []
 
-    def worker(first: int, stop: int) -> None:
+    def worker(share: list[int]) -> None:
         try:
-            task(first, stop)
+            task(share)
         except BaseException as exc:
             errors.append(exc)
 
-    workers = min(_cpu_count(), count)
-    if not workers:
-        return
-    bounds = [count * w // workers for w in range(workers + 1)]
-    threads = [
-        threading.Thread(target=worker, args=bounds[w : w + 2])
-        for w in range(1, workers)
-    ]
+    threads = [threading.Thread(target=worker, args=(share,)) for share in shares[1:]]
     for thread in threads:
         thread.start()
     try:
-        task(bounds[0], bounds[1])
+        task(shares[0])
     finally:
         for thread in threads:
             thread.join()
@@ -609,32 +605,22 @@ def _apply_low_run(amps: np.ndarray, gates: list[Gate], live: np.ndarray) -> Non
     one slice at a time while it stays in cache. They alternate between the
     slice of ``amps`` and one scratch slice per worker, and an odd number of
     steps ends with a copy back into ``amps``. Only the slices ``live``
-    marks are visited; the others are not even read, since they hold only
-    +0.0. A visited slice whose bits are all zero (every amplitude +0.0)
-    is left as it is too: the steps would write +0.0 back over it. The
-    test reads the bits, since ``slice.any()`` is False for −0.0 too, and
-    H would turn −0.0 − −0.0 into +0.0. It reads the first amplitude
-    before the whole slice, so a dense slice costs one load. The live
-    slices are shared across the CPUs in contiguous blocks by
-    :func:`_share`. The run acts inside slices, so ``live`` does not change.
+    marks are visited (:func:`_share`); the run acts inside slices, so
+    ``live`` does not change.
     """
     size = 1 << _BLOCK_QUBITS
     steps = _low_run_steps(gates)
-    units = np.flatnonzero(live).tolist()
 
-    def apply_share(first: int, stop: int) -> None:
+    def apply_share(slices: list[int]) -> None:
         scratch = np.empty(size, dtype=amps.dtype)
-        for s in units[first:stop]:
+        for s in slices:
             buffers = amps[s * size : (s + 1) * size], scratch
-            bits = buffers[0].view(np.uint64)
-            if not (bits[0] or bits.any()):  # all +0.0: the steps would write +0.0
-                continue
             for i, (step, arg) in enumerate(steps):
                 step(buffers[i % 2], buffers[1 - i % 2], arg)
             if len(steps) % 2:
                 buffers[0][...] = scratch
 
-    _share(apply_share, len(units))
+    _share(apply_share, live)
 
 
 def evolve(circuit: Circuit) -> Statevector:
@@ -643,21 +629,18 @@ def evolve(circuit: Circuit) -> Statevector:
     The zero state's buffer is the only state-sized array. On more than
     ``_BLOCK_QUBITS`` qubits, the state is 2^(n − _BLOCK_QUBITS) slices of
     2^_BLOCK_QUBITS amplitudes, and evolve keeps one bool per slice, the
-    live mask, that marks the slices a gate may have reached. It starts as
-    slice 0 alone. Each maximal run of consecutive gates whose targets all
-    lie below ``_BLOCK_QUBITS`` is applied one live slice at a time
-    (:func:`_apply_low_run`), with the slices split across the CPUs this
-    process may use; besides the state, each worker holds one scratch
-    slice. A live slice whose amplitudes are all +0.0, bit for bit, skips
-    the run too, since it would come out with the same bytes. Every other
-    gate runs slice by slice, or slice pair by slice pair if a target lies
-    at or above ``_BLOCK_QUBITS``, over the live slices only
-    (:func:`_apply_sliced`), and a pair it runs leaves both its slices live.
-    On ``_BLOCK_QUBITS`` qubits or fewer, each gate is one
-    :func:`apply_gate` call with ``out`` the state's own amplitudes. Every
-    amplitude sees the same operations in the same order either way, so
-    the result does not depend on the block size, the live mask or the
-    number of workers.
+    live mask, that marks the slices that may hold an amplitude other than
+    +0.0. It starts as slice 0 alone. Each maximal run of consecutive gates
+    whose targets all lie below ``_BLOCK_QUBITS`` is applied one live slice
+    at a time (:func:`_apply_low_run`), with the slices split across the
+    CPUs this process may use; besides the state, each worker holds one
+    scratch slice. Every other gate runs slice by slice, or slice pair by
+    slice pair if a target lies at or above ``_BLOCK_QUBITS``, over the
+    live slices only, and updates the mask (:func:`_apply_sliced`). On
+    ``_BLOCK_QUBITS`` qubits or fewer, each gate is one :func:`apply_gate`
+    call with ``out`` the state's own amplitudes. Every amplitude sees the
+    same operations in the same order either way, so the result does not
+    depend on the block size, the live mask or the number of workers.
     """
     n = check_type("circuit", circuit, Circuit).num_qubits
     state = new_zero_state(n)
@@ -726,7 +709,7 @@ def sample_measurement(
     makes, in the same order, so the sums are bit-identical. Wider rows keep
     ``np.cumsum``, whose cost does not grow with one Python step per column.
     """
-    amps = _amplitudes(state)
+    amps = _amplitudes(state)[1]
     check_type("rng", rng, np.random.Generator)
     cum = (np.abs(amps) ** 2).reshape(-1, amps.shape[-1])
     if cum.shape[1] < len(cum):
@@ -891,8 +874,10 @@ def _running_sum(amps: np.ndarray) -> np.ndarray:
     the one before it and its own square: the adds ``np.cumsum`` makes, in
     the same order. A block whose bits are all zero (every amplitude +0.0)
     is filled with the carry instead, since adding +0.0 to the carry, which
-    is never below +0.0, gives the carry back. For float64, ``np.square``
-    equals ``np.abs(a) ** 2`` bit for bit.
+    is never below +0.0, gives the carry back. The test reads the bits, not
+    :func:`evolve`'s live mask, which cannot see amplitudes cancel:
+    Bernstein-Vazirani ends with two nonzero blocks and every slice live.
+    For float64, ``np.square`` equals ``np.abs(a) ** 2`` bit for bit.
     """
     carry = 0.0
     for start in range(0, len(amps), 1 << _BLOCK_QUBITS):

@@ -304,6 +304,11 @@ def test_num_qubits_is_stored_as_a_python_int():
     assert dict(counts) == {"1": 1}
 
 
+def test_apply_gate_stores_num_qubits_as_a_python_int():
+    state = apply_gate(Statevector(np.int64(1), np.array([1.0, 0.0])), Gate("H", (0,)))
+    assert type(state.num_qubits) is int
+
+
 def test_circuit_rejects_out_of_range_gate():
     with pytest.raises(IndexError):
         Circuit(2).cnot(0, 2)
@@ -461,8 +466,8 @@ def test_blocked_evolve_with_more_workers_than_cpus_and_fast_switching(monkeypat
 
 def test_kernel_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
     # The low run's H kernel: H(0) on two qubits with a 1-qubit block. The
-    # leading H(1), a full pass, puts amplitudes in the worker's slice, which
-    # would otherwise be all +0.0 and skip the run.
+    # leading H(1) marks the second slice live, so the low run has two
+    # slices to share and a worker thread takes one.
     caller, hadamard = threading.current_thread(), sim._SLICE_KERNELS["H"]
 
     def fails_off_the_calling_thread(src, dst, targets):
@@ -634,18 +639,19 @@ def test_twenty_qubit_circuit_equals_the_reference_kernels():
 
 # ---------------------------------------------------------------------------
 # The live mask: evolve runs a gate on a qubit at or above the block size only
-# over the slice pairs a gate has reached. An X on the top qubit first leaves
-# two live slices far apart, so the gates after it meet a partly live state.
+# over the slice pairs that hold a live slice. An X on the top qubit first
+# moves the one live slice far from slice 0, so the gates after it meet a
+# partly live state.
 
 # Six qubits under a 2-qubit block are 16 slices; slice bit j is qubit j + 2.
 PARTLY_LIVE = (
     Circuit(6)
-    .x(5)  # pairs slice 0 with 8: one X call; live {0, 8}
-    .h(2)  # pairs (0, 1) and (8, 9): two H calls
+    .x(5)  # pairs slice 0 with 8: one X call; live {8}
+    .h(2)  # pairs (8, 9): one H call; live {8, 9}
     .cnot(3, 4)  # no live slice has the control's bit set: no call
-    .cnot(0, 3)  # a low control, a high target: four pairs; live {0-3, 8-11}
-    .cnot(3, 0)  # a high control, a low target: an X in slices 2, 3, 10, 11
-    .h(4)  # eight pairs, each with one live slice
+    .cnot(0, 3)  # a low control, a high target: two pairs; live {8-11}
+    .cnot(3, 0)  # a high control, a low target: an X in slices 10 and 11
+    .h(4)  # four pairs, each with one live slice
 )
 
 
@@ -703,8 +709,29 @@ def test_evolve_runs_high_gates_over_the_live_slice_pairs_only(monkeypatch):
     monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
     evolved = evolve(PARTLY_LIVE).amplitudes
     # A full pass of each gate would make 8 + 8 + 4 + 8 + 8 + 8 calls.
-    assert calls == Counter({"X": 1 + 4, "H": 2 + 8, "CNOT": 4})
+    assert calls == Counter({"X": 1 + 2, "H": 1 + 4, "CNOT": 2})
     expected = reference_chain(new_zero_state(6).amplitudes, PARTLY_LIVE.gates)
+    assert evolved.tobytes() == expected.tobytes()
+
+
+def test_an_x_on_a_high_qubit_moves_the_only_live_slice(monkeypatch):
+    # Six qubits under a 2-qubit block are 16 slices. X(4) moves the one live
+    # slice from 0 to 4, X(5) from 4 to 12, and CNOT(5, 3), whose control bit
+    # slice 12 has set, from 12 to 14. Each low H after them visits that
+    # slice alone, and each high gate runs one pair, by its lower slice.
+    share, visited = sim._share, []
+
+    def spy(task, mask):
+        visited.append(np.flatnonzero(mask).tolist())
+        share(task, mask)
+
+    monkeypatch.setattr(sim, "_share", spy)
+    monkeypatch.setattr(sim, "_BLOCK_QUBITS", 2)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    circuit = Circuit(6).x(4).h(0).x(5).h(1).cnot(5, 3).h(0)
+    evolved = evolve(circuit).amplitudes
+    assert visited == [[0], [4], [4], [12], [12], [14]]
+    expected = reference_chain(new_zero_state(6).amplitudes, circuit.gates)
     assert evolved.tobytes() == expected.tobytes()
 
 
