@@ -37,8 +37,9 @@ def _interpret(params: Params, counts: Counts) -> str:
         (outcome,) = counts
         return f"random value: {int(outcome, 2)} (range 0..{top})"
     header = f"outcome distribution over {counts.shots} shots (range 0..{top}):"
-    # Each text-sized copy is freed once the next one is made.
-    text = _histogram(header, counts, n).tobytes().translate(None, _PAD)
+    # Each text-sized copy is freed once the next one is made. replace drops
+    # the one pad byte value at memchr speed.
+    text = _histogram(header, counts, n).tobytes().replace(_PAD, b"")
     return text.decode("ascii")
 
 
@@ -78,7 +79,12 @@ def _ascii(text: str) -> np.ndarray:
 
 def _decimal(out: np.ndarray, values: np.ndarray, fill: int) -> None:
     """Write ``values`` (>= 0) in decimal, right-aligned, into the ``(k, w)``
-    byte view ``out``; positions left of each leading digit get ``fill``."""
+    byte view ``out``; positions left of each leading digit get ``fill``.
+
+    The digits are worked out in the narrowest unsigned dtype that holds
+    the largest value, whose divisions cost less than int64's.
+    """
+    values = values.astype(np.min_scalar_type(values.max()))
     out[:, -1] = values % 10 + ord("0")
     rest = values // 10
     for column in range(out.shape[1] - 2, -1, -1):

@@ -55,21 +55,27 @@ carrying the total so far into each block's first entry: the adds
 ``np.cumsum`` makes, in the same order. A block of +0.0 is filled with
 that total instead, so a state with few nonzero blocks, such as the two
 amplitudes Bernstein-Vazirani ends with, skips the squares and adds of
-the rest. A batch draws one uniform per row, in row order, and a batch of more rows
-than outcomes sums each column into the next with one vectorised add,
-the adds ``np.cumsum`` makes, in the same order. :func:`run` returns only
-a histogram, so it draws its uniforms in chunks of 2^18, into one reused
-buffer, and sorts each chunk: PCG64 gives the same doubles in chunks as
-in one call, and the order of the shots does not reach the counts. It
-then searches from the cheaper side. When a chunk holds at least as many
-shots as the state has outcomes, the 2^n − 1 edges of the running sum
-are searched into each sorted chunk, and the differences of their
-positions, summed over the chunks in one dense array of 2^n, are the
-counts. Otherwise each shot is searched among the edges, and each
-chunk's sorted outcomes are appended to the sparse histogram so far,
-whose outcomes are sorted too: one stable sort merges the two runs, and
-the tallies of equal outcomes are summed. Both give the same counts.
-Memory is O(chunk + distinct outcomes), not O(shots). The
+the rest. A batch draws one uniform per row, in row order, and a batch of
+more rows than outcomes sums each column into the next with one
+vectorised add, the adds ``np.cumsum`` makes, in the same order.
+:func:`run` returns only a histogram, and finds each shot's outcome in
+one of two ways, both giving the outcome the search of its uniform
+finds. When the state has no more outcomes than the shots and a chunk of
+2^18, it builds a guide table once: for each of 2^n equal cells of
+[0, 1), the outcome the cell's lower bound reaches. Each shot starts at
+its cell's entry and steps up while the running sum there is at or below
+its target, for a few vectorised rounds, and a binary search places the
+rare shot still short: O(1) expected compares per shot, and no sort.
+These shots go 2^15 at a time, shared across the CPUs in contiguous runs;
+each worker jumps its own PCG64 stream ahead to its first shot, so every
+shot sees the double one draw of all the shots would give it. Otherwise
+:func:`run` draws its uniforms in chunks of 2^18, into one reused buffer,
+and sorts each chunk: PCG64 gives the same doubles in chunks as in one
+call, and the order of the shots does not reach the counts. Each shot is
+searched among the edges, and each chunk's sorted outcomes are appended
+to the sparse histogram so far, whose outcomes are sorted too: one
+stable sort merges the two runs, and the tallies of equal outcomes are
+summed. Memory is O(chunk + outcomes + CPUs · 2^15), not O(shots). The
 :class:`Counts` it returns hold the distinct outcome indices and their
 tallies as arrays; the bitstring labels and their dict are built from
 them only when first read by label, and kept. A Counts built from a dict
@@ -104,8 +110,16 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # temporary (at most one slice), fit in a per-core L2 cache.
 _BLOCK_QUBITS = 16
 
-# run draws, sorts and tallies this many uniforms at a time (2 MB of float64).
+# run draws, sorts and tallies this many uniforms at a time (2 MB of float64)
+# when the state has more outcomes than this or than the shots.
 _CHUNK = 1 << 18
+
+# The dense sampler draws and looks up this many uniforms at a time per worker,
+# in three 256 KB buffers; blocks of 2^16 timed the same and hold twice as much.
+_SAMPLE_BLOCK = 1 << 15
+
+# One-step rounds a shot makes past its guide table entry before a binary search.
+_GUIDE_ROUNDS = 2
 
 _SEED_MAX = (1 << 64) - 1  # seeds lie in [0, 2^64), the range derive_seed returns
 
@@ -853,17 +867,90 @@ def _sorted_chunks(rng: np.random.Generator, shots: int) -> Iterator[np.ndarray]
         yield uniforms
 
 
-def _search_edges(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """For each edge ``cum[i]``, i < 2^n − 1, how many of the sorted uniforms
-    land on outcomes 0..i: those whose target lies below the edge.
+def _guide(cum: np.ndarray, total: float) -> np.ndarray:
+    """The guide table of the running sum ``cum``: for each of its 2^n cells
+    j, the number of entries of ``cum`` at or below ``j / 2^n · total``.
 
-    :func:`_search` puts a target past outcome i exactly when ``cum[i]`` is
-    at or below it, so these counts give the same histogram, zero-mass
-    outcomes and the clamp onto the last outcome included. ``uniforms`` is
-    scaled to the targets in place.
+    A uniform u lies in cell ``floor(u · 2^n)``, and its target ``u · total``
+    is at or above that cell's bound (the products by 2^n and j / 2^n are
+    exact, and rounding is monotone), so the outcome :func:`_search` finds
+    for u is at or past its cell's entry. The cells are searched
+    ``_SAMPLE_BLOCK`` at a time, shared across the CPUs (:func:`_share`).
     """
-    uniforms *= cum[-1]
-    return np.searchsorted(uniforms, cum[:-1], side="left")
+    size = len(cum)
+    guide = np.empty(size, dtype=np.intp)
+
+    def guide_share(parts: list[int]) -> None:
+        for part in parts:
+            start = part * _SAMPLE_BLOCK
+            bounds = np.arange(start, min(size, start + _SAMPLE_BLOCK)) / size * total
+            guide[start : start + len(bounds)] = np.searchsorted(cum, bounds, side="right")
+
+    _share(guide_share, np.ones(-(-size // _SAMPLE_BLOCK), dtype=bool))
+    return guide
+
+
+def _sample_dense(cum: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The tallies of all 2^n outcomes over the uniforms of
+    ``make_rng(seed).random(shots)``: the outcomes :func:`_search` finds.
+
+    ``cum[-1]`` holds +inf while this runs, so no target passes the last
+    outcome: the clamp :func:`_search` applies. Each shot starts at its
+    cell's entry in the guide table (:func:`_guide`), and steps one outcome
+    up while the running sum there is at or below its target, for up to
+    ``_GUIDE_ROUNDS`` vectorised rounds over the shots that must; a binary
+    search places any shot still short. The shots go ``_SAMPLE_BLOCK`` at a
+    time, the blocks shared out in contiguous runs (:func:`_share`). Each
+    worker jumps its own PCG64 stream ahead to its first shot (one 64-bit
+    draw per double), so every shot sees the double that one draw of
+    ``shots`` gives it, and adds its tallies into the shared one under a
+    lock. ``cum[-1]`` is restored before this returns.
+    """
+    size, total = len(cum), cum[-1]
+    tally = np.zeros(size, dtype=np.int64)
+    lock = threading.Lock()
+    cum[-1] = np.inf
+    try:
+        guide = _guide(cum, total)
+
+        def sample_share(blocks: list[int]) -> None:
+            first = blocks[0] * _SAMPLE_BLOCK
+            stop = min(shots, (blocks[-1] + 1) * _SAMPLE_BLOCK)
+            rng = make_rng(seed)
+            rng.bit_generator.advance(first)
+            length = min(_SAMPLE_BLOCK, stop - first)
+            uniforms = np.empty(length)
+            # A block's cells, once looked up, are not read again: their
+            # buffer then holds the running sum at each shot's outcome.
+            cells = np.empty(length, dtype=np.int64)
+            indices = np.empty(length, dtype=np.intp)
+            at_or_below = np.empty(length, dtype=bool)
+            for start in range(first, stop, _SAMPLE_BLOCK):
+                k = min(_SAMPLE_BLOCK, stop - start)
+                targets, cell, index = rng.random(out=uniforms[:k]), cells[:k], indices[:k]
+                # The cast truncates u · 2^n, which is >= 0: its floor. Every
+                # cell and index is in range, and "clip" writes straight to out.
+                np.multiply(targets, size, out=cell, casting="unsafe")
+                np.take(guide, cell, out=index, mode="clip")
+                targets *= total
+                edges = np.take(cum, index, out=cell.view(np.float64), mode="clip")
+                late = np.flatnonzero(np.less_equal(edges, targets, out=at_or_below[:k]))
+                for _ in range(_GUIDE_ROUNDS):
+                    if not len(late):
+                        break
+                    index[late] += 1
+                    late = late[cum[index[late]] <= targets[late]]
+                if len(late):
+                    index[late] = np.searchsorted(cum, targets[late], side="right")
+                # add.at costs O(block); bincount would cost O(2^n) a block,
+                # and a temporary of 2^n per worker.
+                with lock:
+                    np.add.at(tally, index, 1)
+
+        _share(sample_share, np.ones(-(-shots // _SAMPLE_BLOCK), dtype=bool))
+    finally:
+        cum[-1] = total
+    return tally
 
 
 def _running_sum(amps: np.ndarray) -> np.ndarray:
@@ -902,31 +989,28 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     Equal (circuit, shots, seed) gives bit-identical Counts. They hold the
     outcome indices, ascending, and their tallies
     (:meth:`Counts.from_arrays`); the bitstring labels, sorted by outcome,
-    are built on first Mapping access. The uniforms of
-    ``make_rng(seed).random(shots)`` are drawn ``_CHUNK`` at a time into one
-    buffer and each chunk is sorted. The search then runs from the cheaper
-    side. When a chunk holds at least as many shots as the state has
-    outcomes, the 2^n − 1 edges of the running sum are searched into each
-    chunk (:func:`_search_edges`), and the positions add into one dense
-    running total whose differences are the counts. Otherwise each shot is
+    are built on first Mapping access. Each shot's outcome is the one the
+    search of its uniform in ``make_rng(seed).random(shots)`` finds
+    (:func:`_search`). When the state has no more outcomes than the shots
+    and ``_CHUNK``, each shot is looked up in a guide table and the
+    tallies are summed in one dense array of 2^n (:func:`_sample_dense`),
+    with the shots shared across the CPUs. Otherwise the uniforms are
+    drawn ``_CHUNK`` at a time into one buffer, each chunk is sorted and
     searched (:func:`_search`), and :func:`_tally` merges each chunk's
     sorted outcomes, one shot each, into the sparse tally so far. Memory
-    is O(chunk + distinct outcomes) whatever the number of shots.
+    is O(chunk + outcomes + CPUs · ``_SAMPLE_BLOCK``) whatever the number
+    of shots.
     """
     check_int("shots", shots, 1)
     check_int("seed", seed, 0, _SEED_MAX)
     cum = _running_sum(evolve(circuit).amplitudes)
-    chunks = _sorted_chunks(make_rng(seed), shots)
     if len(cum) <= min(shots, _CHUNK):
-        below = np.zeros(len(cum) - 1, dtype=np.int64)
-        for uniforms in chunks:
-            below += _search_edges(cum, uniforms)
-        tally = np.diff(below, prepend=0, append=shots)
+        tally = _sample_dense(cum, shots, seed)
         values = np.flatnonzero(tally)
         counts = tally[values]
     else:
         values = counts = np.empty(0, dtype=np.int64)
-        for uniforms in chunks:
+        for uniforms in _sorted_chunks(make_rng(seed), shots):
             indices = _search(cum, uniforms)
             weights = np.concatenate((counts, np.ones(len(indices), dtype=np.int64)))
             values, counts = _tally(np.concatenate((values, indices)), weights)

@@ -1114,9 +1114,10 @@ def test_assigned_counts_are_what_mapping_access_reads():
 
 
 # ---------------------------------------------------------------------------
-# The histogram sampler: run draws, sorts and tallies _CHUNK uniforms at a
-# time. The reference searches every uniform of one unsorted draw and counts
-# with np.unique.
+# The histogram sampler: run looks each shot up in a guide table when the
+# state has no more outcomes than the shots and _CHUNK, and otherwise draws,
+# sorts and tallies _CHUNK uniforms at a time. The reference searches every
+# uniform of one unsorted draw and counts with np.unique.
 
 KEY_19 = "1011001110001111010"  # bv_circuit(KEY_19) has 20 qubits
 
@@ -1143,9 +1144,9 @@ def reference_counts(circuit, shots, seed):
 @example(qrand_circuit(3), 7, 5, 0)  # below one chunk, fewer shots than outcomes
 @example(qrand_circuit(3), 7, 200, 0)  # not a multiple of the chunk
 @example(qrand_circuit(6), 5, 200, 0)  # a multiple of the chunk
-# Edge search: every chunk holds at least as many shots as there are outcomes.
-@example(qrand_circuit(2), 4, 200, 0)  # dense chunks only
-@example(qrand_circuit(2), 7, 9, 1)  # a last chunk of 2 shots for 4 outcomes
+# Guide table: no more outcomes than the shots and the chunk.
+@example(qrand_circuit(2), 4, 200, 0)
+@example(qrand_circuit(2), 7, 9, 1)
 @example(Circuit(3).x(0), 8, 50, 2)  # one outcome; the last index has no mass
 @example(Circuit(3).h(0).h(1), 8, 200, 3)  # the upper half has no mass
 @example(bv_circuit("1"), 7, 60, 4)  # outcomes 1 and 3 only
@@ -1166,25 +1167,112 @@ def test_chunked_run_equals_one_unsorted_draw(circuit, chunk, shots, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_CHUNK", chunk)
-        for name in ("_search", "_search_edges"):
+        for name in ("_search", "_guide"):
             patch.setattr(sim, name, spy(name))
         counts = run(circuit, shots, seed)
     assert counts.counts == reference_counts(circuit, shots, seed)
-    # One search per chunk, from the edges when a chunk can hold every outcome.
+    # One guide table per run when a chunk can hold every outcome, else one
+    # search per chunk.
     dense = 2**circuit.num_qubits <= min(shots, chunk)
     chunks = -(-shots // chunk)
-    assert calls == Counter({"_search_edges" if dense else "_search": chunks})
+    assert calls == Counter({"_guide": 1} if dense else {"_search": chunks})
 
 
-def test_edge_search_counts_what_the_shot_search_finds():
-    # Random uniforms never land on an edge; these do, on edges that zero-mass
-    # outcomes share, and the last outcomes have no mass.
+class FixedUniforms:
+    """A stand-in for ``sim.make_rng``'s generator that draws ``uniforms`` in
+    order, and jumps ahead as PCG64's ``advance`` does."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+        self.drawn = 0
+        self.bit_generator = self
+
+    def advance(self, delta):
+        self.drawn += delta
+
+    def random(self, out):
+        out[:] = self.uniforms[self.drawn : self.drawn + len(out)]
+        self.drawn += len(out)
+        return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_guide_table_counts_what_the_shot_search_finds(workers, monkeypatch):
+    # Random uniforms never land on a cell bound j/8 or an edge; these do, on
+    # edges that zero-mass outcomes share, and the last outcomes have no mass.
     cum = np.cumsum([0.25, 0.0, 0.25, 0.5, 0.0, 0.0, 0.0, 0.0])
-    uniforms = np.array([0.0, 0.25, 0.25, 0.5, 0.6, 0.75, 1 - 2**-53])
+    bounds = np.arange(8) / 8
+    uniforms = np.concatenate((bounds, [0.25, 0.5, 0.6, 1 - 2**-53]))
     per_shot = np.bincount(sim._search(cum, uniforms), minlength=len(cum))
-    below = sim._search_edges(cum, uniforms.copy())
-    assert np.diff(below, prepend=0, append=len(uniforms)).tolist() == per_shot.tolist()
-    assert per_shot.tolist() == [1, 0, 2, 4, 0, 0, 0, 0]
+    assert per_shot.tolist() == [2, 0, 3, 7, 0, 0, 0, 0]
+    monkeypatch.setattr(sim, "make_rng", lambda seed: FixedUniforms(uniforms))
+    monkeypatch.setattr(sim, "_SAMPLE_BLOCK", 3)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+    sampled = cum.copy()
+    assert sim._sample_dense(sampled, len(uniforms), 0).tolist() == per_shot.tolist()
+    assert sampled.tobytes() == cum.tobytes()  # the +inf sentinel is gone
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "circuit", [qrand_circuit(10), Circuit(10).h(0).h(3).cnot(3, 7).x(9)], ids=["qrand", "sparse"]
+)
+@pytest.mark.parametrize(
+    "block, shots",
+    [
+        (None, 2**10),  # as many shots as outcomes, in one block
+        (None, 2 * 2**15 + 3),  # not a multiple of the block
+        (64, 2**10),  # 16 blocks
+        (64, 1_000),  # 16 blocks, the last one short
+    ],
+)
+def test_guide_table_run_equals_one_unsorted_draw_on_any_worker_count(
+    workers, circuit, block, shots, monkeypatch
+):
+    monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+    if block is not None:
+        monkeypatch.setattr(sim, "_SAMPLE_BLOCK", block)
+    assert run(circuit, shots, 77).counts == reference_counts(circuit, shots, 77)
+
+
+def test_guide_table_run_with_more_workers_than_cpus_and_fast_switching(monkeypatch):
+    # Eight threads add their blocks' tallies into one shared tally; a lost
+    # update would change the counts.
+    circuit = qrand_circuit(10)
+    expected = reference_counts(circuit, 5_000, 13)
+    monkeypatch.setattr(sim, "_SAMPLE_BLOCK", 64)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = run(circuit, 5_000, 13)
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts.counts == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_guide_table_falls_back_to_a_binary_search(workers, monkeypatch):
+    # Outcomes 0-13 hold 1e-6 each, so all their edges lie in guide cell 0 of
+    # 16: a shot there whose target passes them steps further than the
+    # rounds allow, and a binary search places it.
+    probabilities = np.full(16, 1e-6)
+    probabilities[14:] = (1 - probabilities[:14].sum()) / 2
+    state = Statevector(4, np.sqrt(probabilities))
+    monkeypatch.setattr(sim, "evolve", lambda _: Statevector(4, state.amplitudes.copy()))
+    monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+    expected = reference_counts(Circuit(4), 4_000, 5)
+    searched = []
+    search = np.searchsorted
+
+    def spy(a, v, side="left", sorter=None):
+        searched.append(len(v))
+        return search(a, v, side=side, sorter=sorter)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    assert run(Circuit(4), 4_000, 5).counts == expected
+    # One search builds the guide table's 16 cells; the rest place late shots.
+    assert searched[0] == 16 and sum(searched[1:]) > 0
 
 
 @pytest.mark.parametrize("shift", [0, 16])
@@ -1232,9 +1320,8 @@ def peak_bytes(call):
         tracemalloc.stop()
 
 
-def test_run_memory_does_not_grow_with_shots(monkeypatch):
-    # 2^16 shots reach all 4096 outcomes, so only the number of chunks differs.
-    monkeypatch.setattr(sim, "_CHUNK", 1 << 16)
+def test_run_memory_does_not_grow_with_shots():
+    # 2^16 shots reach all 4096 outcomes, so only the number of blocks differs.
     circuit = qrand_circuit(12)
     run(circuit, 1, 3)  # the first run pays numpy's lazy allocations
     one = peak_bytes(lambda: run(circuit, 1 << 16, 3))
@@ -1243,9 +1330,10 @@ def test_run_memory_does_not_grow_with_shots(monkeypatch):
 
 
 def test_qrand_hist_run_memory():
-    # 10^6 shots of 2^16 outcomes: one chunk of uniforms (2 MB), the running
-    # sum and its edge positions (0.5 MB each) and the tally arrays; no
-    # labels, which are built on first read.
+    # 10^6 shots of 2^16 outcomes: the running sum, its guide table and the
+    # tally (0.5 MB each), and per worker one block of 2^15 uniforms with
+    # their cells and outcomes (0.25 MB each); no labels, which are built on
+    # first read.
     circuit = qrand_circuit(16)
     run(circuit, 1, 3)  # the first run pays numpy's lazy allocations
     assert peak_bytes(lambda: run(circuit, 10**6, 3)) < 6e6
