@@ -63,19 +63,17 @@ one of two ways, both giving the outcome the search of its uniform
 finds. When the state has no more outcomes than the shots and a chunk of
 2^18, it builds a guide table once: for each of 2^n equal cells of
 [0, 1), the outcome the cell's lower bound reaches. Each shot starts at
-its cell's entry and steps up while the running sum there is at or below
-its target, for a few vectorised rounds, and a binary search places the
-rare shot still short: O(1) expected compares per shot, and no sort.
-These shots go 2^15 at a time, shared across the CPUs in contiguous runs;
-each worker jumps its own PCG64 stream ahead to its first shot, so every
-shot sees the double one draw of all the shots would give it. Otherwise
-:func:`run` draws its uniforms in chunks of 2^18, into one reused buffer,
-and sorts each chunk: PCG64 gives the same doubles in chunks as in one
-call, and the order of the shots does not reach the counts. Each shot is
-searched among the edges, and each chunk's sorted outcomes are appended
-to the sparse histogram so far, whose outcomes are sorted too: one
-stable sort merges the two runs, and the tallies of equal outcomes are
-summed. Memory is O(chunk + outcomes + CPUs · 2^15), not O(shots). The
+its cell's entry, one compare with the running sum there tells whether
+it lies past it, and a binary search places the rare shot that does:
+O(1) expected compares per shot, and no sort. These shots go 2^15 at a
+time, and each block's outcomes are counted into one dense array of
+2^n. Otherwise :func:`run` draws its uniforms in chunks of 2^18, into
+one reused buffer, and sorts each chunk: PCG64 gives the same doubles in
+chunks as in one call, and the order of the shots does not reach the
+counts. Each shot is searched among the edges, and each chunk's sorted
+outcomes are appended to the sparse histogram so far, whose outcomes
+are sorted too: one stable sort merges the two runs, and the tallies of
+equal outcomes are summed. Memory is O(chunk + outcomes), not O(shots). The
 :class:`Counts` it returns hold the distinct outcome indices and their
 tallies as arrays; the bitstring labels and their dict are built from
 them only when first read by label, and kept. A Counts built from a dict
@@ -114,12 +112,10 @@ _BLOCK_QUBITS = 16
 # when the state has more outcomes than this or than the shots.
 _CHUNK = 1 << 18
 
-# The dense sampler draws and looks up this many uniforms at a time per worker,
-# in three 256 KB buffers; blocks of 2^16 timed the same and hold twice as much.
+# The dense sampler draws, looks up and counts this many uniforms at a time, in
+# three 256 KB buffers: below 2^16 outcomes it runs faster than blocks of 2^16,
+# and at 2^16 within 7% of them in half the memory.
 _SAMPLE_BLOCK = 1 << 15
-
-# One-step rounds a shot makes past its guide table entry before a binary search.
-_GUIDE_ROUNDS = 2
 
 _SEED_MAX = (1 << 64) - 1  # seeds lie in [0, 2^64), the range derive_seed returns
 
@@ -874,20 +870,9 @@ def _guide(cum: np.ndarray, total: float) -> np.ndarray:
     A uniform u lies in cell ``floor(u · 2^n)``, and its target ``u · total``
     is at or above that cell's bound (the products by 2^n and j / 2^n are
     exact, and rounding is monotone), so the outcome :func:`_search` finds
-    for u is at or past its cell's entry. The cells are searched
-    ``_SAMPLE_BLOCK`` at a time, shared across the CPUs (:func:`_share`).
+    for u is at or past its cell's entry.
     """
-    size = len(cum)
-    guide = np.empty(size, dtype=np.intp)
-
-    def guide_share(parts: list[int]) -> None:
-        for part in parts:
-            start = part * _SAMPLE_BLOCK
-            bounds = np.arange(start, min(size, start + _SAMPLE_BLOCK)) / size * total
-            guide[start : start + len(bounds)] = np.searchsorted(cum, bounds, side="right")
-
-    _share(guide_share, np.ones(-(-size // _SAMPLE_BLOCK), dtype=bool))
-    return guide
+    return np.searchsorted(cum, np.arange(len(cum)) / len(cum) * total, side="right")
 
 
 def _sample_dense(cum: np.ndarray, shots: int, seed: int) -> np.ndarray:
@@ -896,58 +881,37 @@ def _sample_dense(cum: np.ndarray, shots: int, seed: int) -> np.ndarray:
 
     ``cum[-1]`` holds +inf while this runs, so no target passes the last
     outcome: the clamp :func:`_search` applies. Each shot starts at its
-    cell's entry in the guide table (:func:`_guide`), and steps one outcome
-    up while the running sum there is at or below its target, for up to
-    ``_GUIDE_ROUNDS`` vectorised rounds over the shots that must; a binary
-    search places any shot still short. The shots go ``_SAMPLE_BLOCK`` at a
-    time, the blocks shared out in contiguous runs (:func:`_share`). Each
-    worker jumps its own PCG64 stream ahead to its first shot (one 64-bit
-    draw per double), so every shot sees the double that one draw of
-    ``shots`` gives it, and adds its tallies into the shared one under a
-    lock. ``cum[-1]`` is restored before this returns.
+    cell's entry in the guide table (:func:`_guide`); a binary search
+    places the shots whose target is at or past the running sum there. The
+    uniforms are drawn ``_SAMPLE_BLOCK`` at a time into one set of buffers,
+    and each block's outcomes are counted into the tally. ``cum[-1]`` is
+    restored before this returns.
     """
     size, total = len(cum), cum[-1]
     tally = np.zeros(size, dtype=np.int64)
-    lock = threading.Lock()
     cum[-1] = np.inf
     try:
         guide = _guide(cum, total)
-
-        def sample_share(blocks: list[int]) -> None:
-            first = blocks[0] * _SAMPLE_BLOCK
-            stop = min(shots, (blocks[-1] + 1) * _SAMPLE_BLOCK)
-            rng = make_rng(seed)
-            rng.bit_generator.advance(first)
-            length = min(_SAMPLE_BLOCK, stop - first)
-            uniforms = np.empty(length)
-            # A block's cells, once looked up, are not read again: their
-            # buffer then holds the running sum at each shot's outcome.
-            cells = np.empty(length, dtype=np.int64)
-            indices = np.empty(length, dtype=np.intp)
-            at_or_below = np.empty(length, dtype=bool)
-            for start in range(first, stop, _SAMPLE_BLOCK):
-                k = min(_SAMPLE_BLOCK, stop - start)
-                targets, cell, index = rng.random(out=uniforms[:k]), cells[:k], indices[:k]
-                # The cast truncates u · 2^n, which is >= 0: its floor. Every
-                # cell and index is in range, and "clip" writes straight to out.
-                np.multiply(targets, size, out=cell, casting="unsafe")
-                np.take(guide, cell, out=index, mode="clip")
-                targets *= total
-                edges = np.take(cum, index, out=cell.view(np.float64), mode="clip")
-                late = np.flatnonzero(np.less_equal(edges, targets, out=at_or_below[:k]))
-                for _ in range(_GUIDE_ROUNDS):
-                    if not len(late):
-                        break
-                    index[late] += 1
-                    late = late[cum[index[late]] <= targets[late]]
-                if len(late):
-                    index[late] = np.searchsorted(cum, targets[late], side="right")
-                # add.at costs O(block); bincount would cost O(2^n) a block,
-                # and a temporary of 2^n per worker.
-                with lock:
-                    np.add.at(tally, index, 1)
-
-        _share(sample_share, np.ones(-(-shots // _SAMPLE_BLOCK), dtype=bool))
+        rng = make_rng(seed)
+        length = min(_SAMPLE_BLOCK, shots)
+        uniforms = np.empty(length)
+        # A block's cells, once looked up, are not read again: their buffer
+        # then holds the running sum at each shot's outcome.
+        cells = np.empty(length, dtype=np.int64)
+        indices = np.empty(length, dtype=np.intp)
+        at_or_past = np.empty(length, dtype=bool)
+        for start in range(0, shots, _SAMPLE_BLOCK):
+            k = min(_SAMPLE_BLOCK, shots - start)
+            targets, cell, index = rng.random(out=uniforms[:k]), cells[:k], indices[:k]
+            # The cast truncates u · 2^n, which is >= 0: its floor. Every
+            # cell and index is in range, and "clip" writes straight to out.
+            np.multiply(targets, size, out=cell, casting="unsafe")
+            np.take(guide, cell, out=index, mode="clip")
+            targets *= total
+            edges = np.take(cum, index, out=cell.view(np.float64), mode="clip")
+            late = np.flatnonzero(np.less_equal(edges, targets, out=at_or_past[:k]))
+            index[late] = np.searchsorted(cum, targets[late], side="right")
+            tally += np.bincount(index, minlength=size)
     finally:
         cum[-1] = total
     return tally
@@ -993,13 +957,12 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     search of its uniform in ``make_rng(seed).random(shots)`` finds
     (:func:`_search`). When the state has no more outcomes than the shots
     and ``_CHUNK``, each shot is looked up in a guide table and the
-    tallies are summed in one dense array of 2^n (:func:`_sample_dense`),
-    with the shots shared across the CPUs. Otherwise the uniforms are
+    tallies are summed in one dense array of 2^n (:func:`_sample_dense`).
+    Otherwise the uniforms are
     drawn ``_CHUNK`` at a time into one buffer, each chunk is sorted and
     searched (:func:`_search`), and :func:`_tally` merges each chunk's
     sorted outcomes, one shot each, into the sparse tally so far. Memory
-    is O(chunk + outcomes + CPUs · ``_SAMPLE_BLOCK``) whatever the number
-    of shots.
+    is O(chunk + outcomes) whatever the number of shots.
     """
     check_int("shots", shots, 1)
     check_int("seed", seed, 0, _SEED_MAX)
