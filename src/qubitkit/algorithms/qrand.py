@@ -54,22 +54,21 @@ def _histogram(header: str, counts: Counts, n: int) -> np.ndarray:
     the widest.
 
     Every line is one row of a ``(outcomes, row)`` array after the header.
+    One template row, broadcast over them all, writes the constant bytes;
+    the index, label and count columns are then written over it.
     """
     index, tallies = counts.arrays
-    k = len(index)
-    fields = [3, len(str(2**n - 1)), 2, n, 3, len(str(tallies.max()))]
-    buffer = np.empty(len(header) + k * sum(fields), np.uint8)
+    width, digits = len(str(2**n - 1)), len(str(tallies.max()))
+    template = _ascii(f"\n  {'':{width}} ({'':{n}}): {'':{digits}}")
+    buffer = np.empty(len(header) + len(index) * len(template), np.uint8)
     buffer[: len(header)] = _ascii(header)
-    rows = buffer[len(header) :].reshape(k, -1)
-    lead, number, opening, label, closing, tally = np.split(
-        rows, np.cumsum(fields[:-1]), axis=1
-    )
-    lead[:] = _ascii("\n  ")
-    _decimal(number, index, ord(" "))
-    opening[:] = _ascii(" (")
+    rows = buffer[len(header) :].reshape(len(index), -1)
+    rows[:] = template
+    # The index starts after "\n  " (3 bytes), the label after " (" (2 more).
+    _decimal(rows[:, 3 : 3 + width], index, ord(" "))
+    label = rows[:, 5 + width : 5 + width + n]
     np.add(outcome_bits(index, n), ord("0"), out=label)
-    closing[:] = _ascii("): ")
-    _decimal(tally, tallies, _PAD[0])
+    _decimal(rows[:, -digits:], tallies, _PAD[0])
     return buffer
 
 

@@ -19,8 +19,8 @@ every kernel and the sampler act on all rows at once.
 
 A kernel whose view ends in an axis of 2–4 elements (lowest target qubit 1
 or 2) makes one numpy call per index along it, so each call's inner loop
-runs over the rest of the view, not over 2–4 elements. Above 16 qubits,
-the state is cut into contiguous slices of 2^16 amplitudes, and
+runs over the rest of the view, not over 2–4 elements. From 16 qubits
+up, the state is cut into contiguous slices of 2^16 amplitudes, and
 :func:`evolve` keeps a live mask, one bool per slice, of the slices that
 may hold an amplitude other than +0.0: at first slice 0 alone, since
 |0...0> is +0.0 everywhere else. Each run of consecutive gates whose
@@ -62,18 +62,21 @@ vectorised add, the adds ``np.cumsum`` makes, in the same order.
 one of two ways, both giving the outcome the search of its uniform
 finds. When the state has no more outcomes than the shots and a chunk of
 2^18, it builds a guide table once: for each of 2^n equal cells of
-[0, 1), the outcome the cell's lower bound reaches. Each shot starts at
-its cell's entry, one compare with the running sum there tells whether
-it lies past it, and a binary search places the rare shot that does:
-O(1) expected compares per shot, and no sort. These shots go 2^15 at a
-time, and each block's outcomes are counted into one dense array of
-2^n. Otherwise :func:`run` draws its uniforms in chunks of 2^18, into
-one reused buffer, and sorts each chunk: PCG64 gives the same doubles in
-chunks as in one call, and the order of the shots does not reach the
-counts. Each shot is searched among the edges, and each chunk's sorted
-outcomes are appended to the sparse histogram so far, whose outcomes
-are sorted too: one stable sort merges the two runs, and the tallies of
-equal outcomes are summed. Memory is O(chunk + outcomes), not O(shots). The
+[0, 1), the outcome the cell's lower bound reaches, and the running sum
+at that outcome. Each shot looks up its cell's running sum, one compare
+tells whether the shot lies past the cell's outcome, and a binary search
+places the rare shot that does: one lookup and O(1) expected compares
+per shot, and no sort. These shots go 2^15 at a time and are counted by
+cell, in one array of 2^n + 1 kept for the whole run; each block's late
+shots are moved to their searched outcomes at once, and the cell counts
+are summed into the outcomes of their cells once, at the end. Otherwise
+:func:`run` draws its uniforms in chunks of 2^18, into one reused
+buffer, and sorts each chunk: PCG64 gives the same doubles in chunks as
+in one call, and the order of the shots does not reach the counts. Each
+shot is searched among the edges, and each chunk's sorted outcomes are
+appended to the sparse histogram so far, whose outcomes are sorted too:
+one stable sort merges the two runs, and the tallies of equal outcomes
+are summed. Memory is O(chunk + outcomes), not O(shots). The
 :class:`Counts` it returns hold the distinct outcome indices and their
 tallies as arrays; the bitstring labels and their dict are built from
 them only when first read by label, and kept. A Counts built from a dict
@@ -636,25 +639,28 @@ def _apply_low_run(amps: np.ndarray, gates: list[Gate], live: np.ndarray) -> Non
 def evolve(circuit: Circuit) -> Statevector:
     """Apply the circuit's gates in order to the zero state, in place.
 
-    The zero state's buffer is the only state-sized array. On more than
-    ``_BLOCK_QUBITS`` qubits, the state is 2^(n − _BLOCK_QUBITS) slices of
-    2^_BLOCK_QUBITS amplitudes, and evolve keeps one bool per slice, the
-    live mask, that marks the slices that may hold an amplitude other than
-    +0.0. It starts as slice 0 alone. Each maximal run of consecutive gates
-    whose targets all lie below ``_BLOCK_QUBITS`` is applied one live slice
-    at a time (:func:`_apply_low_run`), with the slices split across the
-    CPUs this process may use; besides the state, each worker holds one
-    scratch slice. Every other gate runs slice by slice, or slice pair by
+    The zero state's buffer is the only state-sized array. On
+    ``_BLOCK_QUBITS`` qubits or more, the state is 2^(n − _BLOCK_QUBITS)
+    slices of 2^_BLOCK_QUBITS amplitudes, and evolve keeps one bool per
+    slice, the live mask, that marks the slices that may hold an amplitude
+    other than +0.0. It starts as slice 0 alone. Each maximal run of
+    consecutive gates whose targets all lie below ``_BLOCK_QUBITS`` is
+    applied one live slice at a time (:func:`_apply_low_run`), with the
+    slices split across the CPUs this process may use; besides the state,
+    each worker holds one scratch slice. On exactly ``_BLOCK_QUBITS``
+    qubits the state is one slice, so all its gates are one low run on the
+    calling thread. Every other gate runs slice by slice, or slice pair by
     slice pair if a target lies at or above ``_BLOCK_QUBITS``, over the
     live slices only, and updates the mask (:func:`_apply_sliced`). On
-    ``_BLOCK_QUBITS`` qubits or fewer, each gate is one :func:`apply_gate`
-    call with ``out`` the state's own amplitudes. Every amplitude sees the
-    same operations in the same order either way, so the result does not
-    depend on the block size, the live mask or the number of workers.
+    fewer than ``_BLOCK_QUBITS`` qubits, each gate is one
+    :func:`apply_gate` call with ``out`` the state's own amplitudes. Every
+    amplitude sees the same operations in the same order either way, so
+    the result does not depend on the block size, the live mask or the
+    number of workers.
     """
     n = check_type("circuit", circuit, Circuit).num_qubits
     state = new_zero_state(n)
-    blocked = n > _BLOCK_QUBITS
+    blocked = n >= _BLOCK_QUBITS
     live = None
     if blocked:
         live = np.zeros(1 << n - _BLOCK_QUBITS, dtype=bool)
@@ -880,38 +886,44 @@ def _sample_dense(cum: np.ndarray, shots: int, seed: int) -> np.ndarray:
     ``make_rng(seed).random(shots)``: the outcomes :func:`_search` finds.
 
     ``cum[-1]`` holds +inf while this runs, so no target passes the last
-    outcome: the clamp :func:`_search` applies. Each shot starts at its
-    cell's entry in the guide table (:func:`_guide`); a binary search
-    places the shots whose target is at or past the running sum there. The
-    uniforms are drawn ``_SAMPLE_BLOCK`` at a time into one set of buffers,
-    and each block's outcomes are counted into the tally. ``cum[-1]`` is
+    outcome: the clamp :func:`_search` applies. The guide table
+    (:func:`_guide`) gains a cell 2^n, the cell of a uniform of 1.0, whose
+    entry is the last outcome, and ``edge`` holds the running sum at each
+    cell's entry. A shot in cell c lands on the guide's entry for c unless
+    its target is at or past ``edge[c]``: one lookup per shot. Shots are
+    counted by cell, in ``per_cell``, and each block's late shots are moved
+    to the outcomes a binary search places them at; ``per_cell`` is summed
+    into the outcomes of the guide's entries once, at the end. The uniforms
+    are drawn ``_SAMPLE_BLOCK`` at a time into one set of buffers, so memory
+    is O(block + outcomes) however many shots are late. ``cum[-1]`` is
     restored before this returns.
     """
     size, total = len(cum), cum[-1]
     tally = np.zeros(size, dtype=np.int64)
+    per_cell = np.zeros(size + 1, dtype=np.int64)
     cum[-1] = np.inf
     try:
-        guide = _guide(cum, total)
+        guide = np.append(_guide(cum, total), size - 1)
+        edge = cum[guide]
         rng = make_rng(seed)
         length = min(_SAMPLE_BLOCK, shots)
         uniforms = np.empty(length)
-        # A block's cells, once looked up, are not read again: their buffer
-        # then holds the running sum at each shot's outcome.
-        cells = np.empty(length, dtype=np.int64)
-        indices = np.empty(length, dtype=np.intp)
+        cells = np.empty(length, dtype=np.intp)
+        edges = np.empty(length)
         at_or_past = np.empty(length, dtype=bool)
         for start in range(0, shots, _SAMPLE_BLOCK):
             k = min(_SAMPLE_BLOCK, shots - start)
-            targets, cell, index = rng.random(out=uniforms[:k]), cells[:k], indices[:k]
+            targets, cell = rng.random(out=uniforms[:k]), cells[:k]
             # The cast truncates u · 2^n, which is >= 0: its floor. Every
-            # cell and index is in range, and "clip" writes straight to out.
+            # cell is in range, and "clip" writes straight to out.
             np.multiply(targets, size, out=cell, casting="unsafe")
-            np.take(guide, cell, out=index, mode="clip")
+            np.take(edge, cell, out=edges[:k], mode="clip")
+            np.add.at(per_cell, cell, 1)
             targets *= total
-            edges = np.take(cum, index, out=cell.view(np.float64), mode="clip")
-            late = np.flatnonzero(np.less_equal(edges, targets, out=at_or_past[:k]))
-            index[late] = np.searchsorted(cum, targets[late], side="right")
-            tally += np.bincount(index, minlength=size)
+            late = np.flatnonzero(np.less_equal(edges[:k], targets, out=at_or_past[:k]))
+            np.subtract.at(per_cell, cell[late], 1)
+            np.add.at(tally, np.searchsorted(cum, targets[late], side="right"), 1)
+        np.add.at(tally, guide, per_cell)
     finally:
         cum[-1] = total
     return tally
@@ -956,9 +968,8 @@ def run(circuit: Circuit, shots: int, seed: int) -> Counts:
     are built on first Mapping access. Each shot's outcome is the one the
     search of its uniform in ``make_rng(seed).random(shots)`` finds
     (:func:`_search`). When the state has no more outcomes than the shots
-    and ``_CHUNK``, each shot is looked up in a guide table and the
-    tallies are summed in one dense array of 2^n (:func:`_sample_dense`).
-    Otherwise the uniforms are
+    and ``_CHUNK``, each shot is looked up in a guide table and counted by
+    its cell (:func:`_sample_dense`). Otherwise the uniforms are
     drawn ``_CHUNK`` at a time into one buffer, each chunk is sorted and
     searched (:func:`_search`), and :func:`_tally` merges each chunk's
     sorted outcomes, one shot each, into the sparse tally so far. Memory

@@ -637,6 +637,24 @@ def test_twenty_qubit_circuit_equals_the_reference_kernels():
     assert np.array_equal(per_gate_chain(circuit), expected)
 
 
+def test_sixteen_qubits_are_one_low_run_on_the_calling_thread(monkeypatch):
+    # A 16-qubit state is exactly one slice, so evolve applies all its gates
+    # through the slice kernels, and with one live slice no thread starts.
+    caller, threads = threading.current_thread(), set()
+    for kind, kernel in sim._SLICE_KERNELS.items():
+
+        def spy(src, dst, targets, kernel=kernel):
+            threads.add(threading.current_thread())
+            kernel(src, dst, targets)
+
+        monkeypatch.setitem(sim._SLICE_KERNELS, kind, spy)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    circuit = Circuit(16, gates=random_gates(np.random.default_rng(16), 16, 40))
+    expected = reference_chain(new_zero_state(16).amplitudes, circuit.gates)
+    assert evolve(circuit).amplitudes.tobytes() == expected.tobytes()
+    assert threads == {caller}
+
+
 # ---------------------------------------------------------------------------
 # The live mask: evolve runs a gate on a qubit at or above the block size only
 # over the slice pairs that hold a live slice. An X on the top qubit first
@@ -1249,6 +1267,43 @@ def test_guide_table_falls_back_to_a_binary_search(monkeypatch):
     assert searched[0] == 16 and sum(searched[1:]) > 0
 
 
+def late_state(n):
+    """A 2^n-outcome state on which nearly every guide-table shot is late.
+
+    Outcome 0 holds a thousandth of a cell's mass and the outcomes after it
+    one cell's mass each, the last taking the rest: the running sum passes
+    each cell's lower bound just above it, so a shot in cell c lies past the
+    cell's entry c unless it is in the cell's lowest thousandth.
+    """
+    probabilities = np.full(2**n, 2.0**-n)
+    probabilities[0] = 1e-3 * 2.0**-n
+    probabilities[-1] = 1 - probabilities[:-1].sum()
+    return Statevector(n, np.sqrt(probabilities))
+
+
+def test_guide_table_places_blocks_of_late_shots(monkeypatch):
+    state = late_state(12)
+    monkeypatch.setattr(sim, "evolve", lambda _: Statevector(12, state.amplitudes.copy()))
+    searched = []
+    search = np.searchsorted
+
+    def spy(a, v, side="left", sorter=None):
+        searched.append(len(v))
+        return search(a, v, side=side, sorter=sorter)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "searchsorted", spy)
+        counts = run(Circuit(12), 1 << 16, 9)
+    assert sum(searched[1:]) > 0.99 * (1 << 16)
+    assert counts.counts == reference_counts(Circuit(12), 1 << 16, 9)
+    # Late shots are placed block by block, so their buffers are one block's
+    # whatever the number of shots.
+    run(Circuit(12), 1, 3)  # the first run pays numpy's lazy allocations
+    one = peak_bytes(lambda: run(Circuit(12), 1 << 16, 3))
+    sixteen = peak_bytes(lambda: run(Circuit(12), 16 << 16, 3))
+    assert sixteen <= 1.1 * one
+
+
 @pytest.mark.parametrize("shift", [0, 16])
 def test_running_sum_equals_one_unblocked_cumsum(shift, monkeypatch):
     # Eight 2^3-amplitude blocks: one of random amplitudes, two of +0.0, one of
@@ -1308,9 +1363,10 @@ def test_run_memory_does_not_grow_with_shots(workers, monkeypatch):
 
 def test_qrand_hist_run_memory():
     # 10^6 shots of 2^16 outcomes: the running sum, its guide table, the
-    # tally and one block's counts (0.5 MB each), and one block of 2^15
-    # uniforms with their cells and outcomes (0.25 MB each); no labels, which
-    # are built on first read.
+    # running sum at each guide entry, the counts by cell and the tally
+    # (0.5 MB each), and one block of 2^15 uniforms with their cells and
+    # those cells' running sums (0.25 MB each); no labels, which are built
+    # on first read.
     circuit = qrand_circuit(16)
     run(circuit, 1, 3)  # the first run pays numpy's lazy allocations
     assert peak_bytes(lambda: run(circuit, 10**6, 3)) < 6e6
