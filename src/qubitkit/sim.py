@@ -7,45 +7,49 @@ Bit-ordering convention, used everywhere in this package:
 * outcome bitstrings are printed most-significant qubit first, i.e.
   ``format(index, f"0{n}b")`` — qubit n-1 is the leftmost character.
 
-Amplitudes are real ``float64``: H, X and CNOT are real orthogonal gates,
-so a state evolved from |0...0> never leaves the reals. Each gate is one
-kernel over a view of the amplitude array with one axis per target's bit
-(strided butterflies and half swaps, no index arrays). :func:`apply_gate`'s
-kernels work in place, with a temporary of at most half the view. Every
-kernel keeps the dtype of its input, so complex states given to
-:func:`apply_gate` stay complex. A state may also hold a batch: a
-``(k, 2^n)`` amplitude array is k independent registers, one per row, and
-every kernel and the sampler act on all rows at once.
+Amplitudes are real ``float64``: H, X and CNOT are real orthogonal
+gates, so a state evolved from |0...0> never leaves the reals. Each gate
+is one kernel over a view of the amplitude array with one axis per
+target's bit (strided butterflies and half swaps, no index arrays).
+:func:`apply_gate` returns a new array: up to 2^16 amplitudes, one
+out-of-place kernel writes the gate's image of its input there, with no
+copy first. Every kernel keeps the dtype of its input, so complex states
+given to :func:`apply_gate` stay complex. A state may also hold a batch:
+a ``(k, 2^n)`` amplitude array is k independent registers, one per row,
+and every kernel and the sampler act on all rows at once.
 
-A kernel whose view ends in an axis of 2–4 elements (lowest target qubit 1
-or 2) makes one numpy call per index along it, so each call's inner loop
-runs over the rest of the view, not over 2–4 elements. From 16 qubits
-up, the state is cut into contiguous slices of 2^16 amplitudes, and
-:func:`evolve` keeps a live mask, one bool per slice, of the slices that
-may hold an amplitude other than +0.0: at first slice 0 alone, since
-|0...0> is +0.0 everywhere else. Each run of consecutive gates whose
-targets all lie below qubit 16 is applied one live slice at a time, so a
-slice stays in cache for the whole run. Within a slice, the gates write
-out of place, back and forth between the slice and one scratch slice per
-worker, and a gate whose lowest target bit lies below 12 is preceded by a
-rotation of the slice's index bits (one transpose copy) that lifts it to
-bit 12, so its inner loops run over at least 2^12 amplitudes (unless it
-is a CNOT whose other target wraps round past bit 15). The slice ends
-with its bits back in order. Every other gate runs over slice pairs: a
+A kernel whose view ends in an axis of 2–4 elements (lowest target qubit
+1 or 2) makes one numpy call per index along it, so each call's inner
+loop runs over the rest of the view, not over 2–4 elements. From 16
+qubits up, the state is cut into contiguous slices of 2^16 amplitudes,
+and :func:`evolve` keeps a live mask, one bool per slice, of the slices
+that may hold an amplitude other than +0.0: at first slice 0 alone,
+since |0...0> is +0.0 everywhere else. Each run of consecutive gates
+whose targets all lie below qubit 16 is applied one live slice at a
+time, so a slice stays in cache for the whole run. Within a slice, the
+gates write out of place, back and forth between the slice and one
+scratch slice per worker, and a gate whose lowest target bit lies below
+12 is preceded by a rotation of the slice's index bits (one transpose
+copy) that lifts it to bit 12, so its inner loops run over at least 2^12
+amplitudes (unless it is a CNOT whose other target wraps round past bit
+15). The slice ends with its bits back in order. Every other gate runs
+over slice pairs, in place, with a temporary of at most half a pair: a
 gate on qubit t >= 16 pairs slice s with slice s ^ 2^(t − 16) and runs
 each pair that holds a live slice (:func:`_apply_sliced` gives how each
 gate moves the mask). A CNOT with a control at or above qubit 16 runs
 only the pairs (or, for a lower target, the slices) whose control bit is
-set. A dead slice holds only +0.0, so skipping it leaves the bytes a full
-pass would write. :func:`apply_gate` cuts any state above 2^16 amplitudes
-the same way, each slice holding whole batch rows, with every slice live.
-Slices and pairs are shared out over the calling thread and one started
-thread per further CPU this process may use. Every amplitude sees the
-same float operations in the same order on every path, so the amplitudes
-do not depend on the block size, the live mask, the rotations or the
-number of workers. :func:`evolve` updates the zero state it allocates,
-and :func:`run` squares and sums that buffer in place, so a run holds one
-state-sized array.
+set. A dead slice holds only +0.0, so skipping it leaves the bytes a
+full pass would write. Above 2^16 amplitudes, :func:`apply_gate` copies
+its input and cuts the copy the same way, each slice holding whole batch
+rows, with every slice live. Slices and pairs are shared out over the
+calling thread and one started thread per further CPU this process may
+use. Every amplitude sees the same float operations in the same order on
+every path, so the amplitudes do not depend on the block size, the live
+mask, the rotations or the number of workers. From 16 qubits up,
+:func:`evolve` updates the zero state it allocates, and :func:`run`
+squares and sums that buffer in place, so a run holds one state-sized
+array. Below 16 qubits, :func:`evolve` makes one :func:`apply_gate` call
+per gate.
 
 Randomness comes from numpy's PCG64 generator. Outcome sampling is
 inverse-CDF over ``Generator.random()`` uniforms (a running sum,
@@ -93,7 +97,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from numbers import Integral
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -108,7 +112,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # evolve and apply_gate cut states above 2^16 amplitudes into slices of that
 # size, and run sums them in blocks of it: a float64 slice (512 KB) and the
 # worker's scratch slice in a low run, or a slice pair's in-place kernel
-# temporary (at most one slice), fit in a per-core L2 cache.
+# temporary (at most one slice), fit in a per-core L2 cache. apply_gate writes
+# a state of at most this many amplitudes with one out-of-place kernel call.
 _BLOCK_QUBITS = 16
 
 # run draws, sorts and tallies this many uniforms at a time (2 MB of float64)
@@ -377,21 +382,23 @@ def _pair_view(amps: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     return view if targets[0] == hi else view.swapaxes(1, 3)
 
 
-def _columns(view: np.ndarray) -> Sequence[np.ndarray]:
-    """Sub-views that cover ``view``, each with a long inner loop.
+def _columns(*views: np.ndarray) -> Iterable[tuple[np.ndarray, ...]]:
+    """Tuples of matching sub-views that cover ``views``, views of one shape,
+    each sub-view with a long inner loop.
 
     numpy's inner loop runs along the last axis of these views, merged with
     the axes before it only where the memory is contiguous. When that axis
-    holds 2–4 elements, one view per index along it gives every numpy call
-    a long strided loop over the other axes instead.
+    holds 2–4 elements, one sub-view per index along it gives every numpy
+    call a long strided loop over the other axes instead. Otherwise the one
+    tuple is ``views``.
     """
-    if 2 <= view.shape[-1] <= 4:
-        return [view[..., j : j + 1] for j in range(view.shape[-1])]
-    return (view,)
+    if 2 <= views[0].shape[-1] <= 4:
+        return zip(*([v[..., j : j + 1] for j in range(v.shape[-1])] for v in views))
+    return (views,)
 
 
 def _hadamard(view: np.ndarray) -> None:
-    for x in _columns(view):
+    for (x,) in _columns(view):
         x0, x1 = x[:, 0], x[:, 1]
         t = x0 + x1
         np.subtract(x0, x1, out=x1)
@@ -406,51 +413,44 @@ def _swap(x0: np.ndarray, x1: np.ndarray) -> None:
 
 
 def _pauli_x(view: np.ndarray) -> None:
-    for x in _columns(view):
+    for (x,) in _columns(view):
         _swap(x[:, 0], x[:, 1])
 
 
 def _cnot(view: np.ndarray) -> None:
     # Only the control-1 half changes: its two target halves swap.
-    for x in _columns(view):
+    for (x,) in _columns(view):
         _swap(x[:, 1, :, 0], x[:, 1, :, 1])
 
 
 # ``kernel(view)`` applies the gate in place to a view from :func:`_pair_view`.
-# Its temporary holds half the view or less.
+# Its temporary holds half the view or less. Only :func:`_apply_sliced` runs
+# these, on the slices and slice pairs of states above 2^_BLOCK_QUBITS
+# amplitudes.
 _PAIR_KERNELS = {"H": _hadamard, "X": _pauli_x, "CNOT": _cnot}
 
 
-def apply_gate(
-    state: Statevector, gate: Gate, out: np.ndarray | None = None
-) -> Statevector:
-    """Return the state transformed by one gate, with its amplitudes in ``out``.
+def apply_gate(state: Statevector, gate: Gate) -> Statevector:
+    """Return the state transformed by one gate, in a new C-order array.
 
-    By default ``out`` is a new C-order copy of the amplitudes, so the input
-    is not touched. ``out`` may also be the state's own amplitudes, if they
-    are C-contiguous, to update the state in place (as :func:`evolve`
-    does); anything else raises a ValidationError naming ``out``. A batch
-    is transformed row by row. The kernel then updates ``out`` in place
-    through a pair view (see :func:`_pair_view`). A state of more than
-    2^_BLOCK_QUBITS amplitudes is cut into slices of that many, each
-    holding whole rows (the last one shorter if a batch's rows are
-    smaller), and every slice is live (:func:`_apply_sliced`): a gate whose
-    targets lie below _BLOCK_QUBITS runs slice by slice, any other slice
-    pair by slice pair, and the slices or pairs are shared across the CPUs
-    this process may use. Each amplitude sees the same operations either
-    way.
+    The input is not touched. A batch is transformed row by row. A state of
+    at most 2^_BLOCK_QUBITS amplitudes, in any memory order, is one
+    out-of-place kernel call (:data:`_SLICE_KERNELS`) from the input into a
+    fresh array of its shape and dtype. A larger state is copied, and the
+    copy is cut into slices of 2^_BLOCK_QUBITS amplitudes, each holding
+    whole rows (the last one shorter if a batch's rows are smaller), and
+    every slice is live (:func:`_apply_sliced`): a gate whose targets lie
+    below _BLOCK_QUBITS runs slice by slice, in place, any other slice pair
+    by slice pair, and the slices or pairs are shared across the CPUs this
+    process may use. Each amplitude sees the same operations either way.
     """
     n, amps = _amplitudes(state)
     _check_gate("gate", gate, n)
-    if out is None:
-        out = np.array(amps, order="C")
-    elif out is not amps or not out.flags.c_contiguous:
-        raise ValidationError(
-            "out", "must be None or the state's own C-contiguous amplitudes"
-        )
-    if out.size <= 1 << _BLOCK_QUBITS:
-        _PAIR_KERNELS[gate.kind](_pair_view(out, gate.targets))
+    if amps.size <= 1 << _BLOCK_QUBITS:
+        out = np.empty(amps.shape, dtype=amps.dtype)
+        _SLICE_KERNELS[gate.kind](amps, out, gate.targets)
     else:
+        out = np.array(amps, order="C")
         slices = -(-out.size >> _BLOCK_QUBITS)
         _apply_sliced(out.reshape(-1), gate, np.ones(slices, dtype=bool))
     return Statevector(n, out)
@@ -549,27 +549,32 @@ def _share(task, mask: np.ndarray) -> None:
 
 
 def _hadamard_into(src: np.ndarray, dst: np.ndarray, targets: tuple[int, ...]) -> None:
-    a, b = _pair_view(src, targets), _pair_view(dst, targets)
-    np.add(a[:, 0], a[:, 1], out=b[:, 0])
-    np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+    for x, y in _columns(_pair_view(src, targets), _pair_view(dst, targets)):
+        np.add(x[:, 0], x[:, 1], out=y[:, 0])
+        np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
     dst *= _INV_SQRT2
 
 
 def _pauli_x_into(src: np.ndarray, dst: np.ndarray, targets: tuple[int, ...]) -> None:
-    a, b = _pair_view(src, targets), _pair_view(dst, targets)
-    b[:, 0] = a[:, 1]
-    b[:, 1] = a[:, 0]
+    for x, y in _columns(_pair_view(src, targets), _pair_view(dst, targets)):
+        y[:, 0] = x[:, 1]
+        y[:, 1] = x[:, 0]
 
 
 def _cnot_into(src: np.ndarray, dst: np.ndarray, targets: tuple[int, ...]) -> None:
-    a, b = _pair_view(src, targets), _pair_view(dst, targets)
-    b[:, 0] = a[:, 0]
-    b[:, 1, :, 0] = a[:, 1, :, 1]
-    b[:, 1, :, 1] = a[:, 1, :, 0]
+    # A whole copy first, then the control-1 half's target halves swapped:
+    # copying the control-0 half alone runs in pieces as short as 2 amplitudes.
+    np.copyto(dst, src)
+    for x, y in _columns(_pair_view(src, targets), _pair_view(dst, targets)):
+        y[:, 1, :, 0] = x[:, 1, :, 1]
+        y[:, 1, :, 1] = x[:, 1, :, 0]
 
 
 # ``kernel(src, dst, targets)`` writes ``src`` after the gate into ``dst``, a
-# distinct array of the same size, with the targets given as bits of the index.
+# distinct C-order array of the same size, with the targets given as bits of
+# the index; ``src`` may be in any memory order. The low runs and
+# :func:`apply_gate` on at most 2^_BLOCK_QUBITS amplitudes use these. Like the
+# in-place kernels, they split a last axis of 2–4 elements (:func:`_columns`).
 # The H kernel does the float operations of the in-place one, in the same order.
 _SLICE_KERNELS = {"H": _hadamard_into, "X": _pauli_x_into, "CNOT": _cnot_into}
 
@@ -637,28 +642,33 @@ def _apply_low_run(amps: np.ndarray, gates: list[Gate], live: np.ndarray) -> Non
 
 
 def evolve(circuit: Circuit) -> Statevector:
-    """Apply the circuit's gates in order to the zero state, in place.
+    """Apply the circuit's gates in order to the zero state.
 
-    The zero state's buffer is the only state-sized array. On
-    ``_BLOCK_QUBITS`` qubits or more, the state is 2^(n − _BLOCK_QUBITS)
-    slices of 2^_BLOCK_QUBITS amplitudes, and evolve keeps one bool per
-    slice, the live mask, that marks the slices that may hold an amplitude
-    other than +0.0. It starts as slice 0 alone. Each maximal run of
-    consecutive gates whose targets all lie below ``_BLOCK_QUBITS`` is
-    applied one live slice at a time (:func:`_apply_low_run`), with the
-    slices split across the CPUs this process may use; besides the state,
-    each worker holds one scratch slice. On exactly ``_BLOCK_QUBITS``
-    qubits the state is one slice, so all its gates are one low run on the
-    calling thread. Every other gate runs slice by slice, or slice pair by
-    slice pair if a target lies at or above ``_BLOCK_QUBITS``, over the
-    live slices only, and updates the mask (:func:`_apply_sliced`). On
-    fewer than ``_BLOCK_QUBITS`` qubits, each gate is one
-    :func:`apply_gate` call with ``out`` the state's own amplitudes. Every
-    amplitude sees the same operations in the same order either way, so
-    the result does not depend on the block size, the live mask or the
-    number of workers.
+    Every gate is checked first, as :meth:`Circuit.append` checks it, since
+    ``circuit.gates`` is a list anyone may append to: a gate that is not a
+    :class:`Gate` raises a ValidationError naming ``gates``, and a target
+    outside the register an IndexError. On ``_BLOCK_QUBITS`` qubits or
+    more, the zero state's buffer is updated in place and is the only
+    state-sized array. The state is 2^(n − _BLOCK_QUBITS) slices of
+    2^_BLOCK_QUBITS amplitudes, and evolve keeps one bool per slice, the
+    live mask, that marks the slices that may hold an amplitude other than
+    +0.0. It starts as slice 0 alone. Each maximal run of consecutive gates
+    whose targets all lie below ``_BLOCK_QUBITS`` is applied one live slice
+    at a time (:func:`_apply_low_run`), with the slices split across the
+    CPUs this process may use; besides the state, each worker holds one
+    scratch slice. On exactly ``_BLOCK_QUBITS`` qubits the state is one
+    slice, so all its gates are one low run on the calling thread. Every
+    other gate runs slice by slice, or slice pair by slice pair if a target
+    lies at or above ``_BLOCK_QUBITS``, over the live slices only, and
+    updates the mask (:func:`_apply_sliced`). On fewer than
+    ``_BLOCK_QUBITS`` qubits, each gate is one :func:`apply_gate` call,
+    which writes a fresh array. Every amplitude sees the same operations in
+    the same order either way, so the result does not depend on the block
+    size, the live mask or the number of workers.
     """
     n = check_type("circuit", circuit, Circuit).num_qubits
+    for gate in check_type("gates", circuit.gates, list):
+        _check_gate("gates", gate, n)
     state = new_zero_state(n)
     blocked = n >= _BLOCK_QUBITS
     live = None
@@ -677,7 +687,7 @@ def evolve(circuit: Circuit) -> Statevector:
                 _apply_sliced(state.amplitudes, gate, live)
         else:
             for gate in gates:
-                apply_gate(state, gate, out=state.amplitudes)
+                state = apply_gate(state, gate)
     return state
 
 

@@ -418,7 +418,6 @@ def _junk_calls(a, b, params, raw) -> list:
         lambda: sim.new_zero_state(a),
         lambda: sim.apply_gate(a, hadamard),
         lambda: sim.apply_gate(zero, a),
-        lambda: sim.apply_gate(zero, hadamard, a),
         lambda: sim.evolve(a),
         lambda: sim.sample_measurement(a, sim.make_rng(0)),
         lambda: sim.sample_measurement(zero, a),

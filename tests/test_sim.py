@@ -261,21 +261,47 @@ def test_malformed_amplitudes_raise_a_validation_error(amplitudes, gate):
         sample_measurement(Statevector(3, amplitudes), make_rng(0))
 
 
-def test_apply_gate_writes_into_out():
-    state = random_state(np.random.default_rng(5), 3, float)
-    before, gate = state.amplitudes.copy(), Gate("H", (1,))
-    expected = apply_gate(state, gate).amplitudes
-    assert np.array_equal(state.amplitudes, before)
-    bad_outs = (np.empty(4), np.empty(8, dtype=complex), np.empty(16)[::2], [0.0] * 8)
-    # A distinct buffer, even of the right shape and dtype, is not accepted.
-    for bad in (*bad_outs, np.empty(8)):
-        with pytest.raises(ValidationError, match="out"):
-            apply_gate(state, gate, out=bad)
-    column_major = Statevector(3, np.asfortranarray(np.stack([before, before])))
-    with pytest.raises(ValidationError, match="out"):
-        apply_gate(column_major, gate, out=column_major.amplitudes)
-    assert apply_gate(state, gate, out=state.amplitudes).amplitudes is state.amplitudes
-    assert np.array_equal(state.amplitudes, expected)
+def _amplitudes_laid_out(layout: str) -> np.ndarray:
+    """Three qubits' amplitudes, random, in one of three memory layouts."""
+    rng = np.random.default_rng(5)
+    if layout == "c-order":
+        return rng.normal(size=8)
+    if layout == "fortran-batch":
+        return np.asfortranarray(rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)))
+    strided = np.empty(16)[::2]  # every other float64 of a 16-float buffer
+    strided[:] = rng.normal(size=8)
+    return strided
+
+
+@pytest.mark.parametrize("layout", ["c-order", "fortran-batch", "strided"])
+def test_apply_gate_writes_a_fresh_array_with_one_slice_kernel(layout, monkeypatch):
+    # Up to 2^16 amplitudes, apply_gate reads its input, in whatever memory
+    # order, and writes the gate's image into a new C-order array with one
+    # out-of-place kernel call: no copy first, and no in-place kernel. Lowest
+    # targets 1 and 2 give pair views that end in 2 or 4 elements.
+    amps = _amplitudes_laid_out(layout)
+    memory = amps if amps.base is None else amps.base
+    calls = {"slice": 0, "pair": 0}
+    for name, kernels in (("slice", sim._SLICE_KERNELS), ("pair", sim._PAIR_KERNELS)):
+        for kind, kernel in kernels.items():
+
+            def spy(*args, kernel=kernel, name=name):
+                calls[name] += 1
+                kernel(*args)
+
+            monkeypatch.setitem(kernels, kind, spy)
+    gates = [Gate("H", (q,)) for q in range(3)] + [Gate("X", (1,))]
+    gates += [Gate("CNOT", (0, 2)), Gate("CNOT", (2, 1)), Gate("CNOT", (1, 2))]
+    for gate in gates:
+        before = memory.tobytes()
+        calls.update(slice=0, pair=0)
+        out = apply_gate(Statevector(3, amps), gate).amplitudes
+        assert calls == {"slice": 1, "pair": 0}
+        assert out.flags.c_contiguous and not np.shares_memory(out, memory)
+        assert (out.shape, out.dtype) == (amps.shape, amps.dtype)
+        assert memory.tobytes() == before
+        expected = reference_chain(np.ascontiguousarray(amps), [gate])
+        assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("num_qubits", [2.5, True, "2", None, 0, -1])
@@ -319,6 +345,29 @@ def test_negative_targets_raise_index_error():
         Circuit(2).h(-1)
     with pytest.raises(IndexError):
         apply_gate(new_zero_state(2), Gate("CNOT", (0, -1)))
+
+
+@pytest.mark.parametrize("n", [3, 17])
+@pytest.mark.parametrize(
+    "make",
+    [lambda n: Gate("H", (-1,)), lambda n: Gate("H", (n + 3,)), lambda n: None, lambda n: "H"],
+    ids=["negative", "past-the-register", "none", "str"],
+)
+def test_evolve_checks_gates_appended_to_the_list(n, make):
+    # Circuit.gates is a public list, so an append to it skips
+    # Circuit.append's check. evolve and run must raise what Circuit.append
+    # would, on either side of the 16-qubit block: above it, H(-1) used to
+    # run on qubit n - 2, and H(n + 3) and None failed inside numpy.
+    bad = make(n)
+    with pytest.raises((IndexError, ValidationError)) as expected:
+        Circuit(n).append(bad)
+    circuit = Circuit(n).h(0)
+    circuit.gates.append(bad)
+    for call in (lambda: evolve(circuit), lambda: run(circuit, 1, 0)):
+        with pytest.raises(expected.type) as excinfo:
+            call()
+        assert str(excinfo.value) == str(expected.value)
+        assert getattr(excinfo.value, "param", "gates") == "gates"
 
 
 def test_norm_conserved_over_random_sequences():
