@@ -30,15 +30,21 @@ exist; their circuits are evolved once, at import, and every round gathers
 rows of that table (``np.take`` along axis 0) to prepare its qubits and to
 collapse them. A round's m qubits travel together as one batch, a
 ``Statevector(1, amplitudes)`` whose amplitudes have shape (m, 2), one row
-per qubit: interception and measurement rotate, sample and collapse all
-rows at once. Rows move with 1-D numpy operations (``np.take`` gathers,
-column-wise writes, object tables for the axes and actions), never with
-fancy indexing along axis 0, which copies one 16-byte row at a time.
+per qubit: interception rotates, samples and collapses all rows at once,
+and the receiver rotates and samples them. Rows move with 1-D numpy
+operations (``np.take`` gathers, column-wise writes, object tables for the
+axes and actions), never with fancy indexing along axis 0, which copies
+one 16-byte row at a time.
 
 Each party draws from its own generator. The sender draws m bit uniforms,
 then m axis uniforms; the receiver draws m axis uniforms, then m
 measurement uniforms; the eavesdropper draws m interception decisions,
-then an axis for each of the k qubits she hit, then their k collapses.
+then an axis for each of the k qubits she hit, then their k collapses. At
+density 0 there is no eavesdropper: she has no generator and draws
+nothing, and the prepared batch goes straight to the receiver. Her stream
+feeds no other party's draws, so this moves no trace: at density 0 every
+one of her decisions would be False. The receiver reads only bits; his
+collapsed qubits are never built.
 """
 
 from __future__ import annotations
@@ -178,6 +184,22 @@ def _batch(states: Statevector) -> np.ndarray:
     return amps
 
 
+def _read_bits(states: Statevector, x_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The bits of measuring each row of the batch ``states`` in its axis,
+    X where ``x_rows`` is True, else Z; nothing is collapsed.
+
+    X rows are rotated with H before sampling: H rotates a copy of the
+    whole batch, and ``np.where`` picks the rotated X rows and the
+    untouched Z rows. H acts on each row alone, so a picked row sees the
+    same float operations as if it were rotated by itself. One uniform is
+    drawn per row, in row order. The arguments are not checked; the
+    receiver, who discards his qubits once read, calls this directly.
+    """
+    rotated = apply_gate(states, _H).amplitudes
+    probe = np.where(x_rows[:, None], rotated, states.amplitudes)
+    return sample_measurement(Statevector(1, probe), rng)
+
+
 def measure_in_axis(
     states: Statevector, x_rows: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, Statevector]:
@@ -187,19 +209,13 @@ def measure_in_axis(
     (m, 2), one qubit per row; ``x_rows`` holds one bool per row, True where
     the row is measured in the X axis, else Z. A ValidationError names either
     one if it is not so. Returns (bits, collapsed states) as an int array
-    and a batch of the same shape. X rows are rotated with H before
-    sampling: H rotates a copy of the whole batch, and ``np.where`` picks
-    the rotated X rows and the untouched Z rows. H acts on each row alone,
-    so a picked row sees the same float operations as if it were rotated by
-    itself. Every row collapses onto the prepared state of its observed bit
-    in its axis, which for X is exactly the collapse onto |+>/|->, gathered
-    with ``np.take``. One uniform is drawn per row, in row order.
+    and a batch of the same shape. The bits are :func:`_read_bits`'s, one
+    uniform per row in row order. Every row collapses onto the prepared
+    state of its observed bit in its axis, which for X is exactly the
+    collapse onto |+>/|->, gathered with ``np.take``.
     """
-    amps = _batch(states)
-    flags = check_row("x_rows", x_rows, bool, len(amps))
-    rotated = apply_gate(states, _H).amplitudes
-    probe = np.where(flags[:, None], rotated, amps)
-    bits = sample_measurement(Statevector(1, probe), rng)
+    flags = check_row("x_rows", x_rows, bool, len(_batch(states)))
+    bits = _read_bits(states, flags, rng)
     return bits, Statevector(1, np.take(_COLLAPSED, 2 * bits + flags, axis=0))
 
 
@@ -280,31 +296,84 @@ def verify(
     return verdict, cut, tuple(receiver[cut:].tolist())
 
 
+def verdict_probabilities(m: int, density: float, compare_mode: str = "half") -> dict[str, float]:
+    """Exact chance of each verdict of one exchange of ``m`` qubits.
+
+    Returns {SECURE: p, ABORTED: p, KEY_TOO_SHORT: p}, the law of
+    ``run_exchange(m, density, compare_mode=compare_mode).verdict``. Each
+    qubit is sifted with chance 1/2, so the sifted length is L ~ Binomial(m,
+    1/2), and each sifted bit is wrong with chance density/4 (intercepted,
+    wrong axis guess, wrong collapse), independently of L and of the other
+    bits. Verification needs L >= 2 ("half") or L >= 1 ("full"), else the
+    verdict is key_too_short, and publishes ceil(L/2) or L bits, so it is
+    secure with chance c^published, c = 1 - density/4.
+
+    The sums over L have closed forms, so a call costs the same at any m.
+    By the binomial theorem the mean of c^L over every L is (1 -
+    density/8)^m, which makes "full" mode's ABORTED 1 - (1 - density/8)^m.
+    With r = sqrt(c), c^ceil(L/2) is r^L for even L and r^(L+1) for odd
+    L, so its mean is ((1 + r)/2)^(m+1) + ((1 - r)/2)^(m+1). The terms of
+    the short lengths are then taken out. An ``m`` that is not an integer
+    >= 0, a density outside [0, 1] or a mode other than "half" or "full"
+    raises a ValidationError naming it.
+    """
+    m = check_int("m", m, 0)
+    DENSITY.check(density)
+    _check_compare_mode(compare_mode)
+    if m < (2 if compare_mode == "half" else 1):
+        return {SECURE: 0.0, ABORTED: 0.0, KEY_TOO_SHORT: 1.0}
+    if compare_mode == "full":
+        # The mean of c^L, (1 - density/8)^m, as the exp of a log so that
+        # 1 minus it keeps its digits at small densities.
+        log_passed = m * math.log1p(-density / 8.0)
+        short = 0.5**m  # L = 0, which publishes nothing
+        return {
+            SECURE: math.exp(log_passed) - short,
+            ABORTED: -math.expm1(log_passed),
+            KEY_TOO_SHORT: short,
+        }
+    wrong = density / 4.0  # chance that one sifted bit is wrong
+    root = math.sqrt(1.0 - wrong)
+    # The mean of c^ceil(L/2) is high^(m+1) + low, where 1 - high, that is
+    # 1 - (1 + root)/2, is wrong / (2 (1 + root)); the same log again.
+    log_high = (m + 1) * math.log1p(-wrong / (2.0 * (1.0 + root)))
+    low = ((1.0 - root) / 2.0) ** (m + 1)
+    # L = 0 and L = 1 are too short; the mean counted L = 1 as publishing one bit.
+    return {
+        SECURE: math.exp(log_high) + low - (1 + m * (1.0 - wrong)) * 0.5**m,
+        ABORTED: -math.expm1(log_high) - low - m * wrong * 0.5**m,
+        KEY_TOO_SHORT: (1 + m) * 0.5**m,
+    }
+
+
 def abort_probability(n: int, density: float) -> float:
-    """Chance that verification catches the eavesdropper.
+    """Chance that verification catches the eavesdropper when every sifted
+    bit is compared: :func:`verdict_probabilities`' ABORTED in "full" mode.
 
     Per transmitted qubit the detection odds are density/8 (intercepted,
-    sifted, wrong axis guess, wrong collapse) when every non-discarded
-    qubit is compared; n independent qubits compound to 1 - (1 - density/8)^n.
-    An ``n`` that is not an integer >= 0, or a density outside [0, 1], raises
-    a ValidationError naming it.
+    sifted, wrong axis guess, wrong collapse); n independent qubits compound
+    to 1 - (1 - density/8)^n. An ``n`` that is not an integer >= 0, or a
+    density outside [0, 1], raises a ValidationError naming it.
     """
-    check_int("n", n, 0)
-    DENSITY.check(density)
-    return 1.0 - (1.0 - density / 8.0) ** n
+    return verdict_probabilities(check_int("n", n, 0), density, "full")[ABORTED]
 
 
 def _setup(density, seed):
     """Effective seed and the three generators, once the density is checked.
 
     The generators belong to the sender, the eavesdropper and the receiver,
-    in that order, and carry on across retry rounds.
+    in that order, and carry on across retry rounds. At density 0 the
+    eavesdropper draws nothing, so her generator is not built: its place
+    holds None, and the other two are the same as at any density.
     """
     DENSITY.check(density)
     effective_seed = resolve_seed(seed)
-    # The children SeedSequence(effective_seed).spawn(3) returns, built directly.
-    children = (np.random.SeedSequence(effective_seed, spawn_key=(i,)) for i in range(3))
-    return effective_seed, tuple(map(make_rng, children))
+
+    # The child SeedSequence(effective_seed).spawn(3)[key] returns, built directly.
+    def child(key):
+        return make_rng(np.random.SeedSequence(effective_seed, spawn_key=(key,)))
+
+    return effective_seed, (child(0), child(1) if density else None, child(2))
 
 
 def _single_exchange(
@@ -319,8 +388,11 @@ def _single_exchange(
     sender_x = sender_rng.random(transmitted) >= 0.5
     receiver_x = receiver_rng.random(transmitted) >= 0.5
     states = Statevector(1, np.take(_COLLAPSED, 2 * bits + sender_x, axis=0))
-    states, eve_actions = intercept(states, density, eve_rng)
-    received, _ = measure_in_axis(states, receiver_x, receiver_rng)
+    if eve_rng is None:
+        eve_actions = [None] * transmitted
+    else:
+        states, eve_actions = intercept(states, density, eve_rng)
+    received = _read_bits(states, receiver_x, receiver_rng)
 
     sifted = sift(sender_x, receiver_x)
     kept = sender_x == receiver_x

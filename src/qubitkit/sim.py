@@ -728,21 +728,33 @@ def sample_measurement(
     what ``searchsorted(side="right")`` returns, with a uniform that rounds
     onto the total mass clamped to the last outcome.
 
-    A batch of more rows than outcomes (such as BB84's (m, 2) batches)
-    builds its running sums with one vectorised add per column, ``column j
-    += column j - 1``, since ``np.cumsum`` along rows of 2^n entries runs
-    an inner loop of only 2^n elements. These are the adds ``np.cumsum``
-    makes, in the same order, so the sums are bit-identical. Wider rows keep
-    ``np.cumsum``, whose cost does not grow with one Python step per column.
+    Real amplitudes are squared with ``np.square``, in one pass, which is
+    the product ``np.abs(a) ** 2`` makes; complex ones take ``np.abs(a) **
+    2``. A batch of more rows than outcomes (such as BB84's (m, 2) batches)
+    then works one column at a time, since a pass along rows of 2^n entries
+    runs an inner loop of only 2^n elements. The running sums take one
+    vectorised add per column, ``column j += column j - 1``: the adds
+    ``np.cumsum`` makes, in the same order. The count is one 1-D ``column j
+    <= target`` per column but the last, summed into the index, in place of
+    a ``count_nonzero`` over an (m, 2^n - 1) broadcast. So the outcomes are
+    bit-identical to the wide path's. Wider rows keep ``np.cumsum`` and one
+    ``count_nonzero`` over the whole batch, whose cost does not grow with
+    one Python step per column.
     """
     amps = _amplitudes(state)[1]
     check_type("rng", rng, np.random.Generator)
-    cum = (np.abs(amps) ** 2).reshape(-1, amps.shape[-1])
-    if cum.shape[1] < len(cum):
-        for j in range(1, cum.shape[1]):
+    rows = amps.reshape(-1, amps.shape[-1])
+    cum = np.square(rows) if rows.dtype.kind == "f" else np.abs(rows) ** 2
+    width = cum.shape[1]
+    if width < len(cum):
+        for j in range(1, width):
             cum[:, j] += cum[:, j - 1]
-    else:
-        np.cumsum(cum, axis=-1, out=cum)
+        targets = rng.random(len(cum)) * cum[:, -1]
+        indices = (cum[:, 0] <= targets).astype(np.intp)
+        for j in range(1, width - 1):
+            indices += cum[:, j] <= targets
+        return indices
+    np.cumsum(cum, axis=-1, out=cum)
     targets = rng.random(len(cum)) * cum[:, -1]
     indices = np.count_nonzero(cum[:, :-1] <= targets[:, None], axis=-1)
     return int(indices[0]) if amps.ndim == 1 else indices

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from qubitkit.algorithms.bb84 import (
     run_exchange,
     run_protocol,
     sift,
+    verdict_probabilities,
     verify,
 )
 from qubitkit.backends import (
@@ -380,13 +383,6 @@ def test_full_comparison_abort_rate_at_intermediate_density():
 def test_full_comparison_abort_rate_sweep_matches_formula():
     # The eavesdropper heatmap as an oracle: one chi-square over every
     # (m, d) cell, each cell's runs seeded by derive_seed(master, i, j, r).
-    #
-    # Half-compare mode (not asserted) publishes only ceil(L/2) of the L
-    # sifted bits, so it aborts less often than the formula: on this grid
-    # with 4000 runs per cell it gave 0.06/0.12/0.24 against 0.12/0.23/0.41
-    # at m=4 (d=0.25/0.5/1.0), where 31% of runs also sift fewer than the
-    # two bits it needs (key_too_short), and 0.42/0.67/0.89 against
-    # 0.64/0.87/0.99 at m=32, about the formula at m/2 qubits.
     backends = default_registry()
     master, runs = 1984, 200
     statistic = 0.0
@@ -408,6 +404,84 @@ def test_full_comparison_abort_rate_sweep_matches_formula():
             statistic += (aborts - runs * p) ** 2 / (runs * p * (1 - p))
             cells += 1
     assert stats.chi2.sf(statistic, df=cells) > 1e-3
+
+
+def test_half_comparison_verdict_sweep_matches_the_exact_law():
+    # Half compare publishes ceil(L/2) of the L sifted bits and needs two,
+    # so it aborts less often than the full-compare formula, and short keys
+    # are common at small m (5/16 at m = 4). One three-way chi-square over
+    # the grid above plus d = 0, the eavesdropper-free path. A verdict of
+    # expected count under 5 is pooled into the cell's likeliest one.
+    backends = default_registry()
+    master, runs = 2209, 200
+    statistic = 0.0
+    dof = 0
+    for i, m in enumerate((4, 8, 16, 32)):
+        for j, density in enumerate((0.0, 0.25, 0.5, 1.0)):
+            observed = Counter(
+                run_exchange(m, density, backends, seed=derive_seed(master, i, j, r)).verdict
+                for r in range(runs)
+            )
+            expected = {v: runs * p for v, p in verdict_probabilities(m, density).items()}
+            assert all(observed[v] == 0 for v, e in expected.items() if e == 0), (m, density)
+            likeliest = max(expected, key=expected.get)
+            for verdict, e in list(expected.items()):
+                if verdict != likeliest and e < 5:
+                    observed[likeliest] += observed.pop(verdict, 0)
+                    expected[likeliest] += expected.pop(verdict)
+            statistic += sum((observed[v] - e) ** 2 / e for v, e in expected.items())
+            dof += len(expected) - 1
+    assert stats.chi2.sf(statistic, df=dof) > 1e-3
+
+
+@pytest.mark.parametrize("compare_mode", ["half", "full"])
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_verdict_probabilities_match_verify_over_every_sifting_pattern(density, compare_mode):
+    # Each qubit is discarded (1/2), sifted and right, or sifted and wrong
+    # (d/8): the law, summed over all 3^m patterns, with verify's verdicts.
+    for m in range(6):
+        exact = dict.fromkeys((SECURE, ABORTED, KEY_TOO_SHORT), 0.0)
+        for pattern in itertools.product((None, 0, 1), repeat=m):
+            chance = math.prod(
+                0.5 if e is None else density / 8 if e else 0.5 - density / 8 for e in pattern
+            )
+            wrong = [e for e in pattern if e is not None]
+            exact[verify([0] * len(wrong), wrong, compare_mode)[0]] += chance
+        law = verdict_probabilities(m, density, compare_mode)
+        assert law == pytest.approx(exact, abs=1e-15), m
+        if compare_mode == "full":
+            assert law[ABORTED] == pytest.approx(1 - (1 - density / 8) ** m, abs=1e-15)
+
+
+def sum_over_sifted_lengths(m, density, compare_mode):
+    """Reference law: each sifted length L's binomial weight, from exact
+    integers, times the chance that its published bits are all right (or
+    not, without cancelling at small densities)."""
+    law = dict.fromkeys((SECURE, ABORTED, KEY_TOO_SHORT), 0.0)
+    for length in range(m + 1):
+        weight = math.comb(m, length) / 2**m
+        if length < (2 if compare_mode == "half" else 1):
+            law[KEY_TOO_SHORT] += weight
+            continue
+        published = math.ceil(length / 2) if compare_mode == "half" else length
+        log_secure = published * math.log1p(-density / 4)
+        law[SECURE] += weight * math.exp(log_secure)
+        law[ABORTED] += weight * -math.expm1(log_secure)
+    return law
+
+
+@pytest.mark.parametrize("compare_mode", ["half", "full"])
+@pytest.mark.parametrize("density", [0.0, 1e-9, 0.3, 1.0])
+def test_verdict_probabilities_closed_forms_match_the_sum_over_sifted_lengths(
+    density, compare_mode
+):
+    # Past the enumeration's reach, up to a length where the key is almost
+    # never secure (about 1e-30 at m = 1000 and density 1, half compare),
+    # and at a density where an abort is rare (about 1e-10).
+    for m in (2, 7, 64, 1000):
+        law = verdict_probabilities(m, density, compare_mode)
+        assert law == pytest.approx(sum_over_sifted_lengths(m, density, compare_mode), rel=1e-9)
+        assert all(p >= 0 for p in law.values())
 
 
 # ---------------------------------------------------------------------------

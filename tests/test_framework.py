@@ -265,6 +265,11 @@ HELPER_LEAKS = {
     "abort_probability-density-above-1": (lambda: bb84.abort_probability(4, 9.0), "density"),
     "abort_probability-density-below-0": (lambda: bb84.abort_probability(4, -0.1), "density"),
     "abort_probability-density-None": (lambda: bb84.abort_probability(4, None), "density"),
+    "verdict_probabilities-float-m": (lambda: bb84.verdict_probabilities(2.0, 0.5), "m"),
+    "verdict_probabilities-density-None": (lambda: bb84.verdict_probabilities(4, None), "density"),
+    "verdict_probabilities-compare_mode": (
+        lambda: bb84.verdict_probabilities(4, 0.5, "both"), "compare_mode"
+    ),
     "render_trace-None": (lambda: bb84.render_trace(None), "trace"),
     "intercept-states": (lambda: bb84.intercept(None, 0.5, sim.make_rng(0)), "states"),
     "intercept-rng": (lambda: bb84.intercept(_BATCH, 0.5, None), "rng"),
@@ -398,6 +403,8 @@ def _junk_calls(a, b, params, raw) -> list:
         lambda: bb84.encode_state(a, b),
         lambda: bb84.abort_probability(a, 0.5),
         lambda: bb84.abort_probability(4, a),
+        lambda: bb84.verdict_probabilities(a, b),
+        lambda: bb84.verdict_probabilities(4, 0.5, a),
         lambda: bb84.render_trace(a),
         lambda: bb84.run_exchange(a, b, seed=0),
         lambda: bb84.run_exchange(4, 0.5, a, seed=0),

@@ -6,16 +6,17 @@ arithmetic or amplitude rounding fails here; such a change has to say so
 and re-record the digests deliberately.
 """
 
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
-from qubitkit.algorithms import qrand
+from qubitkit.algorithms import bb84, qrand
 from qubitkit.algorithms.bb84 import run_exchange, run_protocol
 from qubitkit.algorithms.bernstein_vazirani import bv_circuit
 from qubitkit.algorithms.qrand import qrand_circuit
-from qubitkit.sim import Circuit, Gate, evolve, run
+from qubitkit.sim import Circuit, Gate, evolve, make_rng, run
 
 
 def sha256(obj) -> str:
@@ -157,3 +158,32 @@ def test_bb84_protocol_traces_under_full_interception():
     assert sha256(traces) == (
         "67df9910520b6558e3ee36f07b0404c04d04d3b78265039c740824edd4d1470a"
     )
+
+
+@pytest.mark.parametrize(
+    "golden",
+    [
+        test_bb84_full_compare_exchange_trace_without_eavesdropper,
+        test_bb84_protocol_trace_without_eavesdropper,
+        *(
+            functools.partial(test_bb84_edge_size_exchange_traces, m, 0.0, mode)
+            for m in (1, 2, 3)
+            for mode in ("half", "full")
+        ),
+    ],
+    ids=["exchange-256", "protocol"]
+    + [f"exchange-{m}-{mode}" for m in (1, 2, 3) for mode in ("half", "full")],
+)
+def test_density_zero_goldens_never_reach_the_eavesdropper(golden, monkeypatch):
+    # At density 0 the eavesdropper neither intercepts nor gets a generator
+    # (spawn key 1), and every density-0 golden above still holds.
+    def refuse(*args):
+        raise AssertionError("intercept called at density 0")
+
+    def rng_without_eve(sequence):
+        assert sequence.spawn_key != (1,), "the eavesdropper's generator was built"
+        return make_rng(sequence)
+
+    monkeypatch.setattr(bb84, "intercept", refuse)
+    monkeypatch.setattr(bb84, "make_rng", rng_without_eve)
+    golden()

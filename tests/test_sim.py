@@ -968,15 +968,16 @@ def cumsum_draws(rows, seed):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_narrow_batch_running_sums_equal_per_row_cumsum_draws(n, dtype, monkeypatch):
-    # A batch of more rows than outcomes sums one column at a time and any
-    # other batch calls np.cumsum: 2^n - 1, 2^n and 2^n + 1 rows straddle
-    # the switch. Zeros are scattered over the rows, one row holds only its
-    # last outcome (starting the column loop at 0 moves its draw to outcome
-    # 0 for a uniform below 1/2) and one row is all zeros (its draw clamps
-    # to the last outcome).
+    # A batch of more rows than outcomes sums and counts one column at a
+    # time, and any other batch calls np.cumsum and np.count_nonzero once:
+    # 2^n - 1, 2^n and 2^n + 1 rows straddle the switch. Zeros are
+    # scattered over the rows, one row holds only its last outcome
+    # (starting the column loop at 0 moves its draw to outcome 0 for a
+    # uniform below 1/2) and one row is all zeros (its draw clamps to the
+    # last outcome).
     rng = np.random.default_rng(83 + n)
     width = 1 << n
-    cumsum = np.cumsum
+    cumsum, count_nonzero = np.cumsum, np.count_nonzero
     for k in (width - 1, width, width + 1):
         rows = np.stack([random_state(rng, n, dtype).amplitudes for _ in range(k)])
         rows[rng.random(rows.shape) < 0.3] = 0
@@ -985,12 +986,15 @@ def test_narrow_batch_running_sums_equal_per_row_cumsum_draws(n, dtype, monkeypa
         if k > 1:
             rows[-1] = 0
         expected = cumsum_draws(rows, seed=k)
-        calls = []
+        calls, counts = [], []
         with monkeypatch.context() as patch:
             patch.setattr(np, "cumsum", lambda *a, **kw: calls.append(a) or cumsum(*a, **kw))
+            patch.setattr(
+                np, "count_nonzero", lambda *a, **kw: counts.append(a) or count_nonzero(*a, **kw)
+            )
             draws = sample_measurement(Statevector(n, rows), make_rng(k))
         assert draws.tolist() == expected
-        assert len(calls) == (0 if k > width else 1)
+        assert len(calls) == len(counts) == (0 if k > width else 1)
 
 
 # ---------------------------------------------------------------------------
