@@ -8,9 +8,10 @@ qubit, the density; the receiver measures in his own random axis. Sifting
 keeps the positions where sender and receiver axes agree, verification
 publishes part of the sifted key, and any disagreement there aborts the
 run. The compare mode names how much is published: "half" (the first half
-of the sifted key, the protocol) or "full" (all of it, whose abort rate
-follows 1 - (1 - density/8)^m). A sifted key too short to verify is the
-verdict key_too_short.
+of the sifted key, the protocol) or "full" (all of it). A sifted key too
+short to verify is the verdict key_too_short. :func:`verdict_probabilities`
+gives the exact law of the verdict in either mode; "full" mode aborts with
+chance 1 - (1 - density/8)^m.
 
 The full protocol sends six qubits per message bit and repeats a round
 whose key comes up short, up to ten rounds; surviving key bits one-time-pad
@@ -346,18 +347,6 @@ def verdict_probabilities(m: int, density: float, compare_mode: str = "half") ->
     }
 
 
-def abort_probability(n: int, density: float) -> float:
-    """Chance that verification catches the eavesdropper when every sifted
-    bit is compared: :func:`verdict_probabilities`' ABORTED in "full" mode.
-
-    Per transmitted qubit the detection odds are density/8 (intercepted,
-    sifted, wrong axis guess, wrong collapse); n independent qubits compound
-    to 1 - (1 - density/8)^n. An ``n`` that is not an integer >= 0, or a
-    density outside [0, 1], raises a ValidationError naming it.
-    """
-    return verdict_probabilities(check_int("n", n, 0), density, "full")[ABORTED]
-
-
 def _setup(density, seed):
     """Effective seed and the three generators, once the density is checked.
 
@@ -425,8 +414,9 @@ def run_exchange(
     """One qubit-exchange round: transmit, sift, verify. No message, no retry.
 
     compare_mode "half" publishes half the sifted key (protocol behavior);
-    "full" publishes all of it, the mode whose abort rate follows
-    1 - (1 - density/8)^transmitted exactly.
+    "full" publishes all of it. :func:`verdict_probabilities` gives the exact
+    law of the verdict: in "full" mode an abort has chance
+    1 - (1 - density/8)^transmitted.
 
     The exchange runs on no backend. ``backends`` (the default registry if
     None) and ``backend_name`` are only checked and looked up, so a bad one

@@ -14,7 +14,6 @@ from qubitkit.algorithms.bb84 import (
     EveAction,
     KEY_TOO_SHORT,
     SECURE,
-    abort_probability,
     encode_qubit,
     encode_state,
     intercept,
@@ -342,96 +341,51 @@ def test_verify_key_too_short():
 
 
 # ---------------------------------------------------------------------------
-# Abort probability (closed form and Monte Carlo)
+# The verdict law (closed form and Monte Carlo)
 
 
-def test_abort_probability_values():
-    assert abs(abort_probability(1, 1.0) - 0.125) < 1e-15
-    assert abort_probability(0, 0.7) == 0.0
-    assert abs(abort_probability(16, 1.0) - (1 - (7 / 8) ** 16)) < 1e-15
-    assert abs(abort_probability(16, 1.0) - 0.8819) < 5e-4
+def chi_square_p_value(cells):
+    """The p-value of Pearson's statistic summed over ``cells``, each a list
+    of drawn outcomes and the law they are drawn from, a dict outcome ->
+    chance.
+
+    An outcome the law rules out must not occur. One of expected count under
+    5 is pooled into its cell's likeliest outcome.
+    """
+    statistic, dof = 0.0, 0
+    for outcomes, law in cells:
+        observed = Counter(outcomes)
+        assert set(observed) <= set(law)
+        expected = {v: len(outcomes) * p for v, p in law.items()}
+        assert all(observed[v] == 0 for v, e in expected.items() if e == 0)
+        likeliest = max(expected, key=expected.get)
+        for outcome, e in list(expected.items()):
+            if outcome != likeliest and e < 5:
+                observed[likeliest] += observed.pop(outcome, 0)
+                expected[likeliest] += expected.pop(outcome)
+        statistic += sum((observed[v] - e) ** 2 / e for v, e in expected.items())
+        dof += len(expected) - 1
+    return stats.chi2.sf(statistic, df=dof)
 
 
-def test_full_comparison_abort_rate_matches_formula():
-    backends = default_registry()
-    runs = 400
-    for m in (8, 16):
-        aborts = sum(
-            run_exchange(m, 1.0, backends, seed=s, compare_mode="full").verdict
-            == ABORTED
-            for s in range(runs)
-        )
-        expected = abort_probability(m, 1.0)
-        sigma = math.sqrt(expected * (1 - expected) / runs)
-        assert abs(aborts / runs - expected) < 3 * sigma, m
-
-
-def test_full_comparison_abort_rate_at_intermediate_density():
-    backends = default_registry()
-    runs = 600
-    m, density = 8, 0.5
-    aborts = sum(
-        run_exchange(m, density, backends, seed=1000 + s, compare_mode="full").verdict
-        == ABORTED
-        for s in range(runs)
-    )
-    expected = abort_probability(m, density)
-    sigma = math.sqrt(expected * (1 - expected) / runs)
-    assert abs(aborts / runs - expected) < 3 * sigma
-
-
-def test_full_comparison_abort_rate_sweep_matches_formula():
-    # The eavesdropper heatmap as an oracle: one chi-square over every
-    # (m, d) cell, each cell's runs seeded by derive_seed(master, i, j, r).
-    backends = default_registry()
-    master, runs = 1984, 200
-    statistic = 0.0
-    cells = 0
-    for i, m in enumerate((4, 8, 16, 32)):
-        for j, density in enumerate((0.25, 0.5, 1.0)):
-            aborts = sum(
-                run_exchange(
-                    m,
-                    density,
-                    backends,
-                    seed=derive_seed(master, i, j, r),
-                    compare_mode="full",
-                ).verdict
-                == ABORTED
-                for r in range(runs)
-            )
-            p = abort_probability(m, density)
-            statistic += (aborts - runs * p) ** 2 / (runs * p * (1 - p))
-            cells += 1
-    assert stats.chi2.sf(statistic, df=cells) > 1e-3
-
-
-def test_half_comparison_verdict_sweep_matches_the_exact_law():
-    # Half compare publishes ceil(L/2) of the L sifted bits and needs two,
-    # so it aborts less often than the full-compare formula, and short keys
-    # are common at small m (5/16 at m = 4). One three-way chi-square over
-    # the grid above plus d = 0, the eavesdropper-free path. A verdict of
-    # expected count under 5 is pooled into the cell's likeliest one.
-    backends = default_registry()
-    master, runs = 2209, 200
-    statistic = 0.0
-    dof = 0
+@pytest.mark.parametrize("compare_mode", ["half", "full"])
+def test_verdict_sweep_matches_the_exact_law(compare_mode):
+    # The eavesdropper heatmap as an oracle: one three-way chi-square over
+    # every (m, d) cell, d = 0 (no eavesdropper) included, each cell's runs
+    # seeded by derive_seed(master, i, j, r). Half compare publishes ceil(L/2)
+    # of the L sifted bits and needs two, so it aborts less often than full
+    # compare, and short keys are common at small m (5/16 at m = 4).
+    master, cells = 2209, []
     for i, m in enumerate((4, 8, 16, 32)):
         for j, density in enumerate((0.0, 0.25, 0.5, 1.0)):
-            observed = Counter(
-                run_exchange(m, density, backends, seed=derive_seed(master, i, j, r)).verdict
-                for r in range(runs)
-            )
-            expected = {v: runs * p for v, p in verdict_probabilities(m, density).items()}
-            assert all(observed[v] == 0 for v, e in expected.items() if e == 0), (m, density)
-            likeliest = max(expected, key=expected.get)
-            for verdict, e in list(expected.items()):
-                if verdict != likeliest and e < 5:
-                    observed[likeliest] += observed.pop(verdict, 0)
-                    expected[likeliest] += expected.pop(verdict)
-            statistic += sum((observed[v] - e) ** 2 / e for v, e in expected.items())
-            dof += len(expected) - 1
-    assert stats.chi2.sf(statistic, df=dof) > 1e-3
+            verdicts = [
+                run_exchange(
+                    m, density, seed=derive_seed(master, i, j, r), compare_mode=compare_mode
+                ).verdict
+                for r in range(200)
+            ]
+            cells.append((verdicts, verdict_probabilities(m, density, compare_mode)))
+    assert chi_square_p_value(cells) > 1e-3
 
 
 @pytest.mark.parametrize("compare_mode", ["half", "full"])
@@ -478,10 +432,13 @@ def test_verdict_probabilities_closed_forms_match_the_sum_over_sifted_lengths(
     # Past the enumeration's reach, up to a length where the key is almost
     # never secure (about 1e-30 at m = 1000 and density 1, half compare),
     # and at a density where an abort is rare (about 1e-10).
-    for m in (2, 7, 64, 1000):
+    for m in (2, 7, 16, 64, 1000):
         law = verdict_probabilities(m, density, compare_mode)
         assert law == pytest.approx(sum_over_sifted_lengths(m, density, compare_mode), rel=1e-9)
         assert all(p >= 0 for p in law.values())
+    if (density, compare_mode) == (1.0, "full"):
+        # 16 qubits, every one intercepted: 1 - (7/8)^16.
+        assert verdict_probabilities(16, 1.0, "full")[ABORTED] == pytest.approx(0.8819, abs=5e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +592,50 @@ def test_aborted_protocol_is_its_first_exchange():
     for s in seeds[:5]:
         expected = replace(run_exchange(24, 1.0, seed=s), attempts=1, message_bits=message)
         assert run_protocol(message, 1.0, seed=s) == expected
+
+
+def protocol_law(k, density):
+    """The law of ``run_protocol``'s (verdict, attempts, round trip ok) for a
+    k-bit message.
+
+    A round sends m = 6k qubits and sifts L ~ Binomial(m, 1/2) of them. It
+    aborts when one of its ceil(L/2) published bits (L >= 2) is wrong, each
+    with chance d/4, and ends secure when none is and its floor(L/2) key bits
+    cover the message; otherwise it is retried, up to 10 rounds, after which
+    the verdict is key_too_short. A secure run's round trip is a MISMATCH
+    when one of the k key bits it pads with is wrong: 1 - (1 - d/4)^k.
+    """
+    m, right = 6 * k, 1 - density / 4
+    aborted = secure = 0.0
+    for length in range(2, m + 1):
+        weight = math.comb(m, length) / 2**m
+        passed = right ** math.ceil(length / 2)
+        aborted += weight * (1 - passed)
+        secure += weight * passed * (length // 2 >= k)
+    retry = 1 - aborted - secure
+    law = {(KEY_TOO_SHORT, 10, False): retry**10}
+    for attempt in range(1, 11):
+        reach = retry ** (attempt - 1)
+        law[ABORTED, attempt, False] = reach * aborted
+        law[SECURE, attempt, True] = reach * secure * right**k
+        law[SECURE, attempt, False] = reach * secure * (1 - right**k)
+    return law
+
+
+def test_protocol_attempts_and_round_trips_match_the_exact_law():
+    # One chi-square over messages of 1, 2 and 4 bits and densities 1/2 and
+    # 1: the verdict, the number of rounds, and the undetected interceptions
+    # that leave a secure run's round trip a MISMATCH.
+    master, cells = 1110, []
+    for i, k in enumerate((1, 2, 4)):
+        for j, density in enumerate((0.5, 1.0)):
+            traces = [
+                run_protocol((1, 0, 1, 1)[:k], density, seed=derive_seed(master, i, j, r))
+                for r in range(300)
+            ]
+            outcomes = [(t.verdict, t.attempts, t.round_trip_ok) for t in traces]
+            cells.append((outcomes, protocol_law(k, density)))
+    assert chi_square_p_value(cells) > 1e-3
 
 
 def test_render_trace_layout():

@@ -259,12 +259,6 @@ HELPER_LEAKS = {
     "encode_qubit-axis-str": (lambda: bb84.encode_qubit(1, "X"), "axis"),
     "encode_state-value": (lambda: bb84.encode_state(-1, bb84.Axis.Z), "value"),
     "encode_state-axis": (lambda: bb84.encode_state(0, None), "axis"),
-    "abort_probability-None": (lambda: bb84.abort_probability(None, None), "n"),
-    "abort_probability-negative-n": (lambda: bb84.abort_probability(-1, 0.5), "n"),
-    "abort_probability-float-n": (lambda: bb84.abort_probability(2.0, 0.5), "n"),
-    "abort_probability-density-above-1": (lambda: bb84.abort_probability(4, 9.0), "density"),
-    "abort_probability-density-below-0": (lambda: bb84.abort_probability(4, -0.1), "density"),
-    "abort_probability-density-None": (lambda: bb84.abort_probability(4, None), "density"),
     "verdict_probabilities-float-m": (lambda: bb84.verdict_probabilities(2.0, 0.5), "m"),
     "verdict_probabilities-density-None": (lambda: bb84.verdict_probabilities(4, None), "density"),
     "verdict_probabilities-compare_mode": (
@@ -401,8 +395,6 @@ def _junk_calls(a, b, params, raw) -> list:
         lambda: bb84.encode_qubit(a, bb84.Axis.X),
         lambda: bb84.encode_qubit(1, a),
         lambda: bb84.encode_state(a, b),
-        lambda: bb84.abort_probability(a, 0.5),
-        lambda: bb84.abort_probability(4, a),
         lambda: bb84.verdict_probabilities(a, b),
         lambda: bb84.verdict_probabilities(4, 0.5, a),
         lambda: bb84.render_trace(a),

@@ -370,138 +370,17 @@ def test_evolve_checks_gates_appended_to_the_list(n, make):
         assert getattr(excinfo.value, "param", "gates") == "gates"
 
 
-def test_norm_conserved_over_random_sequences():
-    rng = np.random.default_rng(11)
-    for n in range(1, 5):
-        for _ in range(20):
-            state = new_zero_state(n)
-            batch = Statevector(n, np.tile(state.amplitudes, (4, 1)))
-            for gate in random_gates(rng, n, 30):
-                state = apply_gate(state, gate)
-                batch = apply_gate(batch, gate)
-            assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-12
-            row_norms = np.sum(np.abs(batch.amplitudes) ** 2, axis=-1)
-            assert np.allclose(row_norms, np.ones(4), rtol=0, atol=1e-12)
-
-
-def test_gates_are_involutions():
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 3):
-        for _ in range(10):
-            state = random_state(rng, n)
-            for gate in random_gates(rng, n, 1):
-                back = apply_gate(apply_gate(state, gate), gate)
-                assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
-
-
-def test_agrees_with_brute_force_matrices():
-    rng = np.random.default_rng(23)
-    for n in range(1, 5):
-        for _ in range(15):
-            gates = random_gates(rng, n, 12)
-            state = new_zero_state(n)
-            expected = np.zeros(2**n, dtype=complex)
-            expected[0] = 1.0
-            for gate in gates:
-                state = apply_gate(state, gate)
-                expected = gate_matrix(gate, n) @ expected
-            assert np.allclose(state.amplitudes, expected, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
-# Differential tests: random circuits and states against the dense oracle.
-# derandomize keeps tier-1 deterministic; max_examples keeps it fast.
-
-DIFFERENTIAL = settings(max_examples=200, derandomize=True, database=None, deadline=None)
-
-
-@st.composite
-def gates_on(draw, n):
-    kinds = ["H", "X", "CNOT"] if n > 1 else ["H", "X"]
-    kind = draw(st.sampled_from(kinds))
-    arity = 2 if kind == "CNOT" else 1
-    qubits = st.integers(0, n - 1)
-    targets = draw(st.lists(qubits, min_size=arity, max_size=arity, unique=True))
-    return Gate(kind, tuple(targets))
-
-
-@st.composite
-def circuits(draw, max_qubits=6):
-    n = draw(st.integers(1, max_qubits))
-    return Circuit(n, gates=draw(st.lists(gates_on(n), max_size=30)))
-
-
-@DIFFERENTIAL
-@given(circuits())
-def test_evolve_matches_dense_oracle(circuit):
-    n = circuit.num_qubits
-    expected = np.zeros(2**n, dtype=complex)
-    expected[0] = 1.0
-    for gate in circuit.gates:
-        expected = gate_matrix(gate, n) @ expected
-    state = evolve(circuit)
-    assert state.amplitudes.dtype == np.float64
-    assert np.allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
-
-
-@DIFFERENTIAL
-@given(
-    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), gates_on(n))),
-    st.sampled_from([complex, float]),
-    st.integers(0, 2**32 - 1),
-)
-def test_apply_gate_matches_dense_oracle(n_and_gate, dtype, seed):
-    n, gate = n_and_gate
-    state = random_state(np.random.default_rng(seed), n, dtype)
-    before = state.amplitudes.copy()
-    result = apply_gate(state, gate)
-    assert np.array_equal(state.amplitudes, before)  # the input is untouched
-    assert not np.shares_memory(result.amplitudes, state.amplitudes)
-    assert result.amplitudes.dtype == state.amplitudes.dtype
-    expected = gate_matrix(gate, n) @ before
-    assert np.allclose(result.amplitudes, expected, rtol=0, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Cache-blocked evolve: bit-identical to the per-gate apply_gate chain. A block
-# of 1-3 qubits makes these small circuits cross slice edges; a block of 5 or 6
-# qubits makes a low run rotate a gate on slice bit 0 or 1 up to bit B - 4;
-# three workers get uneven shares of the slices.
-
-
-def per_gate_chain(circuit, state=None):
-    """Amplitudes of ``state`` (default |0...0>) after one apply_gate per gate."""
-    if state is None:
-        state = new_zero_state(circuit.num_qubits)
-    for gate in circuit.gates:
-        state = apply_gate(state, gate)
-    return state.amplitudes
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("block_qubits", [1, 2, 3, 5, 6])
-@settings(max_examples=25, derandomize=True, database=None, deadline=None)
-@given(circuits(max_qubits=8))
-def test_blocked_evolve_equals_per_gate_chain(block_qubits, workers, circuit):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_BLOCK_QUBITS", block_qubits)
-        patch.setattr(sim, "_cpu_count", lambda: workers)
-        blocked = evolve(circuit).amplitudes
-    assert np.array_equal(blocked, per_gate_chain(circuit))
-
-
-def test_blocked_evolve_at_eighteen_qubits_equals_per_gate_chain():
-    circuit = Circuit(18, gates=random_gates(np.random.default_rng(1_618), 18, 60))
-    high = [max(gate.targets) >= sim._BLOCK_QUBITS for gate in circuit.gates]
-    assert 0 < sum(high) < len(high)
-    assert np.array_equal(evolve(circuit).amplitudes, per_gate_chain(circuit))
+# Blocked evolve and its threads: more threads than CPUs, an error raised in
+# a worker, and no thread left holding a state. The differential harness
+# below checks the bytes over every block size and worker count.
 
 
 def test_blocked_evolve_with_more_workers_than_cpus_and_fast_switching(monkeypatch):
     # Eight threads update disjoint slices of one shared buffer in place; an
     # overlap or a lost write would change amplitudes.
     circuit = Circuit(10, gates=random_gates(np.random.default_rng(2_718), 10, 100))
-    expected = per_gate_chain(circuit)
+    expected = reference_chain(new_zero_state(10).amplitudes, circuit.gates)
     monkeypatch.setattr(sim, "_BLOCK_QUBITS", 5)
     monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
@@ -641,51 +520,6 @@ def test_low_run_skips_a_slice_only_when_its_bits_are_all_zero(monkeypatch):
     assert amps.tobytes() == expected.tobytes()
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(
-    circuits(max_qubits=8),
-    st.integers(1, 6),
-    st.integers(1, 3),
-    st.integers(1, 4),
-    st.sampled_from([complex, float]),
-    st.integers(0, 2**32 - 1),
-)
-# CNOT(1, 0) inside a low run: a 2-qubit block, so all three gates are blocked.
-@example(Circuit(3).h(1).cnot(1, 0).h(0), 2, 2, 2, float, 0)
-@example(ROTATING_RUNS["ends-in-scratch"][0], 6, 2, 1, float, 0)
-@example(ROTATING_RUNS["nonzero-final-offset"][0], 6, 2, 1, float, 0)
-@example(ROTATING_RUNS["cnot-wraps"][0], 6, 2, 1, float, 0)
-# Four slices: three of +0.0 in the first low run and two in the second,
-# where each worker's share holds one of them and one slice whose first
-# amplitude is +0.0 but whose second is not.
-@example(Circuit(8).x(0).h(7).h(1), 6, 2, 1, float, 0)
-def test_evolve_and_apply_gate_equal_the_reference_kernels(
-    circuit, block_qubits, workers, rows, dtype, seed
-):
-    # A block of 1-3 qubits sends most gates down the shared, cut path; one
-    # of 5 or 6 qubits makes low runs rotate their slices.
-    n = circuit.num_qubits
-    rng = np.random.default_rng(seed)
-    batch = Statevector(n, np.stack([random_state(rng, n, dtype).amplitudes for _ in range(rows)]))
-    before = batch.amplitudes.copy()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_BLOCK_QUBITS", block_qubits)
-        patch.setattr(sim, "_cpu_count", lambda: workers)
-        evolved = evolve(circuit).amplitudes
-        batch_out = per_gate_chain(circuit, batch)
-    assert np.array_equal(batch.amplitudes, before)  # apply_gate stays pure
-    assert np.array_equal(evolved, reference_chain(new_zero_state(n).amplitudes, circuit.gates))
-    assert np.array_equal(batch_out, reference_chain(before, circuit.gates))
-
-
-def test_twenty_qubit_circuit_equals_the_reference_kernels():
-    # The real block size and CPU count: low runs, cut full passes and both.
-    circuit = Circuit(20, gates=random_gates(np.random.default_rng(4_669), 20, 40))
-    expected = reference_chain(new_zero_state(20).amplitudes, circuit.gates)
-    assert np.array_equal(evolve(circuit).amplitudes, expected)
-    assert np.array_equal(per_gate_chain(circuit), expected)
-
-
 def test_sixteen_qubits_are_one_low_run_on_the_calling_thread(monkeypatch):
     # A 16-qubit state is exactly one slice, so evolve applies all its gates
     # through the slice kernels, and with one live slice no thread starts.
@@ -706,9 +540,8 @@ def test_sixteen_qubits_are_one_low_run_on_the_calling_thread(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The live mask: evolve runs a gate on a qubit at or above the block size only
-# over the slice pairs that hold a live slice. An X on the top qubit first
-# moves the one live slice far from slice 0, so the gates after it meet a
-# partly live state.
+# over the slice pairs that hold a live slice, and an X moves liveness with
+# the amplitudes. These tests count the calls; the harness checks the bytes.
 
 # Six qubits under a 2-qubit block are 16 slices; slice bit j is qubit j + 2.
 PARTLY_LIVE = (
@@ -720,28 +553,6 @@ PARTLY_LIVE = (
     .cnot(3, 0)  # a high control, a low target: an X in slices 10 and 11
     .h(4)  # four pairs, each with one live slice
 )
-
-
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(
-    st.integers(2, 8).flatmap(
-        lambda n: st.tuples(
-            st.just(n), st.integers(1, min(6, n - 1)), st.lists(gates_on(n), max_size=20)
-        )
-    ),
-    st.integers(1, 3),
-)
-@example((6, 2, PARTLY_LIVE.gates[1:]), 1)
-@example((6, 2, PARTLY_LIVE.gates[1:]), 3)
-def test_evolve_over_live_slices_equals_the_reference_kernels(case, workers):
-    n, block_qubits, gates = case
-    circuit = Circuit(n, gates=[Gate("X", (n - 1,)), *gates])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_BLOCK_QUBITS", block_qubits)
-        patch.setattr(sim, "_cpu_count", lambda: workers)
-        evolved = evolve(circuit).amplitudes
-    expected = reference_chain(new_zero_state(n).amplitudes, circuit.gates)
-    assert evolved.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n, rows", [(1, 5), (2, 3), (2, 7), (3, 3)])
@@ -800,6 +611,93 @@ def test_an_x_on_a_high_qubit_moves_the_only_live_slice(monkeypatch):
     assert visited == [[0], [4], [4], [12], [12], [14]]
     expected = reference_chain(new_zero_state(6).amplitudes, circuit.gates)
     assert evolved.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The differential harness: evolve from |0...0>, and apply_gate gate by gate
+# from a random batch, equal reference_chain byte for byte, and up to 5 qubits
+# reference_chain equals the dense matrices. A block of 1-3 qubits sends most
+# gates through slice pairs and cut passes, one of 5 or 6 qubits makes low
+# runs rotate their slices, and three workers get uneven shares. An X on the
+# top qubit first moves the one live slice away from slice 0, so the gates
+# after it meet a partly live state. Batches of 1-4 rows, in C or Fortran
+# order, take apply_gate's one out-of-place kernel or, above the block size,
+# its cut copy. derandomize keeps tier-1 deterministic.
+
+
+@st.composite
+def gates_on(draw, n):
+    kinds = ["H", "X", "CNOT"] if n > 1 else ["H", "X"]
+    kind = draw(st.sampled_from(kinds))
+    arity = 2 if kind == "CNOT" else 1
+    qubits = st.integers(0, n - 1)
+    targets = draw(st.lists(qubits, min_size=arity, max_size=arity, unique=True))
+    return Gate(kind, tuple(targets))
+
+
+@st.composite
+def circuits(draw, max_qubits=6):
+    n = draw(st.integers(1, max_qubits))
+    return Circuit(n, gates=draw(st.lists(gates_on(n), max_size=30)))
+
+
+def circuit_of(n, seed, count):
+    return Circuit(n, gates=random_gates(np.random.default_rng(seed), n, count))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    circuits(max_qubits=8),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.booleans(),
+    st.sampled_from([float, complex]),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+# CNOT(1, 0) inside a low run: a 2-qubit block, so all three gates are blocked.
+@example(Circuit(3).h(1).cnot(1, 0).h(0), 2, 2, False, float, 2, False, 0)
+@example(ROTATING_RUNS["ends-in-scratch"][0], 6, 2, False, float, 1, False, 0)
+@example(ROTATING_RUNS["nonzero-final-offset"][0], 6, 2, False, float, 1, False, 0)
+@example(ROTATING_RUNS["cnot-wraps"][0], 6, 2, False, float, 1, False, 0)
+# Four slices: three of +0.0 in the first low run and two in the second,
+# where each worker's share holds one of them and one slice whose first
+# amplitude is +0.0 but whose second is not.
+@example(Circuit(8).x(0).h(7).h(1), 6, 2, False, float, 1, False, 0)
+@example(Circuit(6, gates=PARTLY_LIVE.gates[1:]), 2, 1, True, float, 1, False, 0)
+@example(Circuit(6, gates=PARTLY_LIVE.gates[1:]), 2, 3, True, float, 1, False, 0)
+# The real block size: one low-run slice, then low runs and slice pairs mixed.
+@example(circuit_of(16, 16, 40), 16, 2, True, float, 1, False, 0)
+@example(circuit_of(18, 1_618, 60), 16, 2, False, float, 1, False, 0)
+@example(circuit_of(20, 4_669, 40), 16, 2, False, float, 1, False, 0)
+def test_evolve_and_apply_gate_equal_the_reference_chain(
+    circuit, block_qubits, workers, x_first, dtype, rows, fortran, seed
+):
+    n = circuit.num_qubits
+    gates = [Gate("X", (n - 1,))] * x_first + circuit.gates
+    rng = np.random.default_rng(seed)
+    batch = np.stack([random_state(rng, n, dtype).amplitudes for _ in range(rows)])
+    batch = np.asfortranarray(batch) if fortran else batch
+    before = batch.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_BLOCK_QUBITS", block_qubits)
+        patch.setattr(sim, "_cpu_count", lambda: workers)
+        evolved = evolve(Circuit(n, gates=gates)).amplitudes
+        state = Statevector(n, batch)
+        for gate in gates:
+            state = apply_gate(state, gate)
+    assert batch.tobytes() == before.tobytes()  # the input is untouched
+    assert state.amplitudes.dtype == batch.dtype and evolved.dtype == np.float64
+    zero = new_zero_state(n).amplitudes
+    from_zero, from_batch = reference_chain(zero, gates), reference_chain(before, gates)
+    assert evolved.tobytes() == from_zero.tobytes()
+    assert state.amplitudes.tobytes() == from_batch.tobytes()
+    if n <= 5:
+        columns = np.column_stack([zero, before.T]).astype(complex)
+        for gate in gates:
+            columns = gate_matrix(gate, n) @ columns
+        assert np.allclose(columns, np.column_stack([from_zero, from_batch.T]), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -890,28 +788,6 @@ def test_evolve_reaches_the_stabilizer_state_the_tableau_predicts(n, seed):
     assert set(int(outcome, 2) for outcome in counts) <= set(support.tolist())
 
 
-@st.composite
-def batches(draw):
-    """(n, gate, k, seed): a gate on n qubits and a k-row batch to apply it to."""
-    n = draw(st.integers(1, 5))
-    rows, seed = draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
-    return n, draw(gates_on(n)), rows, seed
-
-
-@DIFFERENTIAL
-@given(batches(), st.sampled_from([complex, float]))
-def test_apply_gate_on_a_batch_equals_row_by_row(case, dtype):
-    n, gate, k, seed = case
-    rng = np.random.default_rng(seed)
-    rows = [random_state(rng, n, dtype).amplitudes for _ in range(k)]
-    result = apply_gate(Statevector(n, np.stack(rows)), gate)
-    assert result.amplitudes.shape == (k, 2**n)
-    expected = np.stack([apply_gate(Statevector(n, r), gate).amplitudes for r in rows])
-    assert np.array_equal(result.amplitudes, expected)
-    column_major = Statevector(n, np.asfortranarray(np.stack(rows)))
-    assert np.array_equal(apply_gate(column_major, gate).amplitudes, expected)
-
-
 # ---------------------------------------------------------------------------
 # Measurement sampling
 
@@ -923,10 +799,11 @@ def test_basis_state_measures_deterministically():
 
 
 def test_hadamard_sampling_is_balanced():
-    plus = apply_gate(new_zero_state(1), Gate("H", (0,)))
-    rng = make_rng(81)
+    # One batch of 10^5 rows draws what 10^5 single-register calls would
+    # (test_batch_sampling_equals_single_register_draws).
+    plus = apply_gate(new_zero_state(1), Gate("H", (0,))).amplitudes
     n = 100_000
-    zeros = sum(sample_measurement(plus, rng) == 0 for _ in range(n))
+    zeros = n - int(sample_measurement(Statevector(1, np.tile(plus, (n, 1))), make_rng(81)).sum())
     assert abs(zeros / n - 0.5) < 0.01
     _, p = stats.chisquare([zeros, n - zeros])
     assert p > 0.001
