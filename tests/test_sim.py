@@ -622,7 +622,8 @@ def test_an_x_on_a_high_qubit_moves_the_only_live_slice(monkeypatch):
 # top qubit first moves the one live slice away from slice 0, so the gates
 # after it meet a partly live state. Batches of 1-4 rows, in C or Fortran
 # order, take apply_gate's one out-of-place kernel or, above the block size,
-# its cut copy. derandomize keeps tier-1 deterministic.
+# its cut copy. derandomize keeps tier-1 deterministic, and ten pinned
+# circuits, up to 20 qubits at the real block size, go through the same check.
 
 
 @st.composite
@@ -656,24 +657,37 @@ def circuit_of(n, seed, count):
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-# CNOT(1, 0) inside a low run: a 2-qubit block, so all three gates are blocked.
-@example(Circuit(3).h(1).cnot(1, 0).h(0), 2, 2, False, float, 2, False, 0)
-@example(ROTATING_RUNS["ends-in-scratch"][0], 6, 2, False, float, 1, False, 0)
-@example(ROTATING_RUNS["nonzero-final-offset"][0], 6, 2, False, float, 1, False, 0)
-@example(ROTATING_RUNS["cnot-wraps"][0], 6, 2, False, float, 1, False, 0)
-# Four slices: three of +0.0 in the first low run and two in the second,
-# where each worker's share holds one of them and one slice whose first
-# amplitude is +0.0 but whose second is not.
-@example(Circuit(8).x(0).h(7).h(1), 6, 2, False, float, 1, False, 0)
-@example(Circuit(6, gates=PARTLY_LIVE.gates[1:]), 2, 1, True, float, 1, False, 0)
-@example(Circuit(6, gates=PARTLY_LIVE.gates[1:]), 2, 3, True, float, 1, False, 0)
-# The real block size: one low-run slice, then low runs and slice pairs mixed.
-@example(circuit_of(16, 16, 40), 16, 2, True, float, 1, False, 0)
-@example(circuit_of(18, 1_618, 60), 16, 2, False, float, 1, False, 0)
-@example(circuit_of(20, 4_669, 40), 16, 2, False, float, 1, False, 0)
 def test_evolve_and_apply_gate_equal_the_reference_chain(
     circuit, block_qubits, workers, x_first, dtype, rows, fortran, seed
 ):
+    check_against_reference_chain(circuit, block_qubits, workers, x_first, dtype, rows, fortran, seed)
+
+
+# Pinned cases of the harness, each reported on its own: the arguments are
+# circuit, block qubits, workers and x_first, with one float row from seed 0.
+PINNED = [
+    # CNOT(1, 0) inside a low run: a 2-qubit block, so all three gates are blocked.
+    pytest.param(Circuit(3).h(1).cnot(1, 0).h(0), 2, 2, False, id="cnot-down-in-a-low-run"),
+    *(pytest.param(ROTATING_RUNS[case][0], 6, 2, False, id=f"low-run-{case}") for case in ROTATING_RUNS),
+    # Four slices: three of +0.0 in the first low run and two in the second,
+    # where each worker's share holds one of them and one slice whose first
+    # amplitude is +0.0 but whose second is not.
+    pytest.param(Circuit(8).x(0).h(7).h(1), 6, 2, False, id="plus-zero-slices-in-each-share"),
+    pytest.param(Circuit(6, gates=PARTLY_LIVE.gates[1:]), 2, 1, True, id="partly-live-1-worker"),
+    pytest.param(Circuit(6, gates=PARTLY_LIVE.gates[1:]), 2, 3, True, id="partly-live-3-workers"),
+    # The real block size: one low-run slice, then low runs and slice pairs mixed.
+    pytest.param(circuit_of(16, 16, 40), 16, 2, True, id="16-qubits"),
+    pytest.param(circuit_of(18, 1_618, 60), 16, 2, False, id="18-qubits"),
+    pytest.param(circuit_of(20, 4_669, 40), 16, 2, False, id="20-qubits"),
+]
+
+
+@pytest.mark.parametrize("circuit, block_qubits, workers, x_first", PINNED)
+def test_pinned_circuits_equal_the_reference_chain(circuit, block_qubits, workers, x_first):
+    check_against_reference_chain(circuit, block_qubits, workers, x_first, float, 1, False, 0)
+
+
+def check_against_reference_chain(circuit, block_qubits, workers, x_first, dtype, rows, fortran, seed):
     n = circuit.num_qubits
     gates = [Gate("X", (n - 1,))] * x_first + circuit.gates
     rng = np.random.default_rng(seed)
