@@ -129,7 +129,12 @@ class AlgorithmRun:
 def parse_params(descriptor: AlgorithmDescriptor, raw: Sequence[str]) -> dict:
     """Parse one raw string per ParamSpec, in order."""
     check_type("descriptor", descriptor, AlgorithmDescriptor)
-    if not isinstance(raw, Sequence) or len(raw) != len(descriptor.param_specs):
+    # A str or bytes is a Sequence too, but of characters, not of raw strings.
+    if (
+        not isinstance(raw, Sequence)
+        or isinstance(raw, (str, bytes))
+        or len(raw) != len(descriptor.param_specs)
+    ):
         raise _params_error(descriptor, raw)
     return {
         spec.name: spec.parse(value)

@@ -1,12 +1,11 @@
 import itertools
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
 
+from chi_square import chi_square_p_value
 from qubitkit.algorithms import bb84
 from qubitkit.algorithms.bb84 import (
     ABORTED,
@@ -342,30 +341,6 @@ def test_verify_key_too_short():
 
 # ---------------------------------------------------------------------------
 # The verdict law (closed form and Monte Carlo)
-
-
-def chi_square_p_value(cells):
-    """The p-value of Pearson's statistic summed over ``cells``, each a list
-    of drawn outcomes and the law they are drawn from, a dict outcome ->
-    chance.
-
-    An outcome the law rules out must not occur. One of expected count under
-    5 is pooled into its cell's likeliest outcome.
-    """
-    statistic, dof = 0.0, 0
-    for outcomes, law in cells:
-        observed = Counter(outcomes)
-        assert set(observed) <= set(law)
-        expected = {v: len(outcomes) * p for v, p in law.items()}
-        assert all(observed[v] == 0 for v, e in expected.items() if e == 0)
-        likeliest = max(expected, key=expected.get)
-        for outcome, e in list(expected.items()):
-            if outcome != likeliest and e < 5:
-                observed[likeliest] += observed.pop(outcome, 0)
-                expected[likeliest] += expected.pop(outcome)
-        statistic += sum((observed[v] - e) ** 2 / e for v, e in expected.items())
-        dof += len(expected) - 1
-    return stats.chi2.sf(statistic, df=dof)
 
 
 @pytest.mark.parametrize("compare_mode", ["half", "full"])

@@ -195,10 +195,12 @@ def test_run_algorithm_rejects_missing_extra_and_mistyped_params(name, params, p
 
 
 @pytest.mark.parametrize(
-    "raw, param", [([None], "n"), ([5], "n"), ([b"3"], "n"), (None, "qrand"), (3, "qrand")]
+    "raw, param",
+    [([None], "n"), ([5], "n"), ([b"3"], "n"), (None, "qrand"), (3, "qrand"), ("7", "qrand")],
 )
 def test_parse_params_rejects_what_is_not_strings(raw, param):
     # [None] and [5] used to raise AttributeError, None and 3 a TypeError.
+    # "7" used to be read one character at a time, as ["7"].
     with pytest.raises(ValidationError) as excinfo:
         parse_params(default_algorithms().get("qrand"), raw)
     assert excinfo.value.param == param

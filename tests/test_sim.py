@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
+from chi_square import chi_square_p_value
 from qubitkit import sim
 from qubitkit.algorithms import qrand
 from qubitkit.algorithms.bernstein_vazirani import bv_circuit
@@ -262,10 +262,12 @@ def test_malformed_amplitudes_raise_a_validation_error(amplitudes, gate):
 
 
 def _amplitudes_laid_out(layout: str) -> np.ndarray:
-    """Three qubits' amplitudes, random, in one of three memory layouts."""
+    """Three qubits' amplitudes, random, in one of four memory layouts."""
     rng = np.random.default_rng(5)
     if layout == "c-order":
         return rng.normal(size=8)
+    if layout == "full-block-batch":  # 2^16 amplitudes: the most one kernel call takes
+        return rng.normal(size=(8192, 8))
     if layout == "fortran-batch":
         return np.asfortranarray(rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)))
     strided = np.empty(16)[::2]  # every other float64 of a 16-float buffer
@@ -273,7 +275,7 @@ def _amplitudes_laid_out(layout: str) -> np.ndarray:
     return strided
 
 
-@pytest.mark.parametrize("layout", ["c-order", "fortran-batch", "strided"])
+@pytest.mark.parametrize("layout", ["c-order", "fortran-batch", "strided", "full-block-batch"])
 def test_apply_gate_writes_a_fresh_array_with_one_slice_kernel(layout, monkeypatch):
     # Up to 2^16 amplitudes, apply_gate reads its input, in whatever memory
     # order, and writes the gate's image into a new C-order array with one
@@ -461,6 +463,8 @@ ROTATING_RUNS = {
         Circuit(7).h(6).h(5).cnot(5, 0),
         [("_hadamard_into", (5,)), ("_rotate", 2), ("_cnot_into", (1, 2)), ("_rotate", 4)],
     ),
+    # A gate already on the fast bit, 2, takes no rotation; one step.
+    "on-the-fast-bit": (Circuit(7).h(6).h(2), [("_hadamard_into", (2,))]),
 }
 
 
@@ -522,8 +526,10 @@ def test_low_run_skips_a_slice_only_when_its_bits_are_all_zero(monkeypatch):
 
 def test_sixteen_qubits_are_one_low_run_on_the_calling_thread(monkeypatch):
     # A 16-qubit state is exactly one slice, so evolve applies all its gates
-    # through the slice kernels, and with one live slice no thread starts.
+    # through the slice kernels, not one apply_gate call per gate, and with
+    # one live slice no thread starts.
     caller, threads = threading.current_thread(), set()
+    monkeypatch.setattr(sim, "apply_gate", lambda *args: pytest.fail("apply_gate called"))
     for kind, kernel in sim._SLICE_KERNELS.items():
 
         def spy(src, dst, targets, kernel=kernel):
@@ -817,10 +823,9 @@ def test_hadamard_sampling_is_balanced():
     # (test_batch_sampling_equals_single_register_draws).
     plus = apply_gate(new_zero_state(1), Gate("H", (0,))).amplitudes
     n = 100_000
-    zeros = n - int(sample_measurement(Statevector(1, np.tile(plus, (n, 1))), make_rng(81)).sum())
-    assert abs(zeros / n - 0.5) < 0.01
-    _, p = stats.chisquare([zeros, n - zeros])
-    assert p > 0.001
+    bits = sample_measurement(Statevector(1, np.tile(plus, (n, 1))), make_rng(81))
+    assert abs(bits.mean() - 0.5) < 0.01
+    assert chi_square_p_value([(bits.tolist(), {0: 0.5, 1: 0.5})]) > 0.001
 
 
 def test_bell_state_yields_only_correlated_outcomes():
@@ -982,16 +987,9 @@ def test_sampling_matches_born_rule_on_random_circuits():
         circuit = Circuit(3, gates=list(gates))
         counts = run(circuit, shots=shots, seed=1000 + trial)
         probs = np.abs(evolve(circuit).amplitudes) ** 2
-        observed, expected = [], []
-        for index, p in enumerate(probs):
-            key = format(index, "03b")
-            if p < 1e-12:
-                assert key not in counts
-            else:
-                observed.append(counts.get(key, 0))
-                expected.append(p * shots)
-        _, pvalue = stats.chisquare(observed, expected)
-        assert pvalue > 0.001
+        # An outcome of chance under 1e-12 must not be drawn.
+        law = {format(index, "03b"): p for index, p in enumerate(probs) if p >= 1e-12}
+        assert chi_square_p_value([(list(Counter(counts).elements()), law)]) > 0.001
 
 
 def test_counts_store_shots_as_a_python_int():

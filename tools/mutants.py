@@ -103,6 +103,28 @@ MUTANTS = [
         "    np.copyto(dst.reshape(1 << k, size >> k), src.reshape(size >> k, 1 << k).T)\n",
         (TEST_SIM,),
     ),
+    # Paths that keep the bytes and differ in the calls they make.
+    Mutant(
+        "16 qubits take one apply_gate call per gate",
+        SIM,
+        "    blocked = n >= _BLOCK_QUBITS\n",
+        "    blocked = n > _BLOCK_QUBITS\n",
+        (TEST_SIM,),
+    ),
+    Mutant(
+        "apply_gate copies and slices a state of exactly 2^16 amplitudes",
+        SIM,
+        "    if amps.size <= 1 << _BLOCK_QUBITS:\n",
+        "    if amps.size < 1 << _BLOCK_QUBITS:\n",
+        (TEST_SIM,),
+    ),
+    Mutant(
+        "a gate already on the fast bit takes a rotation by 0",
+        SIM,
+        "        if low < fast:\n",
+        "        if low <= fast:\n",
+        (TEST_SIM,),
+    ),
     # Kernels.
     Mutant(
         "1/sqrt(2) is taken as sqrt(0.5), one ulp away",
